@@ -59,6 +59,14 @@ class EvalOptions:
     split_denominator: int = 6
     certify: bool = True
 
+    def __post_init__(self):
+        if self.unfold_bound < 0:
+            raise ValueError(f"unfold bound must be >= 0, got {self.unfold_bound}")
+        if self.pi1_grid < 1:
+            raise ValueError(f"player-1 grid must be >= 1, got {self.pi1_grid}")
+        if self.split_denominator < 1:
+            raise ValueError(f"split denominator must be >= 1, got {self.split_denominator}")
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -87,19 +95,6 @@ def _render_lottery(lot):
 
 def _state_order(g):
     return {s: i for i, s in enumerate(g.states)}
-
-
-def _literal_sat_state(g, s, phi) -> bool:
-    """Per-state truth of a propositional formula (boolean semantics)."""
-    if isinstance(phi, Prop):
-        return phi.name in g.labels[s]
-    if isinstance(phi, NegProp):
-        return phi.name not in g.labels[s]
-    if isinstance(phi, And):
-        return all(_literal_sat_state(g, s, i) for i in phi.items)
-    if isinstance(phi, Or):
-        return any(_literal_sat_state(g, s, i) for i in phi.items)
-    raise TypeError(f"not propositional: {phi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +639,8 @@ class CharFormulaBuilder:
     """
 
     def __init__(self, g, k: int):
+        if k < 1:
+            raise ValueError(f"grid must be >= 1, got {k}")
         self.g = g
         self.k = k
         self._state_memo = {}
@@ -654,6 +651,8 @@ class CharFormulaBuilder:
         if key in self._state_memo:
             return self._state_memo[key]
         g = self.g
+        if n < 0:
+            raise ValueError(f"depth must be >= 0, got {n}")
         if n == 0:
             pos = tuple(Prop(p) for p in g.props if p in g.labels[s])
             neg = tuple(NegProp(p) for p in g.props if p not in g.labels[s])
@@ -700,6 +699,8 @@ def logic_preorder(g, s, t, n: int, k: int, opts: EvalOptions = None) -> EvalRes
     `holds` suggests ``t`` simulates ``s`` up to depth ``n`` at this grid
     resolution; a certified `fails` refutes the logic preorder.
     """
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
     opts = opts or EvalOptions(pi1_grid=k)
     builder = CharFormulaBuilder(g, k)
     phi = And(tuple(builder.state(s, level) for level in range(n + 1)))

@@ -48,9 +48,6 @@ class GameStructure:
             raise ModelError(f"unknown player-2 action {a2!r}")
         return self.table[(s, a1, a2)]
 
-    def label(self, s) -> frozenset:
-        return self.labels[s]
-
     def is_absorbing(self, s) -> bool:
         point = Distribution.point(s)
         return all(
@@ -82,10 +79,6 @@ class GameStructure:
             other.acts2,
             other.table,
         )
-
-
-def step_state(g: GameStructure, s, a1, a2) -> Distribution:
-    return g.step(s, a1, a2)
 
 
 def validate_model(g) -> list:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 
@@ -22,7 +23,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"decimal literal {text!r} not allowed; use n/d")
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return Fraction(int(text))
 
 
@@ -116,10 +120,6 @@ class MixedAction:
     @classmethod
     def pure(cls, states: Iterable[str], action: str, owner: int) -> "MixedAction":
         return cls({s: {action: ONE} for s in states}, owner)
-
-    @classmethod
-    def constant(cls, states: Iterable[str], lottery, owner: int) -> "MixedAction":
-        return cls({s: dict(lottery) for s in states}, owner)
 
     def at(self, s: str):
         return self.choice[s]
@@ -254,112 +254,124 @@ class LinearProblem:
         return len(self.names)
 
 
+def _reduce(row: dict) -> dict:
+    """Divide an integer row by the gcd of its entries. The gcd is folded
+    pairwise and stops at 1: ``math.gcd(*values)`` kept memory it never
+    released on CPython 3.11."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    return {j: v // g for j, v in row.items()} if g else row
+
+
+def _int_row(row: dict) -> dict:
+    """The nonzero entries of a rational row, scaled by a positive factor to
+    coprime integers."""
+    scale = 1
+    for c in row.values():
+        scale = lcm(scale, c.denominator)
+    return _reduce({j: c.numerator * (scale // c.denominator) for j, c in row.items() if c})
+
+
+def _eliminate(row: dict, prow: dict, a: int, f: int) -> dict:
+    """``a*row - f*prow`` over integers, reduced by its gcd (``a > 0``)."""
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    out = {j: v * a for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in prow.items():
+        w = out.get(j, 0) - f * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _reduce(out)
+
+
 def lp_feasible(p: LinearProblem) -> Optional[dict]:
     """Exact feasibility of ``p``; returns a satisfying assignment or None.
 
     Phase-1 simplex on the standard form with Bland's (lowest-index)
     pivoting, which cannot cycle. Deterministic for a fixed problem.
+
+    Fraction-free and sparse: each tableau row is held as a dict of nonzero
+    Python ``int``s that is some positive multiple of the rational row, with
+    the right-hand side under key ``total``; a basic variable's value is the
+    row's rhs over its own coefficient there. The artificial column of row
+    ``i`` (basis label ``total + i``) is never read, so it is not stored.
+    A pivot rescales and updates only the rows with a nonzero in the pivot
+    column, then divides each by its gcd. Ratios compare by cross
+    multiplication, since a row's scale cancels in ``rhs/a``. Entering,
+    leaving and drive-out choices are those of the dense rational tableau,
+    so the pivot sequence and the returned vertex are too.
     """
     n = p.n_vars()
+    total = n + sum(1 for _, sense, _ in p.constraints if sense != "==")
     rows = []
-    n_slack = 0
+    obj = {}  # phase-1 reduced costs: the sum of the starting rows
+    slack = n
     for coeffs, sense, rhs in p.constraints:
-        if sense == "<=":
-            n_slack += 1
-        elif sense == ">=":
-            n_slack += 1
-    total = n + n_slack
-    slack_at = n
-    m = len(p.constraints)
-    # Build A x (+ slack) = b with b >= 0.
-    for coeffs, sense, rhs in p.constraints:
-        row = [ZERO] * total
-        for j, c in coeffs.items():
-            row[j] = c
-        if sense == "<=":
-            row[slack_at] = ONE
-            slack_at += 1
-        elif sense == ">=":
-            row[slack_at] = -ONE
-            slack_at += 1
+        row = dict(coeffs)
+        if sense != "==":
+            row[slack] = ONE if sense == "<=" else -ONE
+            slack += 1
+        row[total] = rhs
         if rhs < 0:
-            row = [-c for c in row]
-            rhs = -rhs
-        rows.append((row, Fraction(rhs)))
-
-    # Phase 1: artificial variable per row, minimise their sum.
-    width = total + m
-    tableau = []
-    basis = []
-    for i, (row, rhs) in enumerate(rows):
-        full = row + [ZERO] * m + [rhs]
-        full[total + i] = ONE
-        tableau.append(full)
-        basis.append(total + i)
-    # Objective row: sum of artificial rows (reduced costs for min sum a_i).
-    obj = [ZERO] * (width + 1)
-    for full in tableau:
-        for j in range(width + 1):
-            obj[j] += full[j]
+            row = {j: -c for j, c in row.items()}
+        for j, c in row.items():
+            obj[j] = obj.get(j, ZERO) + c
+        rows.append(_int_row(row))
+    obj = _int_row(obj)
+    basis = list(range(total, total + len(rows)))
 
     def pivot(pr: int, pc: int) -> None:
-        prow = tableau[pr]
-        inv = ONE / prow[pc]
-        tableau[pr] = [c * inv for c in prow]
-        prow = tableau[pr]
-        for i in range(m):
-            if i != pr and tableau[i][pc] != 0:
-                f = tableau[i][pc]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
-        if obj[pc] != 0:
-            f = obj[pc]
-            for j in range(width + 1):
-                obj[j] -= f * prow[j]
+        nonlocal obj
+        prow = rows[pr]
+        if prow[pc] < 0:  # drive-out pivots may be negative; keep rows positive multiples
+            prow = rows[pr] = {j: -v for j, v in prow.items()}
+        a = prow[pc]
+        for i, row in enumerate(rows):
+            if i != pr and pc in row:
+                rows[i] = _eliminate(row, prow, a, row[pc])
+        if pc in obj:
+            obj = _eliminate(obj, prow, a, obj[pc])
         basis[pr] = pc
 
     while True:
         # Bland: entering = lowest index with positive reduced cost,
         # excluding artificial columns.
-        pc = -1
-        for j in range(total):
-            if obj[j] > 0:
-                pc = j
-                break
+        pc = min((j for j, v in obj.items() if v > 0 and j < total), default=-1)
         if pc < 0:
             break
         # Ratio test, Bland tie-break on basis index.
-        pr = -1
-        best = None
-        for i in range(m):
-            a = tableau[i][pc]
+        pr, best_a, best_b = -1, 1, 0
+        for i, row in enumerate(rows):
+            a = row.get(pc, 0)
             if a > 0:
-                ratio = tableau[i][width] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pr]):
-                    best = ratio
-                    pr = i
+                b = row.get(total, 0)
+                cur, best = b * best_a, best_b * a  # b/a against best_b/best_a
+                if pr < 0 or cur < best or (cur == best and basis[i] < basis[pr]):
+                    pr, best_a, best_b = i, a, b
         if pr < 0:
             # Unbounded in phase 1 cannot happen (objective bounded below by 0),
             # but guard anyway.
             return None
         pivot(pr, pc)
 
-    if obj[width] != 0:
+    if total in obj:
         return None
     # Drive any artificial variables still in the basis out (degenerate rows).
-    for i in range(m):
-        if basis[i] >= total:
-            if tableau[i][width] != 0:
-                return None
-            for j in range(total):
-                if tableau[i][j] != 0:
-                    pivot(i, j)
-                    break
-
-    values = [ZERO] * total
     for i, b in enumerate(basis):
-        if b < total:
-            values[b] = tableau[i][width]
-    return {p.names[j]: values[j] for j in range(n)}
+        if b >= total:
+            if total in rows[i]:
+                return None
+            pc = min((j for j in rows[i] if j < total), default=-1)
+            if pc >= 0:
+                pivot(i, pc)
+
+    values = {b: Fraction(rows[i].get(total, 0), rows[i][b]) for i, b in enumerate(basis) if b < n}
+    return {name: values.get(j, ZERO) for j, name in enumerate(p.names)}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from urllib.parse import quote
 
 from .model import GameStructure, ModelError
 from .prob import (
@@ -145,6 +146,12 @@ def _test_lotteries(g: GameStructure, strat: QuantStrategy):
     return grid_lotteries(g.acts1, strat.k)
 
 
+def _file_part(name: str) -> str:
+    """Percent-encode a state name, ``_`` included, so ``s_t`` file names of
+    distinct pairs differ."""
+    return quote(name, safe="").replace("_", "%5F")
+
+
 def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy):
     """One approximant step against the frozen relation ``r``.
 
@@ -155,7 +162,7 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy):
     if strat.kind == SMT_EXPORT:
         os.makedirs(strat.directory, exist_ok=True)
         for s, t in r:
-            path = os.path.join(strat.directory, f"{s}_{t}.smt2")
+            path = os.path.join(strat.directory, f"{_file_part(s)}_{_file_part(t)}.smt2")
             with open(path, "w") as fh:
                 fh.write(export_smt(g, s, t, r))
         return r, {}
@@ -257,9 +264,12 @@ def export_smt(g: GameStructure, s, t, r: Relation) -> str:
     under ``r``. Variables: lottery p over player-1 actions (universal);
     existential x (lottery at t), lam (one response mixture per player-2
     action) and w (one lifting weight per related pair per player-2 action).
+    Symbols carry declaration indices, not names, since names may contain
+    ``_``; a comment line lists the names in index order.
     """
-    pvars = {a: f"p_{a}" for a in g.acts1}
-    xvars = {a: f"x_{a}" for a in g.acts1}
+    st = {u: i for i, u in enumerate(g.states)}
+    pvars = {a: f"p_{i}" for i, a in enumerate(g.acts1)}
+    xvars = {a: f"x_{i}" for i, a in enumerate(g.acts1)}
     pairs = sorted(r.pairs)
 
     def simplex(names):
@@ -269,9 +279,9 @@ def export_smt(g: GameStructure, s, t, r: Relation) -> str:
 
     ex_decls = [f"({v} Real)" for v in xvars.values()]
     body = simplex(list(xvars.values()))
-    for b in g.acts2:
-        lams = {b2: f"lam_{b}_{b2}" for b2 in g.acts2}
-        ws = {(u, v): f"w_{b}_{u}_{v}" for u, v in pairs}
+    for bi, b in enumerate(g.acts2):
+        lams = {b2: f"lam_{bi}_{ci}" for ci, b2 in enumerate(g.acts2)}
+        ws = {(u, v): f"w_{bi}_{st[u]}_{st[v]}" for u, v in pairs}
         ex_decls += [f"({v} Real)" for v in lams.values()]
         ex_decls += [f"({v} Real)" for v in ws.values()]
         body += simplex(list(lams.values()))
@@ -304,6 +314,8 @@ def export_smt(g: GameStructure, s, t, r: Relation) -> str:
     exists = "(exists (" + " ".join(ex_decls) + ") " + inner + ")"
     lines = [
         f"; step condition for pair ({s}, {t})",
+        "; index order: states " + " ".join(g.states) + "; actions1 "
+        + " ".join(g.acts1) + "; actions2 " + " ".join(g.acts2),
         "(set-logic NRA)",
         f"(assert (forall ({uni_decls}) (=> {guard} {exists})))",
         "(check-sat)",

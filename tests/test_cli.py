@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pags
 from pags import fixture_path
 from pags.cli import run
 
@@ -178,3 +183,57 @@ def test_determinism_byte_identical():
         first = invoke(argv)
         second = invoke(argv)
         assert first == second
+
+
+def test_eval_split_denominator_zero_is_usage_error():
+    code, out, err = invoke([
+        "eval", "--model", RPS, "--dist", "s0:1", "--formula", "win1", "--split-denom", "0",
+    ])
+    assert code == 3 and out == "" and "split denominator" in err
+
+
+def test_eval_negative_unfold_is_usage_error():
+    code, out, err = invoke([
+        "eval", "--model", RPS, "--dist", "s0:1",
+        "--formula", "mu Z. win1 | <1> Z", "--unfold", "-1",
+    ])
+    assert code == 3 and out == "" and "unfold bound" in err
+
+
+def test_eval_grid_zero_is_usage_error():
+    code, out, err = invoke([
+        "eval", "--model", RPS, "--dist", "s0:1", "--formula", "<1> win1", "--grid", "0",
+    ])
+    assert code == 3 and out == "" and "grid" in err
+
+
+def test_negative_depth_is_usage_error():
+    code, out, err = invoke(["charform", "--model", RPS, "--state", "s0", "--depth", "-1"])
+    assert code == 3 and out == "" and "depth" in err
+    code, out, err = invoke([
+        "preorder", "--model", RPS, "--from", "s0", "--to", "s1", "--depth", "-1",
+    ])
+    assert code == 3 and out == "" and "depth" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(pags.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pags", "sim", "--model", RPS, "--pair", "s0,s1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and "unrelated: (s0, s1)" in proc.stdout
+
+
+def test_zero_denominator_is_usage_error(tmp_path):
+    model = tmp_path / "m.pgs"
+    model.write_text("model m\nstates: s  init: s\nprops:\nactions1: a\nactions2: b\n"
+                     "trans s (a,b): s=1/0\n")
+    code, out, err = invoke(["sim", "--model", str(model)])
+    assert code == 3 and out == "" and "zero denominator" in err
+    code, out, err = invoke(["eval", "--model", RPS, "--dist", "s0:1/0", "--formula", "win1"])
+    assert code == 3 and out == "" and "zero denominator" in err
+    code, out, err = invoke([
+        "eval", "--model", RPS, "--dist", "s0:1", "--formula", "sum{1/0: win1}",
+    ])
+    assert code == 3 and out == "" and "zero denominator" in err

@@ -1,0 +1,99 @@
+"""Exact CLI output on the fixtures, pinned as literals.
+
+Witnesses are the vertices the simplex stops at, so a change to the LP
+kernel's pivot order shows here even when the verdicts stay the same. Most
+fixture LPs have a single feasible point; the ``mix`` witness and the LP
+pinned at the end do not, and they change under another entering or
+leaving rule.
+"""
+
+import io
+from fractions import Fraction as Q
+
+import pytest
+
+from pags import fixture_path
+from pags.cli import run
+from pags.prob import LinearProblem, lp_feasible
+
+F = {name: str(fixture_path(name)) for name in
+     ("lifthost.pgs", "lifthost.rel", "dup.pgs", "rps.pgs")}
+
+GOLDEN = [
+    pytest.param(
+        ["lift", "--json", "--model", F["lifthost.pgs"], "--relation", F["lifthost.rel"],
+         "--delta", "s1:1/2,s2:1/2", "--theta", "t1:1/3,t2:1/3,t3:1/3"],
+        0,
+        '{"bound": 0, "certified": true, "mode": "lift", "result": "feasible", '
+        '"witness": {"s1,t1": "1/3", "s1,t2": "1/6", "s2,t2": "1/6", "s2,t3": "1/3"}}\n',
+        id="lift-lifthost",
+    ),
+    pytest.param(
+        ["sim", "--model", F["dup.pgs"], "--mode", "grid=2", "--trace", "--json"],
+        0,
+        '{"bound": 1, "certified": true, "mode": "grid=2", "result": "related", '
+        '"witness": ["u u", "u u2", "u2 u", "u2 u2", "x x", "y y"]}\n',
+        id="sim-dup-grid2",
+    ),
+    pytest.param(
+        ["sim", "--model", F["rps.pgs"], "--mode", "grid=3", "--trace", "--json"],
+        0,
+        '{"bound": 1, "certified": true, "mode": "grid=3", "result": "related", '
+        '"witness": ["s0 s0", "s1 s1", "s2 s2"]}\n',
+        id="sim-rps-grid3",
+    ),
+    pytest.param(
+        ["preorder", "--json", "--model", F["dup.pgs"], "--from", "u", "--to", "u2",
+         "--depth", "2", "--grid", "2"],
+        0,
+        '{"bound": 2, "certified": false, "mode": "preorder", "result": "holds", '
+        '"witness": {"conjuncts": 3}}\n',
+        id="preorder-dup-u-u2",
+    ),
+    pytest.param(
+        ["preorder", "--json", "--model", F["rps.pgs"], "--from", "s0", "--to", "s1",
+         "--depth", "2", "--grid", "2"],
+        1,
+        '{"bound": 2, "certified": true, "mode": "preorder", "result": "fails", '
+        '"witness": {"conjunct": 0, "counterexample": {"exact": true}}}\n',
+        id="preorder-rps-s0-s1",
+    ),
+    pytest.param(
+        ["eval", "--json", "--model", F["dup.pgs"], "--dist", "x:1/2,y:1/2",
+         "--formula", "mix{pa|pb, pa|pb, pb}"],
+        0,
+        '{"bound": 0, "certified": true, "mode": "eval", "result": "holds", '
+        '"witness": {"exact": true, "split": [["1/2", "x:1"], ["0", null], ["1/2", "y:1"]]}}\n',
+        id="eval-dup-mix",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", GOLDEN)
+def test_cli_output_is_pinned(argv, code, stdout):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out=out, err=err) == code
+    assert out.getvalue() == stdout
+    assert err.getvalue() == ""
+
+
+def test_lp_vertex_is_pinned():
+    """A degenerate LP with many feasible vertices; Bland's rule picks this one."""
+    rows = [
+        ({"v0": Q(3, 2), "v2": Q(-1, 2), "v4": Q(-2)}, ">=", 0),
+        ({"v2": Q(5, 2)}, "<=", 0),
+        ({"v0": Q(-2), "v1": Q(-6, 5), "v2": Q(-1), "v5": Q(1, 3)}, "==", 0),
+        ({"v0": Q(-5, 3), "v1": Q(-3), "v3": Q(5), "v5": Q(-5, 3)}, "==", 5),
+        ({"v1": Q(-3), "v2": Q(-1, 5), "v4": Q(-1)}, "<=", Q(1, 2)),
+        ({"v4": Q(6), "v5": Q(3, 2)}, ">=", Q(3, 4)),
+        ({"v1": Q(1, 3), "v2": Q(-2), "v3": Q(2, 3)}, ">=", Q(1, 2)),
+        ({"v1": Q(-1), "v2": Q(4, 3), "v3": Q(1), "v5": Q(-1)}, ">=", 0),
+    ]
+    lp = LinearProblem()
+    for j in range(6):
+        lp.var(f"v{j}")
+    for coeffs, sense, rhs in rows:
+        lp.add(coeffs, sense, rhs)
+    assert lp_feasible(lp) == {
+        "v0": Q(3, 11), "v1": 0, "v2": 0, "v3": Q(18, 11), "v4": 0, "v5": Q(18, 11),
+    }

@@ -1,5 +1,6 @@
 """Alternating and probabilistic alternating simulation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,3 +155,24 @@ def test_strategy_validation():
         QuantStrategy.grid(0)
     with pytest.raises(ValueError):
         QuantStrategy.smt_export("")
+
+
+def _unlabeled_absorbing(states, acts2):
+    return parse_model(
+        f"model clash\nstates: {states}    init: {states.split()[0]}\nprops:\n"
+        f"actions1: a\nactions2: {acts2}\n" + "".join(f"absorb {s}\n" for s in states.split())
+    )
+
+
+def test_export_smt_symbols_distinct_when_names_contain_underscores():
+    g = _unlabeled_absorbing("z y_z", "x x_y")
+    r = Relation((s, t) for s in g.states for t in g.states)
+    declared = re.findall(r"\((\S+) Real\)", export_smt(g, "z", "z", r))
+    assert len(declared) == 2 + 2 * (2 + len(r))
+    assert len(set(declared)) == len(declared)
+
+
+def test_smt_export_file_names_distinct_when_names_contain_underscores(tmp_path):
+    g = _unlabeled_absorbing("a a_a", "b")
+    rep = pa_simulation(g, QuantStrategy.smt_export(str(tmp_path)))
+    assert len(list(tmp_path.iterdir())) == len(rep.deferred) == 4
