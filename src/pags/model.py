@@ -90,6 +90,8 @@ def validate_model(g) -> list:
         out.append("duplicate state declaration")
     if not g.acts1 or not g.acts2:
         out.append("empty action set")
+    if len(set(g.acts1)) != len(g.acts1) or len(set(g.acts2)) != len(g.acts2):
+        out.append("duplicate action declaration")
     if g.init not in g.states:
         out.append(f"init state {g.init!r} not declared")
     for s, props in g.labels.items():
@@ -121,6 +123,20 @@ def _idents(text, lineno):
     return names
 
 
+def _ident(text, lineno, what):
+    names = _idents(text, lineno)
+    if len(names) != 1:
+        raise ModelError(f"expected one {what}, got {len(names)}", lineno)
+    return names[0]
+
+
+def _actions(text, lineno, player):
+    names = _idents(text, lineno)
+    if len(set(names)) != len(names):
+        raise ModelError(f"duplicate player-{player} action declaration", lineno)
+    return names
+
+
 def parse_model(text: str) -> GameStructure:
     """Parse `.pgs` source into a validated GameStructure.
 
@@ -146,7 +162,7 @@ def parse_model(text: str) -> GameStructure:
         if word == "model":
             if name is not None:
                 raise ModelError("duplicate model line", lineno)
-            (name,) = _idents(rest, lineno) or (None,)
+            name = _ident(rest, lineno, "model name")
         elif word == "states:":
             if "init:" not in rest:
                 raise ModelError("states line must carry 'init:'", lineno)
@@ -177,9 +193,9 @@ def parse_model(text: str) -> GameStructure:
                     raise ModelError(f"unknown proposition {p!r}", lineno)
             labels[st] = given
         elif word == "actions1:":
-            acts1 = _idents(rest, lineno)
+            acts1 = _actions(rest, lineno, 1)
         elif word == "actions2:":
-            acts2 = _idents(rest, lineno)
+            acts2 = _actions(rest, lineno, 2)
         elif word == "trans":
             if states is None or acts1 is None or acts2 is None:
                 raise ModelError("trans before states/actions declarations", lineno)
@@ -224,7 +240,7 @@ def parse_model(text: str) -> GameStructure:
         elif word == "absorb":
             if states is None or acts1 is None or acts2 is None:
                 raise ModelError("absorb before states/actions declarations", lineno)
-            (st,) = _idents(rest, lineno) or (None,)
+            st = _ident(rest, lineno, "state name")
             if st not in states:
                 raise ModelError(f"unknown state {st!r}", lineno)
             absorbed.append((st, lineno))

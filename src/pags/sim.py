@@ -90,12 +90,44 @@ def initial_relation(g: GameStructure) -> Relation:
     )
 
 
-def _delta(g, s, pi1_at_s, b2):
-    """Successor of ``s`` under lottery ``pi1_at_s`` and pure response ``b2``."""
-    return combine_dists((p, g.step(s, a, b2)) for a, p in pi1_at_s.items())
+def _marginal_rows(dists):
+    """Sorted union of the supports of ``dists``, and for each state in it
+    the coefficients ``[(index into dists, -mass)]`` of its marginal row."""
+    states = sorted(set().union(*[d.support() for d in dists]))
+    return states, {x: [(i, -d[x]) for i, d in enumerate(dists) if d[x] > 0] for x in states}
 
 
-def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation):
+class _StepData:
+    """Step-LP inputs that depend on the model alone, and the answers of the
+    step LPs solved so far, for one ``pa_simulation`` call."""
+
+    def __init__(self, g: GameStructure):
+        self.g = g
+        self.left = {}  # (s, lottery) -> (successor id, states, rows)
+        self.successor_ids = {}  # successors of s over acts2 -> small int
+        self.right = {}  # t -> (support over all b, [(states, rows)] per b)
+        self.solved = {}  # (t, successor id, related pairs) -> MixedAction or None
+
+    def left_side(self, s, lottery):
+        key = (s, tuple(sorted(lottery.items())))
+        if key not in self.left:
+            succ = tuple(
+                combine_dists((p, self.g.step(s, a, b2)) for a, p in lottery.items())
+                for b2 in self.g.acts2
+            )
+            succ_id = self.successor_ids.setdefault(succ, len(self.successor_ids))
+            self.left[key] = (succ_id, *_marginal_rows(succ))
+        return self.left[key]
+
+    def right_side(self, t):
+        if t not in self.right:
+            g = self.g
+            per_b = [_marginal_rows([g.step(t, a, b) for a in g.acts1]) for b in g.acts2]
+            self.right[t] = (sorted(set().union(*[v for v, _ in per_b])), per_b)
+        return self.right[t]
+
+
+def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     """Exact search for a player-1 lottery at ``t`` matching ``pi1_at_s``.
 
     Feasibility of: the successor set of ``t`` under the unknown lottery is
@@ -103,41 +135,57 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation):
     Every pure response at ``t`` is covered by a convex combination of the
     responses at ``s`` plus a lifting witness, all in one LP. Returns the
     lottery as a MixedAction, or None.
+
+    The LP depends on ``r`` only through ``r`` restricted to (left support x
+    right support), the successor supports of ``s`` under the lottery and of
+    ``t``. So within one ``pa_simulation`` call, which passes its ``data``,
+    an LP whose ``t``, successors of ``s`` and restricted relation were seen
+    before is not solved again: the stored answer, the same object, is
+    returned.
     """
     pi1_at_s = {a: Fraction(p) for a, p in pi1_at_s.items() if Fraction(p) != 0}
     if sum(pi1_at_s.values(), Fraction(0)) != 1:
         raise ValueError("lottery does not sum to 1")
-    deltas = {b2: _delta(g, s, pi1_at_s, b2) for b2 in g.acts2}
-    left_states = sorted(set().union(*[d.support() for d in deltas.values()]))
+    if data is None:
+        data = _StepData(g)
+    succ_id, left_states, left_rows = data.left_side(s, pi1_at_s)
+    support, per_b = data.right_side(t)
+    related = tuple((u, v) for u in left_states for v in support if (u, v) in r)
+    key = (t, succ_id, related)
+    if key in data.solved:
+        return data.solved[key]
 
+    # Integer columns: x per player-1 action, then per b: lam per b2 and w per
+    # related pair. ``add`` registers unseen columns in key order.
+    n2 = len(g.acts2)
     lp = LinearProblem()
-    xs = {a: lp.var(f"x[{a}]") for a in g.acts1}
-    lp.add({v: 1 for v in xs.values()}, "==", 1)
-    for b in g.acts2:
-        succ = {a: g.step(t, a, b) for a in g.acts1}
-        right_states = sorted(set().union(*[d.support() for d in succ.values()]))
-        lams = {b2: lp.var(f"lam[{b},{b2}]") for b2 in g.acts2}
-        lp.add({v: 1 for v in lams.values()}, "==", 1)
-        pairs = [(u, v) for u in left_states for v in right_states if (u, v) in r]
-        ws = {(u, v): lp.var(f"w[{b},{u},{v}]") for u, v in pairs}
+    lp.add(dict.fromkeys(range(len(g.acts1)), 1), "==", 1)
+    for right_states, right_rows in per_b:
+        lam = lp.n_vars()
+        lp.add(dict.fromkeys(range(lam, lam + n2), 1), "==", 1)
+        by_v = {v: [] for v in right_states}
+        by_u = {u: [] for u in left_states}
+        for u, v in related:
+            if v in by_v:
+                w = lp.n_vars()
+                lp.var(w)
+                by_v[v].append(w)
+                by_u[u].append(w)
         for v in right_states:
-            coeffs = {ws[(u, w)]: Fraction(1) for u, w in pairs if w == v}
-            for a, d in succ.items():
-                if d[v] > 0:
-                    coeffs[xs[a]] = coeffs.get(xs[a], Fraction(0)) - d[v]
+            coeffs = dict.fromkeys(by_v[v], 1)
+            coeffs.update(right_rows[v])
             lp.add(coeffs, "==", 0)
         for u in left_states:
-            coeffs = {ws[(x, v)]: Fraction(1) for x, v in pairs if x == u}
-            for b2, d in deltas.items():
-                if d[u] > 0:
-                    coeffs[lams[b2]] = coeffs.get(lams[b2], Fraction(0)) - d[u]
+            coeffs = dict.fromkeys(by_u[u], 1)
+            coeffs.update((lam + i, c) for i, c in left_rows[u])
             lp.add(coeffs, "==", 0)
 
     sol = lp_feasible(lp)
-    if sol is None:
-        return None
-    lottery = {a: sol[xs[a]] for a in g.acts1 if sol[xs[a]] > 0}
-    return MixedAction({t: lottery}, 1)
+    found = None
+    if sol is not None:
+        found = MixedAction({t: {a: sol[j] for j, a in enumerate(g.acts1) if sol[j] > 0}}, 1)
+    data.solved[key] = found
+    return found
 
 
 def _test_lotteries(g: GameStructure, strat: QuantStrategy):
@@ -152,12 +200,13 @@ def _file_part(name: str) -> str:
     return quote(name, safe="").replace("_", "%5F")
 
 
-def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy):
+def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     """One approximant step against the frozen relation ``r``.
 
     Returns (relation, witnesses). A pair survives iff every tested
     universal lottery has an exact existential response; under SMT export
     nothing is decided, scripts are written and every pair survives.
+    ``data`` carries step LPs across the rounds of one ``pa_simulation``.
     """
     if strat.kind == SMT_EXPORT:
         os.makedirs(strat.directory, exist_ok=True)
@@ -167,13 +216,15 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy):
                 fh.write(export_smt(g, s, t, r))
         return r, {}
     lotteries = _test_lotteries(g, strat)
+    if data is None:
+        data = _StepData(g)
     kept = []
     witnesses = {}
     for s, t in r:
         entry = []
         ok = True
         for lot in lotteries:
-            pi2 = exists_pi2_check(g, s, t, lot, r)
+            pi2 = exists_pi2_check(g, s, t, lot, r, data)
             if pi2 is None:
                 ok = False
                 break
@@ -192,11 +243,12 @@ def pa_simulation(g: GameStructure, strat: QuantStrategy) -> SimReport:
     simulation (coarser universal test sets remove fewer pairs).
     """
     r = initial_relation(g)
+    data = _StepData(g)
     witnesses = {}
     iterations = 0
     bound = len(g.states) ** 2
     while iterations < bound + 1:
-        nxt, wit = refine_once(g, r, strat)
+        nxt, wit = refine_once(g, r, strat, data)
         iterations += 1
         if nxt == r:
             witnesses = wit

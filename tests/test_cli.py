@@ -237,3 +237,11 @@ def test_zero_denominator_is_usage_error(tmp_path):
         "eval", "--model", RPS, "--dist", "s0:1", "--formula", "sum{1/0: win1}",
     ])
     assert code == 3 and out == "" and "zero denominator" in err
+
+
+def test_duplicate_action_model_is_usage_error(tmp_path):
+    model = tmp_path / "m.pgs"
+    model.write_text("model m\nstates: s  init: s\nprops:\nactions1: a a\nactions2: b\nabsorb s\n")
+    for mode in ("pure", "grid=2"):
+        code, out, err = invoke(["sim", "--model", str(model), "--mode", mode])
+        assert code == 3 and out == "" and "line 4: duplicate player-1 action" in err

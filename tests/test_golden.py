@@ -12,9 +12,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from pags import fixture_path
+from pags import fixture_path, load_fixture_model
 from pags.cli import run
-from pags.prob import LinearProblem, lp_feasible
+from pags.prob import LinearProblem, format_rational, lp_feasible
+from pags.sim import QuantStrategy, pa_simulation
 
 F = {name: str(fixture_path(name)) for name in
      ("lifthost.pgs", "lifthost.rel", "dup.pgs", "rps.pgs")}
@@ -97,3 +98,127 @@ def test_lp_vertex_is_pinned():
     assert lp_feasible(lp) == {
         "v0": Q(3, 11), "v1": 0, "v2": 0, "v3": Q(18, 11), "v4": 0, "v5": Q(18, 11),
     }
+
+
+# Every simulation witness of three fixture runs: per surviving pair, each
+# tested universal lottery and the player-1 lottery the step LP returned at
+# the simulating state, as ``tested -> state: matched``.
+SIM_WITNESSES = [
+    ("rps.pgs", 2, 1, {
+        ('s0', 's0'): [
+            "r=1 -> s0: s=1",
+            "r=1/2 p=1/2 -> s0: r=1/2 s=1/2",
+            "r=1/2 s=1/2 -> s0: r=1/2 s=1/2",
+            "p=1 -> s0: s=1",
+            "p=1/2 s=1/2 -> s0: r=1/2 s=1/2",
+            "s=1 -> s0: s=1",
+        ],
+        ('s1', 's1'): [
+            "r=1 -> s1: r=1",
+            "r=1/2 p=1/2 -> s1: r=1",
+            "r=1/2 s=1/2 -> s1: r=1",
+            "p=1 -> s1: r=1",
+            "p=1/2 s=1/2 -> s1: r=1",
+            "s=1 -> s1: r=1",
+        ],
+        ('s2', 's2'): [
+            "r=1 -> s2: r=1",
+            "r=1/2 p=1/2 -> s2: r=1",
+            "r=1/2 s=1/2 -> s2: r=1",
+            "p=1 -> s2: r=1",
+            "p=1/2 s=1/2 -> s2: r=1",
+            "s=1 -> s2: r=1",
+        ],
+    }),
+    ("rps.pgs", 3, 1, {
+        ('s0', 's0'): [
+            "r=1 -> s0: s=1",
+            "r=2/3 p=1/3 -> s0: r=1/3 s=2/3",
+            "r=2/3 s=1/3 -> s0: r=2/3 s=1/3",
+            "r=1/3 p=2/3 -> s0: r=2/3 s=1/3",
+            "r=1/3 p=1/3 s=1/3 -> s0: r=1/3 p=1/3 s=1/3",
+            "r=1/3 s=2/3 -> s0: r=1/3 s=2/3",
+            "p=1 -> s0: s=1",
+            "p=2/3 s=1/3 -> s0: r=1/3 s=2/3",
+            "p=1/3 s=2/3 -> s0: r=2/3 s=1/3",
+            "s=1 -> s0: s=1",
+        ],
+        ('s1', 's1'): [
+            "r=1 -> s1: r=1",
+            "r=2/3 p=1/3 -> s1: r=1",
+            "r=2/3 s=1/3 -> s1: r=1",
+            "r=1/3 p=2/3 -> s1: r=1",
+            "r=1/3 p=1/3 s=1/3 -> s1: r=1",
+            "r=1/3 s=2/3 -> s1: r=1",
+            "p=1 -> s1: r=1",
+            "p=2/3 s=1/3 -> s1: r=1",
+            "p=1/3 s=2/3 -> s1: r=1",
+            "s=1 -> s1: r=1",
+        ],
+        ('s2', 's2'): [
+            "r=1 -> s2: r=1",
+            "r=2/3 p=1/3 -> s2: r=1",
+            "r=2/3 s=1/3 -> s2: r=1",
+            "r=1/3 p=2/3 -> s2: r=1",
+            "r=1/3 p=1/3 s=1/3 -> s2: r=1",
+            "r=1/3 s=2/3 -> s2: r=1",
+            "p=1 -> s2: r=1",
+            "p=2/3 s=1/3 -> s2: r=1",
+            "p=1/3 s=2/3 -> s2: r=1",
+            "s=1 -> s2: r=1",
+        ],
+    }),
+    ("dup.pgs", 2, 1, {
+        ('u', 'u'): [
+            "a=1 -> u: a=1",
+            "a=1/2 b=1/2 -> u: a=1/2 b=1/2",
+            "b=1 -> u: b=1",
+        ],
+        ('u', 'u2'): [
+            "a=1 -> u2: a=1",
+            "a=1/2 b=1/2 -> u2: a=1/2 b=1/2",
+            "b=1 -> u2: b=1",
+        ],
+        ('u2', 'u'): [
+            "a=1 -> u: a=1",
+            "a=1/2 b=1/2 -> u: a=1/2 b=1/2",
+            "b=1 -> u: b=1",
+        ],
+        ('u2', 'u2'): [
+            "a=1 -> u2: a=1",
+            "a=1/2 b=1/2 -> u2: a=1/2 b=1/2",
+            "b=1 -> u2: b=1",
+        ],
+        ('x', 'x'): [
+            "a=1 -> x: a=1",
+            "a=1/2 b=1/2 -> x: a=1",
+            "b=1 -> x: a=1",
+        ],
+        ('y', 'y'): [
+            "a=1 -> y: a=1",
+            "a=1/2 b=1/2 -> y: a=1",
+            "b=1 -> y: a=1",
+        ],
+    }),
+]
+
+
+def _lottery(lot):
+    return " ".join(f"{a}={format_rational(p)}" for a, p in lot.items())
+
+
+@pytest.mark.parametrize("model,k,iterations,witnesses", SIM_WITNESSES,
+                         ids=["rps-grid2", "rps-grid3", "dup-grid2"])
+def test_sim_witnesses_are_pinned(model, k, iterations, witnesses):
+    g = load_fixture_model(model)
+    rep = pa_simulation(g, QuantStrategy.grid(k))
+    assert rep.iterations == iterations
+    assert rep.relation.pairs == set(witnesses)
+    got = {
+        pair: [
+            _lottery(lot) + " -> " + "; ".join(f"{s}: {_lottery(c)}" for s, c in pi.choice.items())
+            for lot, pi in entries
+        ]
+        for pair, entries in rep.witnesses.items()
+    }
+    assert got == witnesses

@@ -96,11 +96,26 @@ def test_error_carries_line_number():
     assert exc.value.line is not None
 
 
+
+@pytest.mark.parametrize("old,new,line,message", [
+    ("model tiny", "model a b", 2, "expected one model name, got 2"),
+    ("model tiny", "model", 2, "expected one model name, got 0"),
+    ("absorb s1", "absorb s1 s0", 10, "expected one state name, got 2"),
+    ("actions1: a", "actions1: a a", 6, "duplicate player-1 action"),
+    ("actions2: x y", "actions2: x y x", 7, "duplicate player-2 action"),
+], ids=["model-two-names", "model-bare", "absorb-two-states", "actions1-repeat", "actions2-repeat"])
+def test_header_arity_and_duplicate_actions_carry_line(old, new, line, message):
+    with pytest.raises(ModelError, match=f"^line {line}: {message}") as exc:
+        parse_model(MINIMAL.replace(old, new))
+    assert exc.value.line == line
+
 def test_validate_model_direct():
     g = parse_model(MINIMAL)
     assert validate_model(g) == []
     g.table.pop(("s1", "a", "x"))
     assert any("not total" in v for v in validate_model(g))
+    g.acts2.append("x")
+    assert "duplicate action declaration" in validate_model(g)
 
 
 def test_step_rejects_unknown_names():

@@ -1,12 +1,15 @@
-"""Property tests: the exact LP core and lifting against their oracles."""
+"""Property tests: the exact LP core, lifting and simulation against their
+oracles."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pags.oracle import brute_lift
+from pags.model import GameStructure
+from pags.oracle import brute_lift, brute_sim
 from pags.prob import Distribution, LinearProblem, Relation, lift_check, lp_feasible
+from pags.sim import QuantStrategy, SimReport, initial_relation, pa_simulation, refine_once
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -56,8 +59,8 @@ def test_lp_point_satisfies_every_constraint(problem):
         assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]
 
 
-def distributions(states):
-    weights = st.lists(st.integers(0, 4), min_size=len(states), max_size=len(states))
+def distributions(states, weight=st.integers(0, 4)):
+    weights = st.lists(weight, min_size=len(states), max_size=len(states))
     return weights.filter(any).map(
         lambda w: Distribution({s: Fraction(x, sum(w)) for s, x in zip(states, w)})
     )
@@ -78,3 +81,41 @@ def test_lift_check_agrees_with_max_flow(d, th, r):
     assert (witness is not None) == brute_lift(d, th, r)
     if witness is not None:
         witness.validate(d, th, r)
+
+
+@st.composite
+def games(draw):
+    """Random 3-4 state models with 2x2 actions and one proposition. Rows
+    are sparse, so that pairs of distinct states survive refinement."""
+    states = [f"q{i}" for i in range(draw(st.integers(3, 4)))]
+    labels = {s: ["p"] for s in states if draw(st.booleans())}
+    table = {
+        (s, a, b): draw(distributions(states, st.sampled_from([0, 0, 0, 1, 2])))
+        for s in states for a in ("a0", "a1") for b in ("b0", "b1")
+    }
+    return GameStructure("rand", states, states[0], ["p"], labels, ["a0", "a1"], ["b0", "b1"], table)
+
+
+def _fresh_fixpoint(g, strat):
+    """Iterate ``refine_once`` from the zeroth approximant, each round on its own."""
+    r = initial_relation(g)
+    iterations = 0
+    while True:
+        nxt, witnesses = refine_once(g, r, strat)
+        iterations += 1
+        if nxt == r:
+            return SimReport(r, iterations, strat, witnesses)
+        r = nxt
+
+
+@settings(SETTINGS, max_examples=20)
+@given(games())
+def test_simulation_nests_and_matches_fresh_rounds(g):
+    reports = [pa_simulation(g, s) for s in
+               (QuantStrategy.pure(), QuantStrategy.grid(2), QuantStrategy.grid(4))]
+    pure, grid2, grid4 = (rep.relation for rep in reports)
+    assert grid4 <= grid2 <= pure
+    assert Relation.identity(g.states) <= grid4
+    assert brute_sim(g, 2) <= grid2
+    for rep in reports:
+        assert rep == _fresh_fixpoint(g, rep.strategy)
