@@ -3,7 +3,8 @@
 Every subcommand prints a deterministic human-readable report, or a single
 JSON object with the stable keys result/certified/witness/bound/mode when
 ``--json`` is given. Exit codes: 0 holds/related/feasible, 1 the negative
-counterpart, 2 unknown or deferred, 3 usage or model errors.
+counterpart, 2 unknown or deferred, 3 usage or model errors and internal
+errors, so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .formula import FormulaError, Mu, Nu, format_formula, parse_formula
 from .logic import (
@@ -145,22 +147,27 @@ def _cmd_lift(args, out):
 def _cmd_sim(args, out):
     g = _load_model(args.model)
     strat = _strategy(args.mode)
-    report = pa_simulation(g, strat)
-    pairs = [f"{s} {t}" for s, t in report.relation]
-    deferred = strat.kind == "smt"
     if args.pair:
         if "," not in args.pair:
             raise UsageError("--pair expects 's,t'")
-        s, _, t = args.pair.partition(",")
-        member = (s.strip(), t.strip()) in report.relation
+        s, _, t = (part.strip() for part in args.pair.partition(","))
+        for u in (s, t):
+            if u not in g.states:
+                raise UsageError(f"unknown state {u!r}")
+    try:
+        report = pa_simulation(g, strat)
+    except OSError as e:
+        raise UsageError(f"cannot write SMT scripts: {e}") from None
+    pairs = [f"{s} {t}" for s, t in report.relation]
+    deferred = strat.kind == "smt"
+    if args.pair:
         if deferred:
             result, code = "deferred", 2
-        elif member:
+        elif (s, t) in report.relation:
             result, code = "related", 0
         else:
             result, code = "unrelated", 1
-        lines = [f"{result}: ({s.strip()}, {t.strip()})",
-                 f"iterations: {report.iterations}"]
+        lines = [f"{result}: ({s}, {t})", f"iterations: {report.iterations}"]
         _emit(out, args, result, not deferred, pairs, report.iterations,
               strat.describe(), lines)
         return code
@@ -370,6 +377,10 @@ def run(argv=None, out=None, err=None) -> int:
         return args.func(args, out)
     except (UsageError, ModelError, OracleBudgetError, ValueError) as e:
         err.write(f"error: {e}\n")
+        return 3
+    except Exception as e:  # a crash must not exit 0-2, which are verdicts
+        traceback.print_exc(file=err)
+        err.write(f"error: internal error: {type(e).__name__}: {e}\n")
         return 3
 
 

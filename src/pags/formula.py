@@ -263,8 +263,11 @@ def free_vars(phi, bound=frozenset()):
 
 def parse_formula(text: str):
     """Parse a closed formula; unbound variables are rejected."""
-    phi = _Parser(_tokenize(text)).parse()
-    free = free_vars(phi)
+    try:
+        phi = _Parser(_tokenize(text)).parse()
+        free = free_vars(phi)
+    except RecursionError:
+        raise FormulaError("formula is nested too deeply") from None
     if free:
         raise FormulaError(f"unbound variable(s): {', '.join(sorted(free))}")
     return phi

@@ -101,6 +101,11 @@ def _state_order(g):
 # Exact decision for the flat fragment
 # ---------------------------------------------------------------------------
 
+def _items(phi):
+    """The subformulas of an And, Or, Mix or ProbSum node."""
+    return [item for _, item in phi.parts] if isinstance(phi, ProbSum) else phi.items
+
+
 def _or_free_variants(phi):
     """All ways of resolving every disjunction to a single child."""
     if isinstance(phi, (Prop, NegProp)):
@@ -110,20 +115,12 @@ def _or_free_variants(phi):
         for item in phi.items:
             yield from _or_free_variants(item)
         return
-    if isinstance(phi, And):
-        for combo in itertools.product(*[list(_or_free_variants(i)) for i in phi.items]):
-            yield And(tuple(combo))
-        return
-    if isinstance(phi, Mix):
-        for combo in itertools.product(*[list(_or_free_variants(i)) for i in phi.items]):
-            yield Mix(tuple(combo))
-        return
-    if isinstance(phi, ProbSum):
-        weights = [w for w, _ in phi.parts]
-        for combo in itertools.product(
-            *[list(_or_free_variants(i)) for _, i in phi.parts]
-        ):
-            yield ProbSum(tuple(zip(weights, combo)))
+    if isinstance(phi, (And, Mix, ProbSum)):
+        for combo in itertools.product(*[list(_or_free_variants(i)) for i in _items(phi)]):
+            if isinstance(phi, ProbSum):
+                yield ProbSum(tuple((w, item) for (w, _), item in zip(phi.parts, combo)))
+            else:
+                yield type(phi)(combo)
         return
     raise TypeError(f"not flat: {phi!r}")
 
@@ -143,7 +140,7 @@ class _FlatChecker:
         carries (weight, Distribution) pairs when phi is a summation form.
         """
         for variant in _or_free_variants(phi):
-            ok, components = self._check_variant(d, variant)
+            ok, components = self._check(d, variant)
             if ok:
                 return True, components
         return False, None
@@ -154,48 +151,32 @@ class _FlatChecker:
         if key in self._sat_memo:
             return self._sat_memo[key]
         self._sat_memo[key] = False  # cycle-safe default; flat formulas recurse finitely
-        result = any(self._sat_variant(v) for v in _or_free_variants(phi))
+        result = any(self._check(None, v)[0] for v in _or_free_variants(phi))
         self._sat_memo[key] = result
         return result
 
-    def _sat_variant(self, variant) -> bool:
+    def _check(self, d, variant):
+        """Decide whether ``d``, or some distribution when ``d`` is None,
+        satisfies the Or-free ``variant``; as ``holds``."""
         lp = LinearProblem()
-        counter = itertools.count()
-        mvars = {}
-        for s in self.g.states:
-            name = f"root[{s}]"
-            lp.var(name)
-            mvars[s] = name
-        lp.add({v: 1 for v in mvars.values()}, "==", 1)
-        if not self._emit(lp, counter, variant, mvars):
-            return False
-        return lp_feasible(lp) is not None
-
-    def _check_variant(self, d, variant):
-        lp = LinearProblem()
-        counter = itertools.count()
-        mvars = {}
-        for s in d.support():
-            name = f"root[{s}]"
-            lp.var(name)
-            lp.add({name: 1}, "==", d[s])
-            mvars[s] = name
-        top_component_vars = None
-        if isinstance(variant, (ProbSum, Mix)):
-            top_component_vars = []
-            ok = self._emit_summation(lp, counter, variant, mvars, top_component_vars)
+        states = self.g.states if d is None else d.support()
+        root = dict(zip(states, lp.cols(len(states))))
+        if d is None:
+            lp.add(dict.fromkeys(root.values(), 1), "==", 1)
         else:
-            ok = self._emit(lp, counter, variant, mvars)
-        if not ok:
+            for s, j in root.items():
+                lp.add({j: 1}, "==", d[s])
+        components = self._emit(lp, variant, root)
+        if components is None:
             return False, None
-        sol = lp_feasible(lp)
-        if sol is None:
+        point = lp_feasible(lp)
+        if point is None:
             return False, None
-        if top_component_vars is None:
+        if d is None or not isinstance(variant, (ProbSum, Mix)):
             return True, None
         parts = []
-        for comp_vars in top_component_vars:
-            mass = {s: sol[v] for s, v in comp_vars.items() if sol[v] > 0}
+        for comp in components:
+            mass = {s: point[j] for s, j in comp.items() if point[j] > 0}
             total = sum(mass.values(), Fraction(0))
             if total > 0:
                 dist = Distribution({s: m / total for s, m in mass.items()})
@@ -204,60 +185,47 @@ class _FlatChecker:
             parts.append((total, dist))
         return True, parts
 
-    def _emit(self, lp, counter, phi, mvars) -> bool:
-        """Emit membership constraints for the sub-distribution held in
-        ``mvars``. Returns False when a side condition is unsatisfiable."""
+    def _emit(self, lp, phi, cols):
+        """Emit membership constraints for the sub-distribution held in the
+        columns ``cols`` (state -> column). Returns the component columns of
+        a summation (none for other nodes), or None when a side condition is
+        unsatisfiable."""
         if isinstance(phi, Prop):
-            for s, v in mvars.items():
+            for s, j in cols.items():
                 if phi.name not in self.g.labels[s]:
-                    lp.add({v: 1}, "==", 0)
-            return True
+                    lp.add({j: 1}, "==", 0)
+            return []
         if isinstance(phi, NegProp):
-            for s, v in mvars.items():
+            for s, j in cols.items():
                 if phi.name in self.g.labels[s]:
-                    lp.add({v: 1}, "==", 0)
-            return True
+                    lp.add({j: 1}, "==", 0)
+            return []
         if isinstance(phi, And):
-            return all(self._emit(lp, counter, item, mvars) for item in phi.items)
-        if isinstance(phi, (ProbSum, Mix)):
-            return self._emit_summation(lp, counter, phi, mvars, None)
-        raise TypeError(f"unexpected node in flat variant: {phi!r}")
-
-    def _emit_summation(self, lp, counter, phi, mvars, sink) -> bool:
-        items = phi.items if isinstance(phi, Mix) else [i for _, i in phi.parts]
-        node = next(counter)
-        all_component_vars = []
-        for j, item in enumerate(items):
-            comp = {}
-            for s in mvars:
-                name = f"m{node}.{j}[{s}]"
-                lp.var(name)
-                comp[s] = name
-            all_component_vars.append(comp)
+            ok = all(self._emit(lp, item, cols) is not None for item in phi.items)
+            return [] if ok else None
+        if not isinstance(phi, (ProbSum, Mix)):
+            raise TypeError(f"unexpected node in flat variant: {phi!r}")
+        items = _items(phi)
+        components = [dict(zip(cols, lp.cols(len(cols)))) for _ in items]
         # Component masses partition the node's mass, state by state.
-        for s, v in mvars.items():
-            coeffs = {comp[s]: 1 for comp in all_component_vars}
-            coeffs[v] = coeffs.get(v, 0) - 1
+        for s, j in cols.items():
+            coeffs = {comp[s]: 1 for comp in components}
+            coeffs[j] = -1
             lp.add(coeffs, "==", 0)
         if isinstance(phi, ProbSum):
             # Pinned weights: each component total is its share of the node total.
-            for (w, _), comp in zip(phi.parts, all_component_vars):
-                coeffs = {v: Fraction(1) for v in comp.values()}
-                for v in mvars.values():
-                    coeffs[v] = coeffs.get(v, Fraction(0)) - w
+            for (w, _), comp in zip(phi.parts, components):
+                coeffs = dict.fromkeys(comp.values(), 1)
+                coeffs.update(dict.fromkeys(cols.values(), -w))
                 lp.add(coeffs, "==", 0)
-        else:
+        elif not all(self.sat(item) for item in items):
             # Free weights; every component denotation must be nonempty so
             # that zero-mass components still have a satisfying distribution.
-            for item in items:
-                if not self.sat(item):
-                    return False
-        for item, comp in zip(items, all_component_vars):
-            if not self._emit(lp, counter, item, comp):
-                return False
-        if sink is not None:
-            sink.extend(all_component_vars)
-        return True
+            return None
+        for item, comp in zip(items, components):
+            if self._emit(lp, item, comp) is None:
+                return None
+        return components
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +326,6 @@ class Evaluator:
     # -- probabilistic summation (pinned weights) ----------------------------
 
     def _split(self, d, parts) -> EvalResult:
-        if all(is_flat(item) for _, item in parts):
-            return self._exact(d, ProbSum(tuple(parts)))
         found = self._split_grid(d, parts)
         if found is None:
             return _unknown()
@@ -432,8 +398,6 @@ class Evaluator:
     # -- nondeterministic interpolation (free weights) ------------------------
 
     def _mix(self, d, items) -> EvalResult:
-        if all(is_flat(item) for item in items):
-            return self._exact(d, Mix(tuple(items)))
         q = self.opts.split_denominator
         n = len(items)
         indices = list(range(n))
@@ -615,19 +579,19 @@ def split_check(g, d: Distribution, parts, opts: EvalOptions = None) -> EvalResu
     parts = [(Fraction(w), item) for w, item in parts]
     if sum(w for w, _ in parts) != 1:
         raise ValueError("summation weights must total exactly 1")
-    return _finalize(Evaluator(g, opts)._split(d, parts), opts)
+    return _finalize(Evaluator(g, opts).eval(d, ProbSum(tuple(parts))), opts)
 
 
 def mix_check(g, d: Distribution, items, opts: EvalOptions = None) -> EvalResult:
     """Decide the free-weight interpolation semantics for given components."""
     opts = opts or EvalOptions()
-    return _finalize(Evaluator(g, opts)._mix(d, list(items)), opts)
+    return _finalize(Evaluator(g, opts).eval(d, Mix(tuple(items))), opts)
 
 
 def enforce_check(g, d: Distribution, body, opts: EvalOptions = None) -> EvalResult:
     """Decide whether player 1 can enforce ``body`` in one step from ``d``."""
     opts = opts or EvalOptions()
-    return _finalize(Evaluator(g, opts)._enforce(d, body), opts)
+    return _finalize(Evaluator(g, opts).eval(d, Enforce(body)), opts)
 
 
 class CharFormulaBuilder:

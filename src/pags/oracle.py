@@ -84,7 +84,9 @@ def brute_lift(d: Distribution, th: Distribution, r: Relation, scale_hint=None) 
     for dist in (d, th):
         for s in dist.support():
             scale = math.lcm(scale, dist[s].denominator)
-    if scale_hint:
+    if scale_hint is not None:
+        if scale_hint < 1:
+            raise ValueError(f"scale must be >= 1, got {scale_hint}")
         scale = math.lcm(scale, int(scale_hint))
     if scale > MAX_SCALE:
         raise OracleBudgetError(f"scale {scale} exceeds {MAX_SCALE}")

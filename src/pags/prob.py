@@ -225,30 +225,32 @@ class WeightWitness:
 class LinearProblem:
     """A pure feasibility problem over nonnegative rational variables.
 
-    Constraints are linear with senses ``<=``, ``>=`` or ``==``.
+    Columns are the integers ``0 .. n_vars() - 1``, handed out in blocks by
+    ``cols``. Constraints are ``{column: coeff}`` rows with senses ``<=``,
+    ``>=`` or ``==``.
     """
 
     def __init__(self):
-        self.names = []
-        self._index = {}
-        self.constraints = []  # (coeffs: {index: Fraction}, sense, rhs)
+        self.names = range(0)  # the columns so far
+        self.constraints = []  # (coeffs: {column: Fraction}, sense, rhs)
 
-    def var(self, name: str) -> str:
-        if name not in self._index:
-            self._index[name] = len(self.names)
-            self.names.append(name)
-        return name
+    def cols(self, k: int) -> range:
+        """``k`` new columns."""
+        n = len(self.names)
+        self.names = range(n + k)
+        return range(n, n + k)
 
     def add(self, coeffs: dict, sense: str, rhs) -> None:
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
-        idx = {}
-        for name, c in coeffs.items():
+        row = {}
+        for j, c in coeffs.items():
+            if j not in self.names:
+                raise ValueError(f"unknown column {j!r}")
             c = Fraction(c)
             if c != 0:
-                self.var(name)
-                idx[self._index[name]] = c
-        self.constraints.append((idx, sense, Fraction(rhs)))
+                row[j] = c
+        self.constraints.append((row, sense, Fraction(rhs)))
 
     def n_vars(self) -> int:
         return len(self.names)
@@ -289,8 +291,9 @@ def _eliminate(row: dict, prow: dict, a: int, f: int) -> dict:
     return _reduce(out)
 
 
-def lp_feasible(p: LinearProblem) -> Optional[dict]:
-    """Exact feasibility of ``p``; returns a satisfying assignment or None.
+def lp_feasible(p: LinearProblem) -> Optional[list]:
+    """Exact feasibility of ``p``; returns a satisfying point, one
+    ``Fraction`` per column, or None.
 
     Phase-1 simplex on the standard form with Bland's (lowest-index)
     pivoting, which cannot cycle. Deterministic for a fixed problem.
@@ -371,7 +374,7 @@ def lp_feasible(p: LinearProblem) -> Optional[dict]:
                 pivot(i, pc)
 
     values = {b: Fraction(rows[i].get(total, 0), rows[i][b]) for i, b in enumerate(basis) if b < n}
-    return {name: values.get(j, ZERO) for j, name in enumerate(p.names)}
+    return [values.get(j, ZERO) for j in p.names]
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +464,8 @@ def grid_lotteries(actions, k: int):
     Includes every pure lottery (compositions putting all of ``k`` on one
     action).
     """
+    if k < 1:
+        raise ValueError(f"grid must be >= 1, got {k}")
     actions = list(actions)
     out = []
     for comp in compositions(k, len(actions)):
@@ -484,22 +489,17 @@ def lift_check(d: Distribution, th: Distribution, r: Relation) -> Optional[Weigh
     if not pairs and supp_d:
         return None
     lp = LinearProblem()
-    for s, t in pairs:
-        lp.var(f"w[{s},{t}]")
+    lp.cols(len(pairs))  # column j is pairs[j]
     for s in sorted(supp_d):
-        coeffs = {f"w[{s},{t}]": ONE for (u, t) in pairs if u == s}
+        coeffs = {j: ONE for j, (u, _) in enumerate(pairs) if u == s}
         lp.add(coeffs, "==", d[s])
     for t in sorted(supp_t):
-        coeffs = {f"w[{s},{t}]": ONE for (s, v) in pairs if v == t}
+        coeffs = {j: ONE for j, (_, v) in enumerate(pairs) if v == t}
         lp.add(coeffs, "==", th[t])
-    sol = lp_feasible(lp)
-    if sol is None:
+    point = lp_feasible(lp)
+    if point is None:
         return None
-    weights = {}
-    for s, t in pairs:
-        w = sol[f"w[{s},{t}]"]
-        if w > 0:
-            weights[(s, t)] = w
+    weights = {pair: w for pair, w in zip(pairs, point) if w > 0}
     witness = WeightWitness(weights)
     witness.validate(d, th, r)
     return witness

@@ -155,29 +155,26 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     if key in data.solved:
         return data.solved[key]
 
-    # Integer columns: x per player-1 action, then per b: lam per b2 and w per
-    # related pair. ``add`` registers unseen columns in key order.
-    n2 = len(g.acts2)
+    # Columns: x per player-1 action (0 .. |acts1| - 1, the indices in the
+    # right-side rows), then per b: lam per b2 and w per related pair.
     lp = LinearProblem()
-    lp.add(dict.fromkeys(range(len(g.acts1)), 1), "==", 1)
+    lp.add(dict.fromkeys(lp.cols(len(g.acts1)), 1), "==", 1)
     for right_states, right_rows in per_b:
-        lam = lp.n_vars()
-        lp.add(dict.fromkeys(range(lam, lam + n2), 1), "==", 1)
+        lam = lp.cols(len(g.acts2))
+        lp.add(dict.fromkeys(lam, 1), "==", 1)
         by_v = {v: [] for v in right_states}
         by_u = {u: [] for u in left_states}
-        for u, v in related:
-            if v in by_v:
-                w = lp.n_vars()
-                lp.var(w)
-                by_v[v].append(w)
-                by_u[u].append(w)
+        pairs = [(u, v) for u, v in related if v in by_v]
+        for w, (u, v) in zip(lp.cols(len(pairs)), pairs):
+            by_v[v].append(w)
+            by_u[u].append(w)
         for v in right_states:
             coeffs = dict.fromkeys(by_v[v], 1)
             coeffs.update(right_rows[v])
             lp.add(coeffs, "==", 0)
         for u in left_states:
             coeffs = dict.fromkeys(by_u[u], 1)
-            coeffs.update((lam + i, c) for i, c in left_rows[u])
+            coeffs.update((lam[i], c) for i, c in left_rows[u])
             lp.add(coeffs, "==", 0)
 
     sol = lp_feasible(lp)

@@ -105,6 +105,19 @@ def test_sim_pair_related_and_unrelated():
     assert code == 1 and "unrelated" in out
 
 
+def test_sim_pair_unknown_or_empty_state_is_usage_error():
+    for pair in ("s0,zz", "s0,", ",s1"):
+        code, out, err = invoke(["sim", "--model", RPS, "--pair", pair])
+        assert code == 3 and out == "" and "unknown state" in err
+
+
+def test_sim_smt_directory_under_a_file_is_usage_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = invoke(["sim", "--model", RPS, "--mode", f"smt={blocker}/sub"])
+    assert code == 3 and out == "" and "cannot write SMT scripts" in err
+
+
 def test_sim_smt_mode_defers(tmp_path):
     code, out, _ = invoke(["sim", "--model", RPS, "--mode", f"smt={tmp_path}"])
     assert code == 2 and "deferred" in out
@@ -245,3 +258,31 @@ def test_duplicate_action_model_is_usage_error(tmp_path):
     for mode in ("pure", "grid=2"):
         code, out, err = invoke(["sim", "--model", str(model), "--mode", mode])
         assert code == 3 and out == "" and "line 4: duplicate player-1 action" in err
+
+
+def test_deeply_nested_formula_is_usage_error():
+    for text in ("(" * 3000 + "win1" + ")" * 3000,
+                 "mu X. sum{1: " * 200 + "win1" + "}" * 200):
+        code, out, err = invoke(["eval", "--model", RPS, "--dist", "s0:1", "--formula", text])
+        assert code == 3 and out == "" and "nested too deeply" in err
+
+
+def test_internal_error_exits_three(monkeypatch):
+    def crash(*args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(pags.cli, "pa_simulation", crash)
+    code, out, err = invoke(["sim", "--model", RPS])
+    assert code == 3 and out == "" and "Traceback" in err
+    assert err.endswith("\nerror: internal error: KeyError: 'boom'\n")
+
+
+def test_oracle_grid_and_scale_below_one_are_usage_errors():
+    code, out, err = invoke(["oracle", "sim", "--model", RPS, "--grid", "0"])
+    assert code == 3 and out == "" and "grid must be >= 1" in err
+    for scale in ("0", "-3"):
+        code, out, err = invoke([
+            "oracle", "lift", "--model", HOST, "--relation", REL,
+            "--delta", "s1:1", "--theta", "t1:1/2,t2:1/2", "--scale", scale,
+        ])
+        assert code == 3 and out == "" and "scale must be >= 1" in err

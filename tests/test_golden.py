@@ -81,23 +81,20 @@ def test_cli_output_is_pinned(argv, code, stdout):
 def test_lp_vertex_is_pinned():
     """A degenerate LP with many feasible vertices; Bland's rule picks this one."""
     rows = [
-        ({"v0": Q(3, 2), "v2": Q(-1, 2), "v4": Q(-2)}, ">=", 0),
-        ({"v2": Q(5, 2)}, "<=", 0),
-        ({"v0": Q(-2), "v1": Q(-6, 5), "v2": Q(-1), "v5": Q(1, 3)}, "==", 0),
-        ({"v0": Q(-5, 3), "v1": Q(-3), "v3": Q(5), "v5": Q(-5, 3)}, "==", 5),
-        ({"v1": Q(-3), "v2": Q(-1, 5), "v4": Q(-1)}, "<=", Q(1, 2)),
-        ({"v4": Q(6), "v5": Q(3, 2)}, ">=", Q(3, 4)),
-        ({"v1": Q(1, 3), "v2": Q(-2), "v3": Q(2, 3)}, ">=", Q(1, 2)),
-        ({"v1": Q(-1), "v2": Q(4, 3), "v3": Q(1), "v5": Q(-1)}, ">=", 0),
+        ({0: Q(3, 2), 2: Q(-1, 2), 4: Q(-2)}, ">=", 0),
+        ({2: Q(5, 2)}, "<=", 0),
+        ({0: Q(-2), 1: Q(-6, 5), 2: Q(-1), 5: Q(1, 3)}, "==", 0),
+        ({0: Q(-5, 3), 1: Q(-3), 3: Q(5), 5: Q(-5, 3)}, "==", 5),
+        ({1: Q(-3), 2: Q(-1, 5), 4: Q(-1)}, "<=", Q(1, 2)),
+        ({4: Q(6), 5: Q(3, 2)}, ">=", Q(3, 4)),
+        ({1: Q(1, 3), 2: Q(-2), 3: Q(2, 3)}, ">=", Q(1, 2)),
+        ({1: Q(-1), 2: Q(4, 3), 3: Q(1), 5: Q(-1)}, ">=", 0),
     ]
     lp = LinearProblem()
-    for j in range(6):
-        lp.var(f"v{j}")
+    lp.cols(6)
     for coeffs, sense, rhs in rows:
         lp.add(coeffs, sense, rhs)
-    assert lp_feasible(lp) == {
-        "v0": Q(3, 11), "v1": 0, "v2": 0, "v3": Q(18, 11), "v4": 0, "v5": Q(18, 11),
-    }
+    assert lp_feasible(lp) == [Q(3, 11), 0, 0, Q(18, 11), 0, Q(18, 11)]
 
 
 # Every simulation witness of three fixture runs: per surviving pair, each

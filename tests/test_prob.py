@@ -77,18 +77,29 @@ def test_relation_basics():
 
 def test_lp_feasible_simple():
     lp = LinearProblem()
-    lp.add({"x": 1, "y": 1}, "==", 1)
-    lp.add({"x": 1}, ">=", Fraction(1, 3))
+    x, y = lp.cols(2)
+    lp.add({x: 1, y: 1}, "==", 1)
+    lp.add({x: 1}, ">=", Fraction(1, 3))
     sol = lp_feasible(lp)
     assert sol is not None
-    assert sol["x"] + sol["y"] == 1 and sol["x"] >= Fraction(1, 3)
+    assert sol[x] + sol[y] == 1 and sol[x] >= Fraction(1, 3)
 
 
 def test_lp_infeasible():
     lp = LinearProblem()
-    lp.add({"x": 1}, "<=", 1)
-    lp.add({"x": 1}, ">=", 2)
+    (x,) = lp.cols(1)
+    lp.add({x: 1}, "<=", 1)
+    lp.add({x: 1}, ">=", 2)
     assert lp_feasible(lp) is None
+
+
+def test_lp_rejects_a_column_it_did_not_hand_out():
+    lp = LinearProblem()
+    lp.cols(2)
+    with pytest.raises(ValueError, match="unknown column 2"):
+        lp.add({2: 1}, "==", 1)
+    with pytest.raises(ValueError, match="unknown column 'x'"):
+        lp.add({"x": 1}, "==", 1)
 
 
 def test_compositions_order_and_count():
@@ -101,6 +112,11 @@ def test_grid_lotteries_include_pure():
     lots = grid_lotteries(["a", "b"], 2)
     assert {"a": Fraction(1)} in lots and {"b": Fraction(1)} in lots
     assert {"a": Fraction(1, 2), "b": Fraction(1, 2)} in lots
+
+
+def test_grid_lotteries_reject_grid_below_one():
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        grid_lotteries(["a", "b"], 0)
 
 
 def test_lift_check_feasible_witness_valid():
