@@ -3,8 +3,8 @@
 Every subcommand prints a deterministic human-readable report, or a single
 JSON object with the stable keys result/certified/witness/bound/mode when
 ``--json`` is given. Exit codes: 0 holds/related/feasible, 1 the negative
-counterpart, 2 unknown or deferred, 3 usage or model errors and internal
-errors, so a crash never reads as a verdict.
+counterpart, 2 unknown or deferred, 3 usage or model errors, exhausted hard
+budgets and internal errors, so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .formula import FormulaError, Mu, Nu, format_formula, parse_formula
 from .logic import (
     FAILS,
     HOLDS,
+    EvalBudgetError,
     EvalOptions,
     char_formula_state,
     evaluate,
@@ -375,7 +376,7 @@ def run(argv=None, out=None, err=None) -> int:
         return 3 if e.code else 0
     try:
         return args.func(args, out)
-    except (UsageError, ModelError, OracleBudgetError, ValueError) as e:
+    except (UsageError, ModelError, OracleBudgetError, EvalBudgetError, ValueError) as e:
         err.write(f"error: {e}\n")
         return 3
     except Exception as e:  # a crash must not exit 0-2, which are verdicts

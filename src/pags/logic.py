@@ -39,17 +39,27 @@ from .prob import (
     Distribution,
     LinearProblem,
     MixedAction,
+    combine_dists,
     compositions,
     format_rational,
     grid_lotteries,
     lp_feasible,
-    step_mixed_dist,
     step_mixed_state,
 )
 
 HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown"
+
+# Successor distributions one Evaluator may build for the strategy modality.
+# Each nested `<1>` multiplies the count, so deep nesting stops here with a
+# clear error; the fixture and benchmark queries stay below 25,000.
+ENFORCE_BUDGET = 250_000
+
+
+class EvalBudgetError(Exception):
+    """Raised when the strategy modality would build more successor
+    distributions than ``ENFORCE_BUDGET``."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +105,26 @@ def _render_lottery(lot):
 
 def _state_order(g):
     return {s: i for i, s in enumerate(g.states)}
+
+
+class _SuccessorTable:
+    """One-step successors of single states: entry (s, i, j) is the
+    successor of ``s`` under the i-th player-1 grid lottery and the j-th
+    player-2 action, built on first use and then kept."""
+
+    def __init__(self, g, k: int):
+        self.g = g
+        self.lotteries = grid_lotteries(g.acts1, k)
+        self._table = {}
+
+    def get(self, s, i: int, j: int) -> Distribution:
+        key = (s, i, j)
+        hit = self._table.get(key)
+        if hit is None:
+            pi1 = MixedAction({s: self.lotteries[i]}, 1)
+            sigma = MixedAction({s: {self.g.acts2[j]: Fraction(1)}}, 2)
+            hit = self._table[key] = step_mixed_state(self.g, s, pi1, sigma)
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +270,8 @@ class Evaluator:
         self._memo = {}
         self._unfold_memo = {}
         self._pool = None
+        self._succ = _SuccessorTable(g, opts.pi1_grid)
+        self._built = 0  # successor distributions built by _enforce
 
     # -- public dispatch ----------------------------------------------------
 
@@ -450,27 +482,37 @@ class Evaluator:
 
     # -- strategy modality -----------------------------------------------------
 
+    def step(self, d, states, lots, acts) -> Distribution:
+        """The one-step successor of ``d`` when each ``states[k]`` plays the
+        ``lots[k]``-th grid lottery against the ``acts[k]``-th player-2
+        action; built entry for entry as ``step_mixed_dist`` builds it."""
+        self._built += 1
+        if self._built > ENFORCE_BUDGET:
+            raise EvalBudgetError(
+                f"<1> built {self._built} successor distributions, "
+                f"over the budget of {ENFORCE_BUDGET}"
+            )
+        return combine_dists(
+            [(d[s], self._succ.get(s, i, j)) for s, i, j in sorted(zip(states, lots, acts))]
+        )
+
     def _enforce(self, d, body) -> EvalResult:
         g = self.g
         order = _state_order(g)
         states = sorted(d.support(), key=order.get)
-        lotteries = grid_lotteries(g.acts1, self.opts.pi1_grid)
-        vertices = [
-            MixedAction({s: {b: Fraction(1)} for s, b in zip(states, combo)}, 2)
-            for combo in itertools.product(g.acts2, repeat=len(states))
-        ]
+        lotteries = self._succ.lotteries
+        vertices = list(itertools.product(range(len(g.acts2)), repeat=len(states)))
         safe = convex_safe(body)
         fallback_fail = None
         # With a single player-1 action the candidate space is a point, so a
         # certified failing vertex refutes the modality; keep scanning
         # vertices for one instead of stopping at the first non-holds.
         refutable = len(g.acts1) == 1
-        for combo in itertools.product(lotteries, repeat=len(states)):
-            pi1 = MixedAction({s: lot for s, lot in zip(states, combo)}, 1)
+        for combo in itertools.product(range(len(lotteries)), repeat=len(states)):
             results = []
             rejected = False
             for sigma in vertices:
-                theta = step_mixed_dist(g, d, pi1, sigma)
+                theta = self.step(d, states, combo, sigma)
                 r = self.eval(theta, body)
                 results.append((sigma, theta, r))
                 if r.verdict != HOLDS:
@@ -483,14 +525,14 @@ class Evaluator:
                 certified = safe and all(r.certified for _, _, r in results)
                 bound = max((r.bound_used for _, _, r in results), default=0)
                 witness = {
-                    "pi1": {s: _render_lottery(lot) for s, lot in zip(states, combo)},
+                    "pi1": {s: _render_lottery(lotteries[i]) for s, i in zip(states, combo)},
                     "vertices": len(results),
                 }
                 return _holds(witness, certified, bound)
         if len(g.acts1) == 1 and fallback_fail is not None:
             sigma, theta, r = fallback_fail
             counterexample = {
-                "sigma2": {s: next(iter(sigma.at(s))) for s in states},
+                "sigma2": {s: g.acts2[j] for s, j in zip(states, sigma)},
                 "reached": theta.format(),
                 "counterexample": r.counterexample,
             }
@@ -544,13 +586,10 @@ class Evaluator:
 
             for t in self.g.states:
                 add(Distribution.point(t))
-            lotteries = grid_lotteries(self.g.acts1, self.opts.pi1_grid)
             for t in self.g.states:
-                for lot in lotteries:
-                    pi1 = MixedAction({t: lot}, 1)
-                    for b in self.g.acts2:
-                        sigma = MixedAction({t: {b: Fraction(1)}}, 2)
-                        add(step_mixed_state(self.g, t, pi1, sigma))
+                for i in range(len(self._succ.lotteries)):
+                    for j in range(len(self.g.acts2)):
+                        add(self._succ.get(t, i, j))
             self._pool = pool
         return self._pool
 
@@ -603,10 +642,8 @@ class CharFormulaBuilder:
     """
 
     def __init__(self, g, k: int):
-        if k < 1:
-            raise ValueError(f"grid must be >= 1, got {k}")
         self.g = g
-        self.k = k
+        self._succ = _SuccessorTable(g, k)  # rejects k < 1
         self._state_memo = {}
         self._dist_memo = {}
 
@@ -623,14 +660,11 @@ class CharFormulaBuilder:
             phi = And(pos + neg)
         else:
             conjuncts = []
-            for lot in grid_lotteries(g.acts1, self.k):
-                pi1 = MixedAction({s: lot}, 1)
-                comps = []
-                for b in g.acts2:
-                    sigma = MixedAction({s: {b: Fraction(1)}}, 2)
-                    delta = step_mixed_state(g, s, pi1, sigma)
-                    comps.append(self.dist(delta, n - 1))
-                conjuncts.append(Enforce(Mix(tuple(comps))))
+            for i in range(len(self._succ.lotteries)):
+                comps = tuple(
+                    self.dist(self._succ.get(s, i, j), n - 1) for j in range(len(g.acts2))
+                )
+                conjuncts.append(Enforce(Mix(comps)))
             phi = And(tuple(conjuncts))
         self._state_memo[key] = phi
         return phi

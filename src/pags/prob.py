@@ -39,21 +39,28 @@ def format_rational(r: Fraction) -> str:
 class Distribution:
     """Sparse rational distribution over state names; mass exactly 1."""
 
-    __slots__ = ("entries", "_key")
+    __slots__ = ("entries", "_key", "_hash")
 
     def __init__(self, entries):
+        # Signs and the total are checked on integers: Fraction comparisons
+        # and sums were most of the cost of building a successor.
         items = {}
         for s, p in dict(entries).items():
-            p = Fraction(p)
-            if p < 0:
+            if type(p) is not Fraction:
+                p = Fraction(p)
+            if p.numerator < 0:
                 raise ValueError(f"negative mass {p} at {s}")
-            if p > 0:
+            if p.numerator:
                 items[s] = p
-        total = sum(items.values(), ZERO)
-        if total != 1:
-            raise ValueError(f"distribution sums to {total}, expected 1")
+        den = 1
+        for p in items.values():
+            den = lcm(den, p.denominator)
+        num = sum(p.numerator * (den // p.denominator) for p in items.values())
+        if num != den:
+            raise ValueError(f"distribution sums to {Fraction(num, den)}, expected 1")
         self.entries = items
         self._key = tuple(sorted(items.items()))
+        self._hash = hash(self._key)  # hashing a Fraction takes a modular inverse
 
     @classmethod
     def point(cls, s: str) -> "Distribution":
@@ -72,7 +79,7 @@ class Distribution:
         return isinstance(other, Distribution) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"Distribution({dict(self.entries)!r})"
@@ -383,13 +390,12 @@ def lp_feasible(p: LinearProblem) -> Optional[list]:
 
 def combine_dists(parts) -> Distribution:
     """Weighted sum of distributions; weights must sum to exactly 1."""
-    parts = list(parts)
-    total = sum((Fraction(w) for w, _ in parts), ZERO)
+    parts = [(Fraction(w), dist) for w, dist in parts]
+    total = sum((w for w, _ in parts), ZERO)
     if total != 1:
         raise ValueError(f"weights sum to {total}, expected 1")
     out = {}
     for w, dist in parts:
-        w = Fraction(w)
         if w < 0:
             raise ValueError(f"negative weight {w}")
         if w == 0:

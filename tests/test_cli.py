@@ -10,6 +10,7 @@ from pathlib import Path
 import pags
 from pags import fixture_path
 from pags.cli import run
+from pags.logic import ENFORCE_BUDGET
 
 RPS = str(fixture_path("rps.pgs"))
 HOST = str(fixture_path("lifthost.pgs"))
@@ -286,3 +287,19 @@ def test_oracle_grid_and_scale_below_one_are_usage_errors():
             "--delta", "s1:1", "--theta", "t1:1/2,t2:1/2", "--scale", scale,
         ])
         assert code == 3 and out == "" and "scale must be >= 1" in err
+
+
+def test_nested_enforce_hits_the_evaluation_budget():
+    """Ten nested `<1>` on rps exceed the successor budget: exit 3 with the
+    count and the limit, well within the timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pags.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pags", "eval", "--model", RPS, "--dist", "s0:1",
+         "--formula", "<1> " * 10 + "win1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: <1> built {ENFORCE_BUDGET + 1} successor distributions, "
+        f"over the budget of {ENFORCE_BUDGET}\n"
+    )

@@ -18,7 +18,7 @@ from pags.prob import LinearProblem, format_rational, lp_feasible
 from pags.sim import QuantStrategy, pa_simulation
 
 F = {name: str(fixture_path(name)) for name in
-     ("lifthost.pgs", "lifthost.rel", "dup.pgs", "rps.pgs")}
+     ("lifthost.pgs", "lifthost.rel", "dup.pgs", "rps.pgs", "single.pgs")}
 
 GOLDEN = [
     pytest.param(
@@ -66,6 +66,31 @@ GOLDEN = [
         '{"bound": 0, "certified": true, "mode": "eval", "result": "holds", '
         '"witness": {"exact": true, "split": [["1/2", "x:1"], ["0", null], ["1/2", "y:1"]]}}\n',
         id="eval-dup-mix",
+    ),
+    pytest.param(
+        ["eval", "--json", "--model", F["rps.pgs"], "--dist", "s0:1",
+         "--formula", "<1> sum{1/3: win1, 2/3: true}", "--grid", "3"],
+        0,
+        '{"bound": 0, "certified": true, "mode": "eval", "result": "holds", '
+        '"witness": {"pi1": {"s0": {"p": "1/3", "r": "1/3", "s": "1/3"}}, "vertices": 3}}\n',
+        id="eval-rps-enforce-mixed",
+    ),
+    pytest.param(
+        ["eval", "--json", "--model", F["rps.pgs"], "--dist", "s0:1/2,s1:1/4,s2:1/4",
+         "--formula", "<1> sum{1/6: win1, 5/6: true}", "--grid", "3"],
+        0,
+        '{"bound": 0, "certified": true, "mode": "eval", "result": "holds", '
+        '"witness": {"pi1": {"s0": {"r": "1"}, "s1": {"r": "1"}, "s2": {"r": "1"}}, '
+        '"vertices": 27}}\n',
+        id="eval-rps-enforce-three-states",
+    ),
+    pytest.param(
+        ["eval", "--json", "--model", F["single.pgs"], "--dist", "s0:1", "--formula", "<1> p"],
+        1,
+        '{"bound": 0, "certified": true, "mode": "eval", "result": "fails", '
+        '"witness": {"counterexample": {"exact": true}, "reached": "s0:1", '
+        '"sigma2": {"s0": "*"}}}\n',
+        id="eval-single-enforce-refuted",
     ),
 ]
 

@@ -48,6 +48,18 @@ def test_distribution_mass_checked():
         Distribution({"a": Fraction(3, 2), "b": Fraction(-1, 2)})
 
 
+def test_distribution_messages_entries_and_hash():
+    with pytest.raises(ValueError, match="distribution sums to 5/6, expected 1"):
+        Distribution({"a": Fraction(1, 2), "b": Fraction(1, 3)})
+    with pytest.raises(ValueError, match="negative mass -1/2 at b"):
+        Distribution({"a": Fraction(3, 2), "b": Fraction(-1, 2)})
+    d = Distribution({"b": "1/3", "a": Fraction(2, 3), "c": 0})
+    assert list(d.entries.items()) == [("b", Fraction(1, 3)), ("a", Fraction(2, 3))]
+    assert type(d["b"]) is Fraction
+    e = Distribution({"a": Fraction(2, 3), "b": Fraction(1, 3)})
+    assert d == e and hash(d) == hash(e)
+
+
 def test_distribution_literal_roundtrip():
     d = parse_distribution("s0:1/2, s1:1/2")
     assert d.format() == "s0:1/2,s1:1/2"

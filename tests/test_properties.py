@@ -1,5 +1,6 @@
-"""Property tests: the exact LP core, lifting, simulation and the flat
-formula encoder against their oracles."""
+"""Property tests: the exact LP core, lifting, simulation, the flat
+formula encoder and the strategy modality's successors against their
+oracles."""
 
 from fractions import Fraction
 
@@ -8,18 +9,21 @@ from hypothesis import strategies as st
 
 from pags import load_fixture_model
 from pags.formula import And, Mix, NegProp, Or, ProbSum, Prop
-from pags.logic import EvalOptions, evaluate
+from pags.logic import EvalOptions, Evaluator, evaluate
 from pags.model import GameStructure
 from pags.oracle import OracleBudgetError, brute_eval, brute_lift, brute_sim
 from pags.prob import (
     Distribution,
     LinearProblem,
+    MixedAction,
     Relation,
     combine_dists,
+    grid_lotteries,
     lift_check,
     lp_feasible,
     parse_distribution,
     parse_rational,
+    step_mixed_dist,
 )
 from pags.sim import QuantStrategy, SimReport, initial_relation, pa_simulation, refine_once
 
@@ -95,10 +99,11 @@ def test_lift_check_agrees_with_max_flow(d, th, r):
 
 
 @st.composite
-def games(draw):
-    """Random 3-4 state models with 2x2 actions and one proposition. Rows
-    are sparse, so that pairs of distinct states survive refinement."""
-    states = [f"q{i}" for i in range(draw(st.integers(3, 4)))]
+def games(draw, sizes=(3, 4)):
+    """Random models of ``sizes`` states with 2x2 actions and one
+    proposition. Rows are sparse, so that pairs of distinct states survive
+    refinement."""
+    states = [f"q{i}" for i in range(draw(st.integers(*sizes)))]
     labels = {s: ["p"] for s in states if draw(st.booleans())}
     table = {
         (s, a, b): draw(distributions(states, st.sampled_from([0, 0, 0, 1, 2])))
@@ -194,3 +199,40 @@ def test_flat_verdicts_and_splits_agree_with_brute_eval(instance):
             for (_, dist), item in zip(parts, items)
         )
     assert matched
+
+
+STEP_MODELS = {name: load_fixture_model(name) for name in ("rps.pgs", "dup.pgs", "halving.pgs")}
+
+
+@st.composite
+def step_instances(draw):
+    """A model, a player-1 grid, a distribution and two pure-response
+    vertices sharing one grid choice, as indices into the grid lotteries and
+    the player-2 actions, per support state in a drawn order."""
+    name = draw(st.sampled_from(sorted(STEP_MODELS) + ["random"]))
+    g = STEP_MODELS[name] if name != "random" else draw(games(sizes=(3, 3)))
+    k = draw(st.integers(1, 3))
+    d = draw(distributions(g.states, st.integers(0, 3)))
+    states = draw(st.permutations(d.support()))
+    n_lot = len(grid_lotteries(g.acts1, k))
+    lots = [draw(st.integers(0, n_lot - 1)) for _ in states]
+    vertices = [[draw(st.integers(0, len(g.acts2) - 1)) for _ in states] for _ in range(2)]
+    return g, k, d, states, lots, vertices
+
+
+@settings(SETTINGS, max_examples=300)
+@given(step_instances())
+def test_enforce_successors_match_step_mixed_dist(instance):
+    """``<1>`` builds each successor from its per-state table entries; it
+    must equal ``step_mixed_dist`` entry for entry, in the same order, since
+    the support order fixes the flat checker's LP columns."""
+    g, k, d, states, lots, vertices = instance
+    lotteries = grid_lotteries(g.acts1, k)
+    ev = Evaluator(g, EvalOptions(pi1_grid=k))
+    for acts in vertices:
+        pi1 = MixedAction({s: lotteries[i] for s, i in zip(states, lots)}, 1)
+        sigma = MixedAction({s: {g.acts2[j]: 1} for s, j in zip(states, acts)}, 2)
+        expected = step_mixed_dist(g, d, pi1, sigma)
+        theta = ev.step(d, states, lots, acts)
+        assert list(theta.entries.items()) == list(expected.entries.items())
+        assert theta == expected and hash(theta) == hash(expected)
