@@ -245,8 +245,7 @@ def _cmd_preorder(args, out):
     for s in (getattr(args, "from"), args.to):
         if s not in g.states:
             raise UsageError(f"unknown state {s!r}")
-    opts = EvalOptions(pi1_grid=args.grid)
-    res = logic_preorder(g, getattr(args, "from"), args.to, args.depth, args.grid, opts)
+    res = logic_preorder(g, getattr(args, "from"), args.to, args.depth, args.grid)
     lines = [f"verdict: {res.verdict}", f"certified: {str(res.certified).lower()}"]
     payload = res.witness if res.verdict == HOLDS else res.counterexample
     _emit(out, args, res.verdict, res.certified, payload, args.depth,
@@ -299,39 +298,39 @@ def build_parser():
     top = argparse.ArgumentParser(prog="pags")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, func, **_):
-        p = sub.add_parser(name)
+    def cmd(group, name, func):
+        p = group.add_parser(name)
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=func)
         return p
 
-    p = cmd("lift", _cmd_lift)
+    p = cmd(sub, "lift", _cmd_lift)
     p.add_argument("--model", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--theta", required=True)
 
-    p = cmd("sim", _cmd_sim)
+    p = cmd(sub, "sim", _cmd_sim)
     p.add_argument("--model", required=True)
     p.add_argument("--mode", default="pure")
     p.add_argument("--pair")
     p.add_argument("--trace", action="store_true")
 
-    p = cmd("asim", _cmd_asim)
+    p = cmd(sub, "asim", _cmd_asim)
     p.add_argument("--model", required=True)
 
-    p = cmd("eval", _cmd_eval)
+    p = cmd(sub, "eval", _cmd_eval)
     p.add_argument("--model", required=True)
     p.add_argument("--dist", required=True)
     _add_formula_args(p)
 
-    p = cmd("charform", _cmd_charform)
+    p = cmd(sub, "charform", _cmd_charform)
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--grid", type=int, default=2)
 
-    p = cmd("preorder", _cmd_preorder)
+    p = cmd(sub, "preorder", _cmd_preorder)
     p.add_argument("--model", required=True)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
@@ -341,24 +340,18 @@ def build_parser():
     orc = sub.add_parser("oracle")
     osub = orc.add_subparsers(dest="oracle_command", required=True)
 
-    p = osub.add_parser("lift")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_oracle_lift)
+    p = cmd(osub, "lift", _cmd_oracle_lift)
     p.add_argument("--model", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--scale", type=int, default=None)
 
-    p = osub.add_parser("sim")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_oracle_sim)
+    p = cmd(osub, "sim", _cmd_oracle_sim)
     p.add_argument("--model", required=True)
     p.add_argument("--grid", type=int, default=2)
 
-    p = osub.add_parser("eval")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_oracle_eval)
+    p = cmd(osub, "eval", _cmd_oracle_eval)
     p.add_argument("--model", required=True)
     p.add_argument("--dist", required=True)
     _add_formula_args(p)

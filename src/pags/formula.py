@@ -1,4 +1,5 @@
-"""Formula AST, text grammar, fixpoint unfolding, and the convex fragment.
+"""Interned formula nodes, text grammar, fixpoint unfolding, and the flat and
+convex fragments.
 
 Grammar (``|`` binds looser than ``&``; ``<1>``, ``mu``, ``nu`` are prefix):
 
@@ -15,7 +16,7 @@ Variables are single uppercase letters; negation is propositional only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
 from fractions import Fraction
 
 from .prob import format_rational, parse_rational
@@ -25,56 +26,129 @@ class FormulaError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Prop:
-    name: str
+class Formula:
+    """An interned formula node: building a node equal to a live one returns
+    that node (held in a weak table), so ``==`` is identity and hashing is
+    O(1). When first built, a node derives from its children ``children``,
+    ``flat`` (no ``<1>``, variable or fixpoint: the fragment with an exact LP
+    decision), ``convex`` (literals, conjunction and both summations only: a
+    syntactic certificate that the denotation is convex) and ``free`` (its
+    free variable names); no field is set again."""
+
+    __slots__ = ("children", "flat", "convex", "free", "__weakref__")
+    _table = weakref.WeakValueDictionary()
+    _fields = ()
+    _flat = _convex = True  # whether the connective keeps the property
+
+    def __new__(cls, *fields):
+        fields = cls._normalize(*fields)
+        key = (cls, *fields)
+        node = Formula._table.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            init = object.__setattr__  # the class itself refuses assignment
+            for name, value in zip(cls._fields, fields, strict=True):
+                init(node, name, value)
+            children = node._children()
+            init(node, "children", children)
+            init(node, "flat", cls._flat and all(c.flat for c in children))
+            init(node, "convex", cls._convex and all(c.convex for c in children))
+            init(node, "free", node._free(children))
+            Formula._table[key] = node
+        return node
+
+    @staticmethod
+    def _normalize(*fields):
+        return fields
+
+    def _children(self):
+        return ()
+
+    def _free(self, children):
+        return frozenset().union(*(c.free for c in children))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"formula nodes are immutable: cannot set {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class NegProp:
-    name: str
+class Prop(Formula):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple
+class NegProp(Formula):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Or:
-    items: tuple
+class Var(Formula):
+    __slots__ = _fields = ("name",)
+    _flat = _convex = False
+
+    def _free(self, children):
+        return frozenset((self.name,))
 
 
-@dataclass(frozen=True)
-class Enforce:
-    body: object
+class _Items(Formula):
+    __slots__ = _fields = ("items",)
+
+    @staticmethod
+    def _normalize(items):
+        return (tuple(items),)
+
+    def _children(self):
+        return self.items
 
 
-@dataclass(frozen=True)
-class ProbSum:
-    parts: tuple  # of (Fraction, formula)
+class And(_Items):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mix:
-    items: tuple
+class Or(_Items):
+    __slots__ = ()
+    _convex = False
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Mix(_Items):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mu:
-    var: str
-    body: object
+class ProbSum(Formula):
+    __slots__ = _fields = ("parts",)  # of (Fraction, formula)
+
+    @staticmethod
+    def _normalize(parts):
+        return (tuple((Fraction(w), item) for w, item in parts),)
+
+    def _children(self):
+        return tuple(item for _, item in self.parts)
 
 
-@dataclass(frozen=True)
-class Nu:
-    var: str
-    body: object
+class Enforce(Formula):
+    __slots__ = _fields = ("body",)
+    _flat = _convex = False
+
+    def _children(self):
+        return (self.body,)
+
+
+class _Fixpoint(Formula):
+    __slots__ = _fields = ("var", "body")
+    _flat = _convex = False
+    _children = Enforce._children
+
+    def _free(self, children):
+        return self.body.free - {self.var}
+
+
+class Mu(_Fixpoint):
+    __slots__ = ()
+
+
+class Nu(_Fixpoint):
+    __slots__ = ()
 
 
 TRUE = And(())
@@ -235,65 +309,35 @@ class _Parser:
         if not 0 < alpha <= 1:
             raise FormulaError("frag weight must satisfy 0 < a <= 1")
         if alpha == 1:
-            return ProbSum(((Fraction(1), phi),))
+            return ProbSum(((1, phi),))
         return ProbSum(((alpha, phi), (1 - alpha, TRUE)))
-
-
-def free_vars(phi, bound=frozenset()):
-    if isinstance(phi, Var):
-        return set() if phi.name in bound else {phi.name}
-    if isinstance(phi, (Prop, NegProp)):
-        return set()
-    if isinstance(phi, (And, Or, Mix)):
-        out = set()
-        for item in phi.items:
-            out |= free_vars(item, bound)
-        return out
-    if isinstance(phi, ProbSum):
-        out = set()
-        for _, item in phi.parts:
-            out |= free_vars(item, bound)
-        return out
-    if isinstance(phi, Enforce):
-        return free_vars(phi.body, bound)
-    if isinstance(phi, (Mu, Nu)):
-        return free_vars(phi.body, bound | {phi.var})
-    raise TypeError(f"not a formula node: {phi!r}")
 
 
 def parse_formula(text: str):
     """Parse a closed formula; unbound variables are rejected."""
     try:
         phi = _Parser(_tokenize(text)).parse()
-        free = free_vars(phi)
     except RecursionError:
         raise FormulaError("formula is nested too deeply") from None
-    if free:
-        raise FormulaError(f"unbound variable(s): {', '.join(sorted(free))}")
+    if phi.free:
+        raise FormulaError(f"unbound variable(s): {', '.join(sorted(phi.free))}")
     return phi
 
 
 def substitute(phi, var: str, replacement):
-    """Capture-avoiding substitution of a closed replacement for ``var``."""
-    if isinstance(phi, Var):
-        return replacement if phi.name == var else phi
-    if isinstance(phi, (Prop, NegProp)):
+    """Capture-avoiding substitution of a closed replacement for ``var``;
+    subformulas without ``var`` free are kept, not rebuilt."""
+    if var not in phi.free:
         return phi
-    if isinstance(phi, And):
-        return And(tuple(substitute(i, var, replacement) for i in phi.items))
-    if isinstance(phi, Or):
-        return Or(tuple(substitute(i, var, replacement) for i in phi.items))
-    if isinstance(phi, Mix):
-        return Mix(tuple(substitute(i, var, replacement) for i in phi.items))
+    if isinstance(phi, Var):
+        return replacement
     if isinstance(phi, ProbSum):
         return ProbSum(tuple((w, substitute(i, var, replacement)) for w, i in phi.parts))
     if isinstance(phi, Enforce):
         return Enforce(substitute(phi.body, var, replacement))
     if isinstance(phi, (Mu, Nu)):
-        if phi.var == var:
-            return phi
         return type(phi)(phi.var, substitute(phi.body, var, replacement))
-    raise TypeError(f"not a formula node: {phi!r}")
+    return type(phi)(tuple(substitute(i, var, replacement) for i in phi.items))
 
 
 def unfold_fixpoint(phi, m: int):
@@ -309,31 +353,13 @@ def unfold_fixpoint(phi, m: int):
 
 
 def convex_safe(phi) -> bool:
-    """Syntactic certificate that the denotation is convex: literals,
-    conjunction and both summation forms only."""
-    if isinstance(phi, (Prop, NegProp)):
-        return True
-    if isinstance(phi, And):
-        return all(convex_safe(i) for i in phi.items)
-    if isinstance(phi, Mix):
-        return all(convex_safe(i) for i in phi.items)
-    if isinstance(phi, ProbSum):
-        return all(convex_safe(i) for _, i in phi.parts)
-    return False
+    """Syntactic certificate that the denotation is convex (``phi.convex``)."""
+    return phi.convex
 
 
 def is_flat(phi) -> bool:
-    """True iff ``phi`` has no strategy modality, variables or fixpoints.
-
-    The flat fragment admits an exact LP-based decision procedure.
-    """
-    if isinstance(phi, (Prop, NegProp)):
-        return True
-    if isinstance(phi, (And, Or, Mix)):
-        return all(is_flat(i) for i in phi.items)
-    if isinstance(phi, ProbSum):
-        return all(is_flat(i) for _, i in phi.parts)
-    return False
+    """No strategy modality, variables or fixpoints (``phi.flat``)."""
+    return phi.flat
 
 
 def _needs_parens(child, parent_level: int) -> bool:

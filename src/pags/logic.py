@@ -29,9 +29,6 @@ from .formula import (
     ProbSum,
     Prop,
     Var,
-    convex_safe,
-    free_vars,
-    is_flat,
     substitute,
     unfold_fixpoint,
 )
@@ -56,10 +53,15 @@ UNKNOWN = "unknown"
 # clear error; the fixture and benchmark queries stay below 25,000.
 ENFORCE_BUDGET = 250_000
 
+# Per-state split fractions one Evaluator may try for `sum` and `mix`, whose
+# search explodes at fine split denominators; the tests and benchmark try at
+# most 14,892.
+SPLIT_BUDGET = 150_000
+
 
 class EvalBudgetError(Exception):
-    """Raised when the strategy modality would build more successor
-    distributions than ``ENFORCE_BUDGET``."""
+    """Raised when `<1>` or the split search would pass its budget
+    (``ENFORCE_BUDGET``, ``SPLIT_BUDGET``)."""
 
 
 @dataclass(frozen=True)
@@ -131,11 +133,6 @@ class _SuccessorTable:
 # Exact decision for the flat fragment
 # ---------------------------------------------------------------------------
 
-def _items(phi):
-    """The subformulas of an And, Or, Mix or ProbSum node."""
-    return [item for _, item in phi.parts] if isinstance(phi, ProbSum) else phi.items
-
-
 def _or_free_variants(phi):
     """All ways of resolving every disjunction to a single child."""
     if isinstance(phi, (Prop, NegProp)):
@@ -146,9 +143,9 @@ def _or_free_variants(phi):
             yield from _or_free_variants(item)
         return
     if isinstance(phi, (And, Mix, ProbSum)):
-        for combo in itertools.product(*[list(_or_free_variants(i)) for i in _items(phi)]):
+        for combo in itertools.product(*[list(_or_free_variants(i)) for i in phi.children]):
             if isinstance(phi, ProbSum):
-                yield ProbSum(tuple((w, item) for (w, _), item in zip(phi.parts, combo)))
+                yield ProbSum((w, item) for (w, _), item in zip(phi.parts, combo))
             else:
                 yield type(phi)(combo)
         return
@@ -177,13 +174,10 @@ class _FlatChecker:
 
     def sat(self, phi) -> bool:
         """Exact nonemptiness of the denotation of flat ``phi``."""
-        key = phi
-        if key in self._sat_memo:
-            return self._sat_memo[key]
-        self._sat_memo[key] = False  # cycle-safe default; flat formulas recurse finitely
-        result = any(self._check(None, v)[0] for v in _or_free_variants(phi))
-        self._sat_memo[key] = result
-        return result
+        hit = self._sat_memo.get(phi)
+        if hit is None:
+            hit = self._sat_memo[phi] = any(self._check(None, v)[0] for v in _or_free_variants(phi))
+        return hit
 
     def _check(self, d, variant):
         """Decide whether ``d``, or some distribution when ``d`` is None,
@@ -235,7 +229,7 @@ class _FlatChecker:
             return [] if ok else None
         if not isinstance(phi, (ProbSum, Mix)):
             raise TypeError(f"unexpected node in flat variant: {phi!r}")
-        items = _items(phi)
+        items = phi.children
         components = [dict(zip(cols, lp.cols(len(cols)))) for _ in items]
         # Component masses partition the node's mass, state by state.
         for s, j in cols.items():
@@ -268,26 +262,23 @@ class Evaluator:
         self.opts = opts
         self.flat = _FlatChecker(g)
         self._memo = {}
-        self._unfold_memo = {}
         self._pool = None
         self._succ = _SuccessorTable(g, opts.pi1_grid)
         self._built = 0  # successor distributions built by _enforce
+        self._tried = 0  # per-state split candidates tried by _split_grid
 
     # -- public dispatch ----------------------------------------------------
 
     def eval(self, d: Distribution, phi) -> EvalResult:
-        key = (d, id(phi))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[1]
-        result = self._eval(d, phi)
-        self._memo[key] = (phi, result)
-        return result
+        hit = self._memo.get((d, phi))
+        if hit is None:
+            hit = self._memo[d, phi] = self._eval(d, phi)
+        return hit
 
     def _eval(self, d, phi) -> EvalResult:
         if isinstance(phi, Var):
             raise FormulaError(f"open formula: unbound variable {phi.name}")
-        if is_flat(phi):
+        if phi.flat:
             return self._exact(d, phi)
         if isinstance(phi, And):
             return self._combine_and(d, phi)
@@ -403,6 +394,12 @@ class Evaluator:
             s = states[idx]
             remaining = sum((d[u] for u in states[idx + 1 :]), Fraction(0))
             for comp in per_state[s]:
+                self._tried += 1
+                if self._tried > SPLIT_BUDGET:
+                    raise EvalBudgetError(
+                        f"the split search tried {self._tried} candidates, "
+                        f"over the budget of {SPLIT_BUDGET}"
+                    )
                 new_need = [need[j] - d[s] * Fraction(comp[j], q) for j in range(len(parts))]
                 if any(n < 0 or n > remaining for n in new_need):
                     continue
@@ -439,7 +436,7 @@ class Evaluator:
             """A zero-weight component still needs a nonempty denotation."""
             if j in zero_witnesses:
                 return zero_witnesses[j] is not None
-            if is_flat(items[j]):
+            if items[j].flat:
                 zero_witnesses[j] = ("sat", None) if self.flat.sat(items[j]) else None
             else:
                 zero_witnesses[j] = None
@@ -502,7 +499,7 @@ class Evaluator:
         states = sorted(d.support(), key=order.get)
         lotteries = self._succ.lotteries
         vertices = list(itertools.product(range(len(g.acts2)), repeat=len(states)))
-        safe = convex_safe(body)
+        safe = body.convex
         fallback_fail = None
         # With a single player-1 action the candidate space is a point, so a
         # certified failing vertex refutes the modality; keep scanning
@@ -542,32 +539,18 @@ class Evaluator:
     # -- fixpoints ----------------------------------------------------------
 
     def _fixpoint(self, d, phi) -> EvalResult:
-        m = self.opts.unfold_bound
-        if isinstance(phi, Mu):
-            for i in range(m + 1):
-                r = self.eval(d, self._unfold(phi, i))
-                if r.verdict == HOLDS:
-                    return _holds({"unfold": i, "witness": r.witness}, r.certified, i)
-            return _unknown(m)
-        for i in range(m + 1):
-            r = self.eval(d, self._unfold(phi, i))
-            if r.verdict == FAILS:
+        # Each approximant is the body with the previous one substituted.
+        mu = isinstance(phi, Mu)
+        approx = unfold_fixpoint(phi, 0)
+        for i in range(self.opts.unfold_bound + 1):
+            if i:
+                approx = substitute(phi.body, phi.var, approx)
+            r = self.eval(d, approx)
+            if mu and r.verdict == HOLDS:
+                return _holds({"unfold": i, "witness": r.witness}, r.certified, i)
+            if not mu and r.verdict == FAILS:
                 return _fails({"unfold": i, "counterexample": r.counterexample}, r.certified, i)
-        return _unknown(m)
-
-    def _unfold(self, phi, i: int):
-        # Shared approximant objects keep the (distribution, subformula)
-        # memo effective across unfolding depths and recursion branches.
-        key = (id(phi), i)
-        hit = self._unfold_memo.get(key)
-        if hit is not None:
-            return hit[1]
-        if i == 0:
-            out = unfold_fixpoint(phi, 0)
-        else:
-            out = substitute(phi.body, phi.var, self._unfold(phi, i - 1))
-        self._unfold_memo[key] = (phi, out)
-        return out
+        return _unknown(self.opts.unfold_bound)
 
     # -- support machinery ----------------------------------------------------
 
@@ -607,7 +590,7 @@ def _finalize(result: EvalResult, opts: EvalOptions) -> EvalResult:
 def evaluate(g, d: Distribution, phi, opts: EvalOptions = None) -> EvalResult:
     """Evaluate a closed formula at a distribution."""
     opts = opts or EvalOptions()
-    if free_vars(phi):
+    if phi.free:
         raise FormulaError("formula must be closed")
     return _finalize(Evaluator(g, opts).eval(d, phi), opts)
 
@@ -615,10 +598,10 @@ def evaluate(g, d: Distribution, phi, opts: EvalOptions = None) -> EvalResult:
 def split_check(g, d: Distribution, parts, opts: EvalOptions = None) -> EvalResult:
     """Decide the pinned-weight summation semantics for given components."""
     opts = opts or EvalOptions()
-    parts = [(Fraction(w), item) for w, item in parts]
-    if sum(w for w, _ in parts) != 1:
+    phi = ProbSum(parts)
+    if sum(w for w, _ in phi.parts) != 1:
         raise ValueError("summation weights must total exactly 1")
-    return _finalize(Evaluator(g, opts).eval(d, ProbSum(tuple(parts))), opts)
+    return _finalize(Evaluator(g, opts).eval(d, phi), opts)
 
 
 def mix_check(g, d: Distribution, items, opts: EvalOptions = None) -> EvalResult:
@@ -634,7 +617,7 @@ def enforce_check(g, d: Distribution, body, opts: EvalOptions = None) -> EvalRes
 
 
 class CharFormulaBuilder:
-    """Characteristic formulas with maximal subterm sharing.
+    """Characteristic formulas; equal subterms are one interned node.
 
     The level-(n+1) formula conjoins, over every player-1 grid lottery, the
     enforceable interpolation of the level-n formulas of the per-response
@@ -645,7 +628,6 @@ class CharFormulaBuilder:
         self.g = g
         self._succ = _SuccessorTable(g, k)  # rejects k < 1
         self._state_memo = {}
-        self._dist_memo = {}
 
     def state(self, s, n: int):
         key = (s, n)
@@ -670,17 +652,8 @@ class CharFormulaBuilder:
         return phi
 
     def dist(self, d: Distribution, n: int):
-        key = (d, n)
-        if key in self._dist_memo:
-            return self._dist_memo[key]
         order = _state_order(self.g)
-        parts = tuple(
-            (d[t], self.state(t, n))
-            for t in sorted(d.support(), key=order.get)
-        )
-        phi = ProbSum(parts)
-        self._dist_memo[key] = phi
-        return phi
+        return ProbSum((d[t], self.state(t, n)) for t in sorted(d.support(), key=order.get))
 
 
 def char_formula_state(g, s, n: int, k: int):
@@ -697,9 +670,9 @@ def logic_preorder(g, s, t, n: int, k: int, opts: EvalOptions = None) -> EvalRes
     `holds` suggests ``t`` simulates ``s`` up to depth ``n`` at this grid
     resolution; a certified `fails` refutes the logic preorder.
     """
+    opts = opts or EvalOptions(pi1_grid=k)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
-    opts = opts or EvalOptions(pi1_grid=k)
     builder = CharFormulaBuilder(g, k)
     phi = And(tuple(builder.state(s, level) for level in range(n + 1)))
     return _finalize(Evaluator(g, opts).eval(Distribution.point(t), phi), opts)

@@ -175,9 +175,6 @@ class Relation:
     def inverse(self) -> "Relation":
         return Relation((t, s) for s, t in self.pairs)
 
-    def related_to(self, s: str):
-        return sorted(t for u, t in self.pairs if u == s)
-
 
 def parse_relation(text: str) -> Relation:
     """Parse the pair-per-line relation format; ``#`` starts a comment."""
@@ -403,33 +400,6 @@ def combine_dists(parts) -> Distribution:
         for s, ps in dist.entries.items():
             out[s] = out.get(s, ZERO) + w * ps
     return Distribution(out)
-
-
-def combine_mixed_actions(parts) -> MixedAction:
-    """Weighted sum of mixed actions of one owner (pointwise on lotteries)."""
-    parts = [(Fraction(w), pi) for w, pi in parts]
-    if not parts:
-        raise ValueError("empty combination")
-    owner = parts[0][1].owner
-    if any(pi.owner != owner for _, pi in parts):
-        raise ValueError("owner mismatch in mixed-action combination")
-    if sum((w for w, _ in parts), ZERO) != 1:
-        raise ValueError("weights do not sum to 1")
-    states = set()
-    for _, pi in parts:
-        states |= set(pi.choice)
-    choice = {}
-    for s in states:
-        lot = {}
-        for w, pi in parts:
-            if w == 0:
-                continue
-            if s not in pi.choice:
-                raise ValueError(f"mixed action undefined at state {s}")
-            for a, pa in pi.choice[s].items():
-                lot[a] = lot.get(a, ZERO) + w * pa
-        choice[s] = lot
-    return MixedAction(choice, owner)
 
 
 def step_mixed_state(g, s: str, pi1: MixedAction, pi2: MixedAction) -> Distribution:

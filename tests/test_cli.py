@@ -10,7 +10,7 @@ from pathlib import Path
 import pags
 from pags import fixture_path
 from pags.cli import run
-from pags.logic import ENFORCE_BUDGET
+from pags.logic import ENFORCE_BUDGET, SPLIT_BUDGET
 
 RPS = str(fixture_path("rps.pgs"))
 HOST = str(fixture_path("lifthost.pgs"))
@@ -302,4 +302,23 @@ def test_nested_enforce_hits_the_evaluation_budget():
     assert proc.stderr == (
         f"error: <1> built {ENFORCE_BUDGET + 1} successor distributions, "
         f"over the budget of {ENFORCE_BUDGET}\n"
+    )
+
+
+def test_fine_split_grid_hits_the_split_budget():
+    """A three-way `sum` of `<1>` items at split denominator 30 on rps's
+    uniform distribution searches about 496 fractions per state: exit 3 with
+    the count and the limit, well within the timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pags.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pags", "eval", "--model", RPS,
+         "--dist", "s0:1/3,s1:1/3,s2:1/3",
+         "--formula", "sum{1/3: <1> win1, 1/3: <1> win2, 1/3: <1> draw}",
+         "--split-denom", "30"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: the split search tried {SPLIT_BUDGET + 1} candidates, "
+        f"over the budget of {SPLIT_BUDGET}\n"
     )

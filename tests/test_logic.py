@@ -24,6 +24,7 @@ from pags.formula import (
 )
 from pags.logic import (
     EvalOptions,
+    Evaluator,
     char_formula_dist,
     char_formula_state,
     enforce_check,
@@ -256,3 +257,24 @@ def test_logic_preorder_detects_label_mismatch(rps):
 def test_logic_preorder_accepts_duplicate(dup):
     r = logic_preorder(dup, "u", "u2", 1, 2)
     assert r.verdict == "holds"
+
+
+def test_equal_subformulas_are_evaluated_once(rps):
+    """Equal subformulas built separately are one node, so the second
+    `<1> win1` is a memo hit and builds no successor of its own."""
+    d = parse_distribution("s0:1/3,s1:1/3,s2:1/3")
+    built = []
+    for text in ("<1> win1", "<1> win1 & <1> win1"):
+        ev = Evaluator(rps, EvalOptions())
+        ev.eval(d, parse_formula(text))
+        built.append(ev._built)
+    assert 0 < built[1] <= built[0]
+
+
+def test_formula_nodes_are_interned_and_immutable():
+    phi = parse_formula("mu X. a | <1> X")
+    assert phi is Mu("X", Or((Prop("a"), Enforce(Var("X")))))
+    assert (phi.flat, phi.convex, phi.free) == (False, False, frozenset())
+    assert phi.body.free == {"X"}
+    with pytest.raises(AttributeError):
+        phi.flat = True

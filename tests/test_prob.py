@@ -13,7 +13,6 @@ from pags.prob import (
     Relation,
     WeightWitness,
     combine_dists,
-    combine_mixed_actions,
     compositions,
     format_rational,
     grid_lotteries,
@@ -84,7 +83,6 @@ def test_relation_basics():
     r = parse_relation("s t\n# comment\ns u\n")
     assert ("s", "t") in r and ("s", "u") in r and len(r) == 2
     assert r.inverse() == Relation([("t", "s"), ("u", "s")])
-    assert r.related_to("s") == ["t", "u"]
 
 
 def test_lp_feasible_simple():
@@ -195,13 +193,6 @@ def test_split_match_produces_related_parts():
 def test_combine_dists_weights_must_sum():
     with pytest.raises(ValueError):
         combine_dists([(Fraction(1, 2), Distribution.point("a"))])
-
-
-def test_combine_mixed_actions():
-    p1 = MixedAction.pure(["s"], "a", 1)
-    p2 = MixedAction.pure(["s"], "b", 1)
-    mix = combine_mixed_actions([(Fraction(1, 2), p1), (Fraction(1, 2), p2)])
-    assert mix.at("s") == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
 
 
 def test_step_mixed_matches_table(rps):

@@ -1,6 +1,6 @@
 """Property tests: the exact LP core, lifting, simulation, the flat
 formula encoder and the strategy modality's successors against their
-oracles."""
+oracles, and the interned formula nodes against plain recursion."""
 
 from fractions import Fraction
 
@@ -8,7 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pags import load_fixture_model
-from pags.formula import And, Mix, NegProp, Or, ProbSum, Prop
+from pags.formula import (
+    FALSE,
+    TRUE,
+    And,
+    Enforce,
+    Mix,
+    Mu,
+    NegProp,
+    Nu,
+    Or,
+    ProbSum,
+    Prop,
+    Var,
+    convex_safe,
+    format_formula,
+    is_flat,
+    parse_formula,
+)
 from pags.logic import EvalOptions, Evaluator, evaluate
 from pags.model import GameStructure
 from pags.oracle import OracleBudgetError, brute_eval, brute_lift, brute_sim
@@ -236,3 +253,69 @@ def test_enforce_successors_match_step_mixed_dist(instance):
         theta = ev.step(d, states, lots, acts)
         assert list(theta.entries.items()) == list(expected.entries.items())
         assert theta == expected and hash(theta) == hash(expected)
+
+
+@st.composite
+def formulas(draw, bound=(), depth=3):
+    """Formulas of every node kind in the parser's own shape: `&` and `|`
+    have two or more items, none a nonempty node of the same kind. Variables
+    come from ``bound`` and from the fixpoints above them."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        leaves = [Prop("p"), NegProp("p"), Prop("q"), TRUE, FALSE] + [Var(v) for v in bound]
+        return draw(st.sampled_from(leaves))
+    kind = draw(st.sampled_from(["and", "or", "sum", "mix", "<1>", "mu", "nu"]))
+    if kind in ("mu", "nu"):
+        var = draw(st.sampled_from("XYZ"))
+        return {"mu": Mu, "nu": Nu}[kind](var, draw(formulas(bound + (var,), depth - 1)))
+    if kind == "<1>":
+        return Enforce(draw(formulas(bound, depth - 1)))
+    n = draw(st.integers(1 if kind in ("sum", "mix") else 2, 3))
+    items = [draw(formulas(bound, depth - 1)) for _ in range(n)]
+    if kind == "sum":
+        weights = [draw(st.integers(1, 3)) for _ in items]
+        return ProbSum((Fraction(w, sum(weights)), i) for w, i in zip(weights, items))
+    cls = {"and": And, "or": Or, "mix": Mix}[kind]
+    return cls(Enforce(i) if type(i) is cls and i.items else i for i in items)
+
+
+@SETTINGS
+@given(formulas())
+def test_formula_text_round_trips_to_the_same_node(phi):
+    assert parse_formula(format_formula(phi)) is phi
+
+
+def _reference(phi):
+    """(flat, convex, free variables) of ``phi`` by plain recursion."""
+    if isinstance(phi, (Prop, NegProp)):
+        return True, True, frozenset()
+    if isinstance(phi, Var):
+        return False, False, frozenset({phi.name})
+    if isinstance(phi, ProbSum):
+        kids = [item for _, item in phi.parts]
+    else:
+        kids = phi.items if isinstance(phi, (And, Or, Mix)) else [phi.body]
+    refs = [_reference(kid) for kid in kids]
+    free = frozenset().union(*(f for _, _, f in refs))
+    if isinstance(phi, (Mu, Nu)):
+        free -= {phi.var}
+    flat = isinstance(phi, (And, Or, Mix, ProbSum)) and all(f for f, _, _ in refs)
+    convex = isinstance(phi, (And, Mix, ProbSum)) and all(c for _, c, _ in refs)
+    return flat, convex, free
+
+
+@SETTINGS
+@given(formulas(bound=("W",)))
+def test_cached_fragments_match_a_recursive_reference(phi):
+    assert (phi.flat, phi.convex, phi.free) == _reference(phi)
+    assert (is_flat(phi), convex_safe(phi)) == (phi.flat, phi.convex)
+
+
+@SETTINGS
+@given(formulas(bound=("W",)), st.booleans())
+def test_int_and_fraction_weights_give_one_node(phi, int_first):
+    """Either construction order gives one node whose weight is a Fraction:
+    a later equal construction never overwrites the stored fields."""
+    first, second = (1, Fraction(1)) if int_first else (Fraction(1), 1)
+    node = ProbSum(((first, phi),))
+    assert ProbSum(((second, phi),)) is node
+    assert type(node.parts[0][0]) is Fraction
