@@ -4,13 +4,15 @@ Every subcommand prints a deterministic human-readable report, or a single
 JSON object with the stable keys result/certified/witness/bound/mode when
 ``--json`` is given. Exit codes: 0 holds/related/feasible, 1 the negative
 counterpart, 2 unknown or deferred, 3 usage or model errors, exhausted hard
-budgets and internal errors, so a crash never reads as a verdict.
+budgets, a closed standard output and internal errors, so a crash never
+reads as a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -39,22 +41,18 @@ class UsageError(Exception):
     pass
 
 
-def _load_model(path):
+def _read(path, what):
     try:
         with open(path) as fh:
-            return parse_model(fh.read())
+            return fh.read()
     except OSError as e:
-        raise UsageError(f"cannot read model: {e}") from None
+        raise UsageError(f"cannot read {what}: {e}") from None
 
 
-def _load_relation(path):
-    try:
-        with open(path) as fh:
-            return parse_relation(fh.read())
-    except OSError as e:
-        raise UsageError(f"cannot read relation: {e}") from None
-    except ValueError as e:
-        raise UsageError(f"bad relation file: {e}") from None
+def _state(g, name):
+    if name not in g.states:
+        raise UsageError(f"unknown state {name!r}")
+    return name
 
 
 def _dist(g, text):
@@ -68,17 +66,21 @@ def _dist(g, text):
     return d
 
 
+def _lift_inputs(args, g):
+    try:
+        r = parse_relation(_read(args.relation, "relation"))
+    except ValueError as e:
+        raise UsageError(f"bad relation file: {e}") from None
+    return _dist(g, args.delta), _dist(g, args.theta), r
+
+
 def _formula(args):
     if args.formula is not None and args.formula_file is not None:
         raise UsageError("give --formula or --formula-file, not both")
     if args.formula is not None:
         text = args.formula
     elif args.formula_file is not None:
-        try:
-            with open(args.formula_file) as fh:
-                text = fh.read()
-        except OSError as e:
-            raise UsageError(f"cannot read formula file: {e}") from None
+        text = _read(args.formula_file, "formula file")
     else:
         raise UsageError("a formula is required (--formula or --formula-file)")
     try:
@@ -115,24 +117,33 @@ def _emit(out, args, result, certified, witness, bound, mode, lines):
             out.write(line + "\n")
 
 
-def _verdict_exit(verdict) -> int:
-    if verdict == HOLDS:
-        return 0
-    if verdict == FAILS:
-        return 1
-    return 2
-
-
 def _render_witness(w):
     return json.dumps(w, sort_keys=True, default=str)
 
 
-def _cmd_lift(args, out):
-    g = _load_model(args.model)
-    r = _load_relation(args.relation)
-    d = _dist(g, args.delta)
-    th = _dist(g, args.theta)
-    witness = lift_check(d, th, r)
+def _verdict(out, args, res, bound, mode, notes=()):
+    """Report an EvalResult: its witness when it holds, else its
+    counterexample; exit 0 holds, 1 fails, 2 otherwise."""
+    payload = res.witness if res.verdict == HOLDS else res.counterexample
+    lines = [f"verdict: {res.verdict}", f"certified: {str(res.certified).lower()}", *notes]
+    _emit(out, args, res.verdict, res.certified, payload, bound, mode, lines)
+    return {HOLDS: 0, FAILS: 1}.get(res.verdict, 2)
+
+
+def _pairs(rel):
+    return [f"{s} {t}" for s, t in rel]
+
+
+def _listing(out, args, pairs, mode, bound=0, deferred=False, tail=()):
+    head = "deferred relation" if deferred else "relation"
+    lines = [f"{head} ({len(pairs)} pairs):", *("  " + p for p in pairs), *tail]
+    _emit(out, args, "deferred" if deferred else "related", not deferred, pairs,
+          bound, mode, lines)
+    return 2 if deferred else 0
+
+
+def _cmd_lift(args, g, out):
+    witness = lift_check(*_lift_inputs(args, g))
     if witness is None:
         _emit(out, args, "infeasible", True, None, 0, "lift",
               ["infeasible: no weight function exists"])
@@ -145,144 +156,82 @@ def _cmd_lift(args, out):
     return 0
 
 
-def _cmd_sim(args, out):
-    g = _load_model(args.model)
+def _cmd_sim(args, g, out):
     strat = _strategy(args.mode)
     if args.pair:
         if "," not in args.pair:
             raise UsageError("--pair expects 's,t'")
-        s, _, t = (part.strip() for part in args.pair.partition(","))
-        for u in (s, t):
-            if u not in g.states:
-                raise UsageError(f"unknown state {u!r}")
+        s, t = (_state(g, part.strip()) for part in args.pair.split(",", 1))
     try:
         report = pa_simulation(g, strat)
     except OSError as e:
         raise UsageError(f"cannot write SMT scripts: {e}") from None
-    pairs = [f"{s} {t}" for s, t in report.relation]
+    pairs = _pairs(report.relation)
     deferred = strat.kind == "smt"
-    if args.pair:
-        if deferred:
-            result, code = "deferred", 2
-        elif (s, t) in report.relation:
-            result, code = "related", 0
-        else:
-            result, code = "unrelated", 1
-        lines = [f"{result}: ({s}, {t})", f"iterations: {report.iterations}"]
-        _emit(out, args, result, not deferred, pairs, report.iterations,
-              strat.describe(), lines)
-        return code
-    result = "deferred" if deferred else "related"
-    head = "deferred relation" if deferred else "relation"
-    lines = [f"{head} ({len(pairs)} pairs):"] + ["  " + p for p in pairs]
-    lines.append(f"iterations: {report.iterations}")
-    if args.trace and report.witnesses:
-        for (s, t), entries in sorted(report.witnesses.items()):
-            lines.append(f"witness ({s}, {t}): {len(entries)} lotteries matched")
-    _emit(out, args, result, not deferred, pairs, report.iterations,
-          strat.describe(), lines)
-    return 2 if deferred else 0
+    if not args.pair:
+        tail = [f"iterations: {report.iterations}"]
+        if args.trace:
+            for (s, t), entries in sorted(report.witnesses.items()):
+                tail.append(f"witness ({s}, {t}): {len(entries)} lotteries matched")
+        return _listing(out, args, pairs, strat.describe(), report.iterations, deferred, tail)
+    if deferred:
+        result, code = "deferred", 2
+    elif (s, t) in report.relation:
+        result, code = "related", 0
+    else:
+        result, code = "unrelated", 1
+    lines = [f"{result}: ({s}, {t})", f"iterations: {report.iterations}"]
+    _emit(out, args, result, not deferred, pairs, report.iterations, strat.describe(), lines)
+    return code
 
 
-def _cmd_asim(args, out):
-    g = _load_model(args.model)
-    rel = a_simulation(g)
-    pairs = [f"{s} {t}" for s, t in rel]
-    lines = [f"relation ({len(pairs)} pairs):"] + ["  " + p for p in pairs]
-    _emit(out, args, "related", True, pairs, 0, "asim", lines)
-    return 0
+def _cmd_asim(args, g, out):
+    return _listing(out, args, _pairs(a_simulation(g)), "asim")
 
 
-def _eval_opts(args):
-    return EvalOptions(
+def _cmd_eval(args, g, out, engine, mode):
+    d = _dist(g, args.dist)
+    phi = _formula(args)
+    opts = EvalOptions(
         unfold_bound=args.unfold,
         pi1_grid=args.grid,
         split_denominator=args.split_denom,
         certify=args.certify,
     )
-
-
-def _eval_lines(phi, res, opts):
-    lines = [f"verdict: {res.verdict}", f"certified: {str(res.certified).lower()}"]
+    res = engine(g, d, phi, opts)
+    notes = []
     if res.verdict == HOLDS and res.witness is not None:
-        lines.append("witness: " + _render_witness(res.witness))
-    if res.verdict == FAILS and res.counterexample is not None:
-        lines.append("counterexample: " + _render_witness(res.counterexample))
-    if res.verdict not in (HOLDS, FAILS):
-        if isinstance(phi, Mu):
-            lines.append(f"µ not established at bound {opts.unfold_bound}")
-        elif isinstance(phi, Nu):
-            lines.append(f"ν not refuted at bound {opts.unfold_bound}")
-        else:
-            lines.append(f"unknown at bound {opts.unfold_bound}")
-    return lines
+        notes.append("witness: " + _render_witness(res.witness))
+    elif res.verdict == FAILS and res.counterexample is not None:
+        notes.append("counterexample: " + _render_witness(res.counterexample))
+    elif res.verdict not in (HOLDS, FAILS):
+        which = {Mu: "µ not established at", Nu: "ν not refuted at"}.get(type(phi), "unknown at")
+        notes.append(f"{which} bound {opts.unfold_bound}")
+    return _verdict(out, args, res, res.bound_used, mode, notes)
 
 
-def _cmd_eval(args, out):
-    g = _load_model(args.model)
-    d = _dist(g, args.dist)
-    phi = _formula(args)
-    opts = _eval_opts(args)
-    res = evaluate(g, d, phi, opts)
-    payload = res.witness if res.verdict == HOLDS else res.counterexample
-    _emit(out, args, res.verdict, res.certified, payload, res.bound_used,
-          "eval", _eval_lines(phi, res, opts))
-    return _verdict_exit(res.verdict)
-
-
-def _cmd_charform(args, out):
-    g = _load_model(args.model)
-    if args.state not in g.states:
-        raise UsageError(f"unknown state {args.state!r}")
-    phi = char_formula_state(g, args.state, args.depth, args.grid)
+def _cmd_charform(args, g, out):
+    phi = char_formula_state(g, _state(g, args.state), args.depth, args.grid)
     text = format_formula(phi)
     _emit(out, args, "ok", True, text, args.depth, "charform", [text])
     return 0
 
 
-def _cmd_preorder(args, out):
-    g = _load_model(args.model)
-    for s in (getattr(args, "from"), args.to):
-        if s not in g.states:
-            raise UsageError(f"unknown state {s!r}")
-    res = logic_preorder(g, getattr(args, "from"), args.to, args.depth, args.grid)
-    lines = [f"verdict: {res.verdict}", f"certified: {str(res.certified).lower()}"]
-    payload = res.witness if res.verdict == HOLDS else res.counterexample
-    _emit(out, args, res.verdict, res.certified, payload, args.depth,
-          "preorder", lines)
-    return _verdict_exit(res.verdict)
+def _cmd_preorder(args, g, out):
+    s, t = (_state(g, name) for name in (getattr(args, "from"), args.to))
+    res = logic_preorder(g, s, t, args.depth, args.grid)
+    return _verdict(out, args, res, args.depth, "preorder")
 
 
-def _cmd_oracle_lift(args, out):
-    g = _load_model(args.model)
-    r = _load_relation(args.relation)
-    d = _dist(g, args.delta)
-    th = _dist(g, args.theta)
-    ok = brute_lift(d, th, r, args.scale)
+def _cmd_oracle_lift(args, g, out):
+    ok = brute_lift(*_lift_inputs(args, g), args.scale)
     result = "feasible" if ok else "infeasible"
     _emit(out, args, result, True, None, 0, "oracle-lift", [result])
     return 0 if ok else 1
 
 
-def _cmd_oracle_sim(args, out):
-    g = _load_model(args.model)
-    rel = brute_sim(g, args.grid)
-    pairs = [f"{s} {t}" for s, t in rel]
-    lines = [f"relation ({len(pairs)} pairs):"] + ["  " + p for p in pairs]
-    _emit(out, args, "related", True, pairs, 0, f"oracle-sim grid={args.grid}", lines)
-    return 0
-
-
-def _cmd_oracle_eval(args, out):
-    g = _load_model(args.model)
-    d = _dist(g, args.dist)
-    phi = _formula(args)
-    opts = _eval_opts(args)
-    res = brute_eval(g, d, phi, opts)
-    payload = res.witness if res.verdict == HOLDS else res.counterexample
-    _emit(out, args, res.verdict, res.certified, payload, res.bound_used,
-          "oracle-eval", _eval_lines(phi, res, opts))
-    return _verdict_exit(res.verdict)
+def _cmd_oracle_sim(args, g, out):
+    return _listing(out, args, _pairs(brute_sim(g, args.grid)), f"oracle-sim grid={args.grid}")
 
 
 def _add_formula_args(p):
@@ -298,63 +247,43 @@ def build_parser():
     top = argparse.ArgumentParser(prog="pags")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(group, name, func):
+    def cmd(group, name, func, *required):
         p = group.add_parser(name)
         p.add_argument("--json", action="store_true")
+        for flag in ("--model",) + required:
+            p.add_argument(flag, required=True, type=int if flag == "--depth" else str)
         p.set_defaults(func=func)
         return p
 
-    p = cmd(sub, "lift", _cmd_lift)
-    p.add_argument("--model", required=True)
-    p.add_argument("--relation", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--theta", required=True)
+    cmd(sub, "lift", _cmd_lift, "--relation", "--delta", "--theta")
 
     p = cmd(sub, "sim", _cmd_sim)
-    p.add_argument("--model", required=True)
     p.add_argument("--mode", default="pure")
     p.add_argument("--pair")
     p.add_argument("--trace", action="store_true")
 
-    p = cmd(sub, "asim", _cmd_asim)
-    p.add_argument("--model", required=True)
+    cmd(sub, "asim", _cmd_asim)
 
-    p = cmd(sub, "eval", _cmd_eval)
-    p.add_argument("--model", required=True)
-    p.add_argument("--dist", required=True)
-    _add_formula_args(p)
+    _add_formula_args(cmd(sub, "eval", lambda args, g, out: _cmd_eval(
+        args, g, out, evaluate, "eval"), "--dist"))
 
-    p = cmd(sub, "charform", _cmd_charform)
-    p.add_argument("--model", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p = cmd(sub, "charform", _cmd_charform, "--state", "--depth")
     p.add_argument("--grid", type=int, default=2)
 
-    p = cmd(sub, "preorder", _cmd_preorder)
-    p.add_argument("--model", required=True)
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p = cmd(sub, "preorder", _cmd_preorder, "--from", "--to", "--depth")
     p.add_argument("--grid", type=int, default=2)
 
     orc = sub.add_parser("oracle")
     osub = orc.add_subparsers(dest="oracle_command", required=True)
 
-    p = cmd(osub, "lift", _cmd_oracle_lift)
-    p.add_argument("--model", required=True)
-    p.add_argument("--relation", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--theta", required=True)
+    p = cmd(osub, "lift", _cmd_oracle_lift, "--relation", "--delta", "--theta")
     p.add_argument("--scale", type=int, default=None)
 
     p = cmd(osub, "sim", _cmd_oracle_sim)
-    p.add_argument("--model", required=True)
     p.add_argument("--grid", type=int, default=2)
 
-    p = cmd(osub, "eval", _cmd_oracle_eval)
-    p.add_argument("--model", required=True)
-    p.add_argument("--dist", required=True)
-    _add_formula_args(p)
+    _add_formula_args(cmd(osub, "eval", lambda args, g, out: _cmd_eval(
+        args, g, out, brute_eval, "oracle-eval"), "--dist"))
 
     return top
 
@@ -368,7 +297,14 @@ def run(argv=None, out=None, err=None) -> int:
     except SystemExit as e:
         return 3 if e.code else 0
     try:
-        return args.func(args, out)
+        code = args.func(args, parse_model(_read(args.model, "model")), out)
+        out.flush()  # a closed standard output may surface only here
+        return code
+    except BrokenPipeError:
+        err.write("error: standard output closed\n")
+        if out is sys.stdout:  # the interpreter flushes stdout again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 3
     except (UsageError, ModelError, OracleBudgetError, EvalBudgetError, ValueError) as e:
         err.write(f"error: {e}\n")
         return 3

@@ -664,13 +664,13 @@ def char_formula_dist(g, d: Distribution, n: int, k: int):
     return CharFormulaBuilder(g, k).dist(d, n)
 
 
-def logic_preorder(g, s, t, n: int, k: int, opts: EvalOptions = None) -> EvalResult:
+def logic_preorder(g, s, t, n: int, k: int) -> EvalResult:
     """Check the discriminating formulas of ``s`` (levels 0..n) at ``t``.
 
     `holds` suggests ``t`` simulates ``s`` up to depth ``n`` at this grid
     resolution; a certified `fails` refutes the logic preorder.
     """
-    opts = opts or EvalOptions(pi1_grid=k)
+    opts = EvalOptions(pi1_grid=k)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     builder = CharFormulaBuilder(g, k)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 from .formula import (
@@ -103,14 +104,6 @@ def brute_lift(d: Distribution, th: Distribution, r: Relation, scale_hint=None) 
     return _max_flow(capacity, "src", "snk") == scale
 
 
-def _grid_mixtures(weights_over, k):
-    """All K-grid lotteries over a list of items, as (item, weight) lists."""
-    out = []
-    for lot in grid_lotteries(range(len(weights_over)), k):
-        out.append([(weights_over[i], w) for i, w in lot.items()])
-    return out
-
-
 def brute_sim(g, k: int, budget: int = 2_000_000) -> Relation:
     """Simulation approximants with every quantifier on the K-grid.
 
@@ -183,7 +176,8 @@ def brute_eval(g, d: Distribution, phi, opts: EvalOptions = None, budget: int = 
     Splits, interpolation weights and the player-1 lottery all range over
     the grids in ``opts``; universal responses range over pure actions.
     `holds` answers are certified only on the literal/boolean fragment,
-    everything else is verdict-only.
+    everything else is verdict-only; ``opts.certify`` off drops every
+    certificate, as in ``evaluate``.
     """
     opts = opts or EvalOptions()
     counter = [0]
@@ -295,4 +289,5 @@ def brute_eval(g, d: Distribution, phi, opts: EvalOptions = None, budget: int = 
             return EvalResult(UNKNOWN, False, bound_used=opts.unfold_bound)
         raise TypeError(f"not a formula node: {psi!r}")
 
-    return ev(d, phi)
+    res = ev(d, phi)
+    return res if opts.certify else replace(res, certified=False)

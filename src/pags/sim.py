@@ -185,12 +185,6 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     return found
 
 
-def _test_lotteries(g: GameStructure, strat: QuantStrategy):
-    if strat.kind == PURE:
-        return [{a: Fraction(1)} for a in g.acts1]
-    return grid_lotteries(g.acts1, strat.k)
-
-
 def _file_part(name: str) -> str:
     """Percent-encode a state name, ``_`` included, so ``s_t`` file names of
     distinct pairs differ."""
@@ -212,7 +206,7 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
             with open(path, "w") as fh:
                 fh.write(export_smt(g, s, t, r))
         return r, {}
-    lotteries = _test_lotteries(g, strat)
+    lotteries = grid_lotteries(g.acts1, strat.k)  # k = 1 for pure: each action alone
     if data is None:
         data = _StepData(g)
     kept = []

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pags
 from pags import fixture_path
 from pags.cli import run
@@ -278,6 +280,32 @@ def test_internal_error_exits_three(monkeypatch):
     assert err.endswith("\nerror: internal error: KeyError: 'boom'\n")
 
 
+def test_oracle_eval_honours_no_certify():
+    argv = ["--model", RPS, "--dist", "s0:1", "--formula", "draw", "--json"]
+    for prefix in (["eval"], ["oracle", "eval"]):
+        code, out, _ = invoke(prefix + argv)
+        assert code == 0 and json.loads(out)["certified"] is True
+        code, out, _ = invoke(prefix + argv + ["--no-certify"])
+        assert code == 0 and json.loads(out)["certified"] is False
+
+
+def test_closed_stdout_is_one_error_line():
+    """A reader that has gone away is a usage-level failure (exit 3): one
+    `error:` line, no traceback and nothing more at interpreter exit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pags.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pags", "sim", "--model", RPS],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: standard output closed\n"
+
+
 def test_oracle_grid_and_scale_below_one_are_usage_errors():
     code, out, err = invoke(["oracle", "sim", "--model", RPS, "--grid", "0"])
     assert code == 3 and out == "" and "grid must be >= 1" in err
@@ -322,3 +350,42 @@ def test_fine_split_grid_hits_the_split_budget():
         f"error: the split search tried {SPLIT_BUDGET + 1} candidates, "
         f"over the budget of {SPLIT_BUDGET}\n"
     )
+
+
+_LIFT = ["lift", "--model", HOST, "--delta", "s1:1", "--theta", "t1:1"]
+_EVAL = ["eval", "--model", RPS, "--dist", "s0:1"]
+_UNKNOWN = "verdict: unknown\ncertified: false\n"
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (_LIFT + ["--relation", "{tmp}/missing.rel"], 3, "",
+     "error: cannot read relation: [Errno 2] No such file or directory: "
+     "'{tmp}/missing.rel'\n"),
+    (_LIFT + ["--relation", "{tmp}/bad.rel"], 3, "",
+     "error: bad relation file: line 1: expected two state names, got 's1'\n"),
+    (_EVAL + ["--formula-file", "{tmp}/missing.lphi"], 3, "",
+     "error: cannot read formula file: [Errno 2] No such file or directory: "
+     "'{tmp}/missing.lphi'\n"),
+    (_EVAL, 3, "", "error: a formula is required (--formula or --formula-file)\n"),
+    (_EVAL + ["--formula", "win1 &"], 3, "", "error: bad formula: unexpected token ''\n"),
+    (["sim", "--model", RPS, "--mode", "grid=x"], 3, "",
+     "error: bad grid size: invalid literal for int() with base 10: 'x'\n"),
+    (["sim", "--model", RPS, "--mode", "foo"], 3, "",
+     "error: bad mode 'foo', expected pure|grid=K|smt=DIR\n"),
+    (["sim", "--model", RPS, "--pair", "s0"], 3, "", "error: --pair expects 's,t'\n"),
+    (["sim", "--model", RPS, "--pair", "s0,s0", "--mode", "smt={tmp}/smt"], 2,
+     "deferred: (s0, s0)\niterations: 1\n", ""),
+    (_EVAL + ["--formula", "nu X. draw & <1> X", "--unfold", "1"], 2,
+     _UNKNOWN + "ν not refuted at bound 1\n", ""),
+    (_EVAL + ["--formula", "<1> win1"], 2, _UNKNOWN + "unknown at bound 4\n", ""),
+    (["charform", "--model", RPS, "--state", "zz", "--depth", "1"], 3, "",
+     "error: unknown state 'zz'\n"),
+    (["preorder", "--model", RPS, "--from", "zz", "--to", "s0", "--depth", "1"], 3, "",
+     "error: unknown state 'zz'\n"),
+])
+def test_pinned_paths(tmp_path, argv, code, stdout, stderr):
+    """Exit code and exact output of paths no other test executes."""
+    (tmp_path / "bad.rel").write_text("s1\n")
+    tmp = str(tmp_path)
+    got = invoke([a.replace("{tmp}", tmp) for a in argv])
+    assert got == (code, stdout, stderr.replace("{tmp}", tmp))

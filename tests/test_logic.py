@@ -11,6 +11,7 @@ from pags.formula import (
     Enforce,
     FormulaError,
     Mu,
+    NegProp,
     Nu,
     Or,
     ProbSum,
@@ -97,6 +98,22 @@ def test_unfold_base_cases():
     assert unfold_fixpoint(mu, 0) == FALSE
     assert unfold_fixpoint(nu, 0) == TRUE
     assert unfold_fixpoint(mu, 1) == Or((Prop("a"), Enforce(FALSE)))
+
+
+def test_unfold_substitutes_through_sum_and_nested_fixpoint():
+    half = Fraction(1, 2)
+    phi = parse_formula("nu X. !p & sum{1/2: X, 1/2: X}")
+    one = And((NegProp("p"), ProbSum(((half, TRUE), (half, TRUE)))))
+    assert unfold_fixpoint(phi, 1) == one
+    assert unfold_fixpoint(phi, 2) == And((NegProp("p"), ProbSum(((half, one), (half, one)))))
+
+    psi = parse_formula("mu X. nu Y. (win1 & <1> Y) | <1> X")
+    keep = And((Prop("win1"), Enforce(Var("Y"))))
+    one = Nu("Y", Or((keep, Enforce(FALSE))))
+    assert unfold_fixpoint(psi, 1) == one
+    two = unfold_fixpoint(psi, 2)
+    assert two == Nu("Y", Or((keep, Enforce(one))))
+    assert two.body.items[0] is psi.body.body.items[0]  # no X free: kept, not rebuilt
 
 
 def test_unfold_requires_fixpoint():

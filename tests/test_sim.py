@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pags.model import ModelError, parse_model
+from pags.oracle import brute_sim
 from pags.prob import Relation
 from pags.sim import (
     QuantStrategy,
@@ -148,6 +149,34 @@ def test_a_simulation_rps_identity(rps):
 
 def test_a_simulation_single(single):
     assert a_simulation(single) == Relation([("s0", "s0")])
+
+
+# s can step to the labelled goal; t and u, label-equal to s, never can.
+REACH = """model reach
+states: s t u goal    init: s
+props: g
+label goal: g
+actions1: stay go
+actions2: b
+trans s (stay,b): s=1
+trans s (go,b): goal=1
+trans t (stay,b): t=1
+trans t (go,b): t=1
+trans u (stay,b): u=1
+trans u (go,b): t=1
+absorb goal
+"""
+
+
+def test_a_simulation_removes_pairs_that_cannot_follow():
+    g = parse_model(REACH)
+    rel = a_simulation(g)
+    assert rel == Relation([
+        ("goal", "goal"), ("s", "s"), ("t", "s"), ("t", "t"), ("t", "u"),
+        ("u", "s"), ("u", "t"), ("u", "u"),
+    ])
+    assert ("s", "t") in initial_relation(g) and ("s", "u") in initial_relation(g)
+    assert pa_simulation(g, QuantStrategy.pure()).relation == rel == brute_sim(g, 1)
 
 
 def test_strategy_validation():
