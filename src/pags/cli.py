@@ -158,7 +158,7 @@ def _cmd_lift(args, g, out):
 
 def _cmd_sim(args, g, out):
     strat = _strategy(args.mode)
-    if args.pair:
+    if args.pair is not None:
         if "," not in args.pair:
             raise UsageError("--pair expects 's,t'")
         s, t = (_state(g, part.strip()) for part in args.pair.split(",", 1))
@@ -168,7 +168,7 @@ def _cmd_sim(args, g, out):
         raise UsageError(f"cannot write SMT scripts: {e}") from None
     pairs = _pairs(report.relation)
     deferred = strat.kind == "smt"
-    if not args.pair:
+    if args.pair is None:
         tail = [f"iterations: {report.iterations}"]
         if args.trace:
             for (s, t), entries in sorted(report.witnesses.items()):

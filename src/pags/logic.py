@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .formula import (
     And,
@@ -36,7 +37,7 @@ from .prob import (
     Distribution,
     LinearProblem,
     MixedAction,
-    combine_dists,
+    combine_ints,
     compositions,
     format_rational,
     grid_lotteries,
@@ -384,6 +385,15 @@ class Evaluator:
                 dists.append(Distribution({s: m / w for s, m in mass.items()}))
             return dists
 
+        # The needs are integers over d.den * q * wden, where wden clears the
+        # weights' denominators: a unit of comp at states[i] takes mass[i],
+        # and rest[i] is the mass of the states after it.
+        wden = 1
+        for w in weights:
+            wden = lcm(wden, w.denominator)
+        mass = [d.nums[s] * wden for s in states]
+        rest = [sum(mass[i + 1 :]) * q for i in range(len(states))]
+
         # Enumerate candidate splits lazily: depth-first over per-state
         # compositions with infeasible partial sums pruned.
         def all_candidates(idx, need, acc):
@@ -392,7 +402,7 @@ class Evaluator:
                     yield dict(acc)
                 return
             s = states[idx]
-            remaining = sum((d[u] for u in states[idx + 1 :]), Fraction(0))
+            m, remaining = mass[idx], rest[idx]
             for comp in per_state[s]:
                 self._tried += 1
                 if self._tried > SPLIT_BUDGET:
@@ -400,14 +410,15 @@ class Evaluator:
                         f"the split search tried {self._tried} candidates, "
                         f"over the budget of {SPLIT_BUDGET}"
                     )
-                new_need = [need[j] - d[s] * Fraction(comp[j], q) for j in range(len(parts))]
+                new_need = [n - m * c for n, c in zip(need, comp)]
                 if any(n < 0 or n > remaining for n in new_need):
                     continue
                 acc[s] = comp
                 yield from all_candidates(idx + 1, new_need, acc)
             acc.pop(states[idx], None)
 
-        for assignment in all_candidates(0, list(weights), {}):
+        need = [w.numerator * (wden // w.denominator) * d.den * q for w in weights]
+        for assignment in all_candidates(0, need, {}):
             try:
                 dists = assemble(assignment)
             except ValueError:
@@ -489,8 +500,9 @@ class Evaluator:
                 f"<1> built {self._built} successor distributions, "
                 f"over the budget of {ENFORCE_BUDGET}"
             )
-        return combine_dists(
-            [(d[s], self._succ.get(s, i, j)) for s, i, j in sorted(zip(states, lots, acts))]
+        return combine_ints(
+            [(d.nums[s], self._succ.get(s, i, j)) for s, i, j in sorted(zip(states, lots, acts))],
+            d.den,
         )
 
     def _enforce(self, d, body) -> EvalResult:

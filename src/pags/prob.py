@@ -1,7 +1,11 @@
 """Distributions, mixed actions, lifting, and the exact rational LP core.
 
-Every number in this module is a ``fractions.Fraction``; feasibility
-questions are decided exactly, never with tolerances.
+A ``Distribution`` holds positive integer numerators over one reduced common
+denominator, and weighted sums of distributions (successors included) are
+built on those integers alone; ``d[s]`` and ``entries`` read the masses as
+``fractions.Fraction``. Every other number is a ``Fraction`` or, inside the
+simplex, an integer row. Feasibility questions are decided exactly, never
+with tolerances.
 """
 
 from __future__ import annotations
@@ -37,55 +41,99 @@ def format_rational(r: Fraction) -> str:
 
 
 class Distribution:
-    """Sparse rational distribution over state names; mass exactly 1."""
+    """Sparse rational distribution over state names; mass exactly 1.
 
-    __slots__ = ("entries", "_key", "_hash")
+    Held as ``nums`` (state -> positive int, in entry order) over one common
+    denominator ``den``, reduced so that ``den`` and the numerators share no
+    factor: equal distributions have equal ``den`` and ``nums``, so neither
+    equality nor hashing touches a ``Fraction``.
+    """
+
+    __slots__ = ("nums", "den", "_hash")
 
     def __init__(self, entries):
-        # Signs and the total are checked on integers: Fraction comparisons
-        # and sums were most of the cost of building a successor.
-        items = {}
+        items = []
+        den = 1
         for s, p in dict(entries).items():
             if type(p) is not Fraction:
                 p = Fraction(p)
             if p.numerator < 0:
                 raise ValueError(f"negative mass {p} at {s}")
-            if p.numerator:
-                items[s] = p
-        den = 1
-        for p in items.values():
+            items.append((s, p))
             den = lcm(den, p.denominator)
-        num = sum(p.numerator * (den // p.denominator) for p in items.values())
-        if num != den:
-            raise ValueError(f"distribution sums to {Fraction(num, den)}, expected 1")
-        self.entries = items
-        self._key = tuple(sorted(items.items()))
-        self._hash = hash(self._key)  # hashing a Fraction takes a modular inverse
+        self._fill({s: p.numerator * (den // p.denominator) for s, p in items}, den)
+
+    @classmethod
+    def from_ints(cls, nums: dict, den: int) -> "Distribution":
+        """The distribution with mass ``nums[s] / den`` at each ``s``
+        (``den > 0``); takes ownership of ``nums``."""
+        d = object.__new__(cls)
+        d._fill(nums, den)
+        return d
+
+    def _fill(self, nums: dict, den: int) -> None:
+        # Signs and the total are checked on integers; zeros are dropped.
+        if min(nums.values(), default=1) <= 0:
+            for s, n in nums.items():
+                if n < 0:
+                    raise ValueError(f"negative mass {Fraction(n, den)} at {s}")
+            nums = {s: n for s, n in nums.items() if n}
+        total = sum(nums.values())
+        if total != den:
+            raise ValueError(f"distribution sums to {Fraction(total, den)}, expected 1")
+        # Folded pairwise and stopped at 1, as in ``_reduce``.
+        g = den
+        for n in nums.values():
+            if g == 1:
+                break
+            g = gcd(g, n)
+        if g > 1:
+            nums = {s: n // g for s, n in nums.items()}
+            den //= g
+        self.nums = nums
+        self.den = den
+        self._hash = None
 
     @classmethod
     def point(cls, s: str) -> "Distribution":
-        return cls({s: ONE})
+        return cls.from_ints({s: 1}, 1)
+
+    @property
+    def entries(self) -> dict:
+        """The masses as ``Fraction``s, in entry order (a fresh dict)."""
+        den = self.den
+        return {s: Fraction(n, den) for s, n in self.nums.items()}
 
     def __getitem__(self, s: str) -> Fraction:
-        return self.entries.get(s, ZERO)
+        n = self.nums.get(s)
+        return Fraction(n, self.den) if n else ZERO
 
     def support(self):
-        return list(self.entries)
+        return list(self.nums)
 
     def is_point(self) -> bool:
-        return len(self.entries) == 1
+        return len(self.nums) == 1
 
     def __eq__(self, other):
-        return isinstance(other, Distribution) and self._key == other._key
+        return (
+            isinstance(other, Distribution)
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.den, tuple(sorted(self.nums.items()))))
         return self._hash
 
     def __repr__(self):
-        return f"Distribution({dict(self.entries)!r})"
+        return f"Distribution({self.entries!r})"
 
     def format(self) -> str:
-        return ",".join(f"{s}:{format_rational(p)}" for s, p in self._key)
+        den = self.den
+        return ",".join(
+            f"{s}:{format_rational(Fraction(n, den))}" for s, n in sorted(self.nums.items())
+        )
 
 
 def parse_distribution(text: str) -> Distribution:
@@ -385,42 +433,58 @@ def lp_feasible(p: LinearProblem) -> Optional[list]:
 # Combination and generalized transitions
 # ---------------------------------------------------------------------------
 
+def combine_ints(parts, den: int) -> Distribution:
+    """The sum of ``(a / den) * dist`` over ``parts``, a list of ``(a, dist)``
+    with nonnegative integer ``a``, built on integers alone.
+
+    Parts with ``a == 0`` are skipped. Entries appear in order of first
+    appearance, part by part. Weights that do not sum to ``den`` fail the
+    result's total check.
+    """
+    scale = 1
+    for a, dist in parts:
+        if a and scale % dist.den:
+            scale = lcm(scale, dist.den)
+    out = {}
+    for a, dist in parts:
+        if a:
+            f = a * (scale // dist.den)
+            for s, n in dist.nums.items():
+                out[s] = out.get(s, 0) + f * n
+    return Distribution.from_ints(out, den * scale)
+
+
 def combine_dists(parts) -> Distribution:
     """Weighted sum of distributions; weights must sum to exactly 1."""
     parts = [(Fraction(w), dist) for w, dist in parts]
-    total = sum((w for w, _ in parts), ZERO)
-    if total != 1:
-        raise ValueError(f"weights sum to {total}, expected 1")
-    out = {}
-    for w, dist in parts:
-        if w < 0:
+    den = 1
+    for w, _ in parts:
+        den = lcm(den, w.denominator)
+    ints = [(w.numerator * (den // w.denominator), dist) for w, dist in parts]
+    total = sum(a for a, _ in ints)
+    if total != den:
+        raise ValueError(f"weights sum to {Fraction(total, den)}, expected 1")
+    for (w, _), (a, _) in zip(parts, ints):
+        if a < 0:
             raise ValueError(f"negative weight {w}")
-        if w == 0:
-            continue
-        for s, ps in dist.entries.items():
-            out[s] = out.get(s, ZERO) + w * ps
-    return Distribution(out)
+    return combine_ints(ints, den)
 
 
 def step_mixed_state(g, s: str, pi1: MixedAction, pi2: MixedAction) -> Distribution:
     """Expand the generalized transition from a single state."""
     if (pi1.owner, pi2.owner) != (1, 2):
         raise ValueError("expected a (player 1, player 2) pair of mixed actions")
-    out = {}
-    for a1, p1 in pi1.at(s).items():
-        for a2, p2 in pi2.at(s).items():
-            w = p1 * p2
-            if w == 0:
-                continue
-            for t, pt in g.step(s, a1, a2).entries.items():
-                out[t] = out.get(t, ZERO) + w * pt
-    return Distribution(out)
+    return combine_dists(
+        (p1 * p2, g.step(s, a1, a2))
+        for a1, p1 in pi1.at(s).items()
+        for a2, p2 in pi2.at(s).items()
+    )
 
 
 def step_mixed_dist(g, d: Distribution, pi1: MixedAction, pi2: MixedAction) -> Distribution:
     """Generalized transition from a distribution."""
-    parts = [(p, step_mixed_state(g, t, pi1, pi2)) for t, p in sorted(d.entries.items())]
-    return combine_dists(parts)
+    parts = [(n, step_mixed_state(g, t, pi1, pi2)) for t, n in sorted(d.nums.items())]
+    return combine_ints(parts, d.den)
 
 
 def compositions(total: int, parts: int):

@@ -382,6 +382,7 @@ _UNKNOWN = "verdict: unknown\ncertified: false\n"
      "error: unknown state 'zz'\n"),
     (["preorder", "--model", RPS, "--from", "zz", "--to", "s0", "--depth", "1"], 3, "",
      "error: unknown state 'zz'\n"),
+    (["sim", "--model", RPS, "--pair", ""], 3, "", "error: --pair expects 's,t'\n"),
 ])
 def test_pinned_paths(tmp_path, argv, code, stdout, stderr):
     """Exit code and exact output of paths no other test executes."""

@@ -191,8 +191,11 @@ def test_split_match_produces_related_parts():
 
 
 def test_combine_dists_weights_must_sum():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights sum to 1/2, expected 1"):
         combine_dists([(Fraction(1, 2), Distribution.point("a"))])
+    with pytest.raises(ValueError, match="negative weight -1/2"):
+        combine_dists([(Fraction(3, 2), Distribution.point("a")),
+                       (Fraction(-1, 2), Distribution.point("b"))])
 
 
 def test_step_mixed_matches_table(rps):

@@ -1,8 +1,10 @@
 """Property tests: the exact LP core, lifting, simulation, the flat
 formula encoder and the strategy modality's successors against their
-oracles, and the interned formula nodes against plain recursion."""
+oracles, the integer distribution sum against a plain ``Fraction`` sum,
+and the interned formula nodes against plain recursion."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,7 @@ from pags.prob import (
     MixedAction,
     Relation,
     combine_dists,
+    format_rational,
     grid_lotteries,
     lift_check,
     lp_feasible,
@@ -253,6 +256,42 @@ def test_enforce_successors_match_step_mixed_dist(instance):
         theta = ev.step(d, states, lots, acts)
         assert list(theta.entries.items()) == list(expected.entries.items())
         assert theta == expected and hash(theta) == hash(expected)
+
+
+@st.composite
+def weighted_parts(draw):
+    """Parts over three states, so states repeat across parts; some weights
+    are zero, and the weights sum to 1."""
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(["a", "b", "c"]))
+        parts.append(draw(distributions(order[: draw(st.integers(1, 3))], st.integers(0, 6))))
+    raw = draw(st.lists(st.integers(0, 5), min_size=len(parts), max_size=len(parts)).filter(any))
+    return [(Fraction(x, sum(raw)), dist) for x, dist in zip(raw, parts)]
+
+
+@SETTINGS
+@given(weighted_parts(), st.integers(1, 4))
+def test_combine_dists_matches_a_fraction_reference(parts, scale):
+    """The integer kernel against a plain ``Fraction`` sum: same entries in
+    first-appearance order, same equality, hash and text; and the same
+    distribution given as unreduced integers is one value."""
+    expected = {}
+    for w, dist in parts:
+        if w:
+            for s, p in dist.entries.items():
+                expected[s] = expected.get(s, Fraction(0)) + w * p
+    theta = combine_dists(parts)
+    assert list(theta.entries.items()) == list(expected.items())
+    ref = Distribution(expected)
+    assert theta == ref and hash(theta) == hash(ref)
+    assert theta.format() == ",".join(
+        f"{s}:{format_rational(p)}" for s, p in sorted(expected.items())
+    )
+    den = scale * lcm(*(p.denominator for p in expected.values()))
+    ints = Distribution.from_ints({s: int(p * den) for s, p in expected.items()}, den)
+    assert ints == ref and hash(ints) == hash(ref)
+    assert list(ints.entries.items()) == list(expected.items())
 
 
 @st.composite
