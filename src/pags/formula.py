@@ -22,7 +22,7 @@ from fractions import Fraction
 from .prob import format_rational, parse_rational
 
 
-class FormulaError(Exception):
+class FormulaError(ValueError):
     pass
 
 
@@ -116,11 +116,18 @@ class Mix(_Items):
 
 
 class ProbSum(Formula):
+    """``sum{w1: phi1, ...}``: its weights must be positive and total 1."""
+
     __slots__ = _fields = ("parts",)  # of (Fraction, formula)
 
     @staticmethod
     def _normalize(parts):
-        return (tuple((Fraction(w), item) for w, item in parts),)
+        parts = tuple((Fraction(w), item) for w, item in parts)
+        if any(w <= 0 for w, _ in parts):
+            raise FormulaError("sum weights must be positive")
+        if sum(w for w, _ in parts) != 1:
+            raise FormulaError("sum weights must total exactly 1")
+        return (parts,)
 
     def _children(self):
         return tuple(item for _, item in self.parts)
@@ -285,11 +292,7 @@ class _Parser:
                 continue
             break
         self.take("punct", "}")
-        if any(w <= 0 for w, _ in parts):
-            raise FormulaError("sum weights must be positive")
-        if sum(w for w, _ in parts) != 1:
-            raise FormulaError("sum weights must total exactly 1")
-        return ProbSum(tuple(parts))
+        return ProbSum(parts)
 
     def mix_body(self):
         self.take("punct", "{")

@@ -36,13 +36,12 @@ from .formula import (
 from .prob import (
     Distribution,
     LinearProblem,
-    MixedAction,
+    combine_dists,
     combine_ints,
     compositions,
     format_rational,
     grid_lotteries,
     lp_feasible,
-    step_mixed_state,
 )
 
 HOLDS = "holds"
@@ -102,8 +101,9 @@ def _unknown(bound=0):
     return EvalResult(UNKNOWN, False, bound_used=bound)
 
 
-def _render_lottery(lot):
-    return {a: format_rational(p) for a, p in lot.items()}
+def _joint(results):
+    """Whether every result is certified, and the largest bound any used."""
+    return all(r.certified for r in results), max((r.bound_used for r in results), default=0)
 
 
 def _state_order(g):
@@ -124,9 +124,10 @@ class _SuccessorTable:
         key = (s, i, j)
         hit = self._table.get(key)
         if hit is None:
-            pi1 = MixedAction({s: self.lotteries[i]}, 1)
-            sigma = MixedAction({s: {self.g.acts2[j]: Fraction(1)}}, 2)
-            hit = self._table[key] = step_mixed_state(self.g, s, pi1, sigma)
+            b = self.g.acts2[j]
+            hit = self._table[key] = combine_dists(
+                (p, self.g.step(s, a, b)) for a, p in self.lotteries[i].items()
+            )
         return hit
 
 
@@ -215,14 +216,11 @@ class _FlatChecker:
         columns ``cols`` (state -> column). Returns the component columns of
         a summation (none for other nodes), or None when a side condition is
         unsatisfiable."""
-        if isinstance(phi, Prop):
+        if isinstance(phi, (Prop, NegProp)):
+            # No mass where the literal is false.
+            positive = isinstance(phi, Prop)
             for s, j in cols.items():
-                if phi.name not in self.g.labels[s]:
-                    lp.add({j: 1}, "==", 0)
-            return []
-        if isinstance(phi, NegProp):
-            for s, j in cols.items():
-                if phi.name in self.g.labels[s]:
+                if (phi.name in self.g.labels[s]) != positive:
                     lp.add({j: 1}, "==", 0)
             return []
         if isinstance(phi, And):
@@ -263,6 +261,7 @@ class Evaluator:
         self.opts = opts
         self.flat = _FlatChecker(g)
         self._memo = {}
+        self._order = _state_order(g)
         self._pool = None
         self._succ = _SuccessorTable(g, opts.pi1_grid)
         self._built = 0  # successor distributions built by _enforce
@@ -313,37 +312,26 @@ class Evaluator:
 
     def _combine_or(self, d, phi) -> EvalResult:
         results = [self.eval(d, item) for item in phi.items]
-        bound = max((r.bound_used for r in results), default=0)
-        best = None
-        for i, r in enumerate(results):
-            if r.verdict == HOLDS:
-                if r.certified:
-                    return _holds({"disjunct": i, "witness": r.witness}, True, bound)
-                if best is None:
-                    best = (i, r)
-        if best is not None:
-            i, r = best
-            return _holds({"disjunct": i, "witness": r.witness}, False, bound)
+        certified, bound = _joint(results)
+        holding = [i for i, r in enumerate(results) if r.verdict == HOLDS]
+        if holding:
+            # The first certified disjunct, else the first that holds at all.
+            i = next((i for i in holding if results[i].certified), holding[0])
+            r = results[i]
+            return _holds({"disjunct": i, "witness": r.witness}, r.certified, bound)
         if all(r.verdict == FAILS for r in results):
-            certified = all(r.certified for r in results)
             return _fails([r.counterexample for r in results], certified, bound)
         return _unknown(bound)
 
     def _combine_and(self, d, phi) -> EvalResult:
         results = [self.eval(d, item) for item in phi.items]
-        bound = max((r.bound_used for r in results), default=0)
-        best = None
+        certified, bound = _joint(results)
+        # Every `fails` inside the Evaluator is certified (only `evaluate`
+        # strips certification, at the top), so the first one decides.
         for i, r in enumerate(results):
             if r.verdict == FAILS:
-                if r.certified:
-                    return _fails({"conjunct": i, "counterexample": r.counterexample}, True, bound)
-                if best is None:
-                    best = (i, r)
-        if best is not None:
-            i, r = best
-            return _fails({"conjunct": i, "counterexample": r.counterexample}, False, bound)
+                return _fails({"conjunct": i, "counterexample": r.counterexample}, r.certified, bound)
         if all(r.verdict == HOLDS for r in results):
-            certified = all(r.certified for r in results)
             return _holds({"conjuncts": len(results)}, certified, bound)
         return _unknown(bound)
 
@@ -354,8 +342,7 @@ class Evaluator:
         if found is None:
             return _unknown()
         dists, results = found
-        certified = all(r.certified for r in results)
-        bound = max((r.bound_used for r in results), default=0)
+        certified, bound = _joint(results)
         witness = {
             "split": [[format_rational(w), dist.format()] for (w, _), dist in zip(parts, dists)],
             "witnesses": [r.witness for r in results],
@@ -370,20 +357,8 @@ class Evaluator:
         """
         q = self.opts.split_denominator
         weights = [w for w, _ in parts]
-        order = _state_order(self.g)
-        states = sorted(d.support(), key=order.get)
-        per_state = {s: list(compositions(q, len(parts))) for s in states}
-
-        def assemble(assignment):
-            dists = []
-            for j, (w, _) in enumerate(parts):
-                mass = {
-                    s: d[s] * assignment[s][j] / q
-                    for s in states
-                    if assignment[s][j]
-                }
-                dists.append(Distribution({s: m / w for s, m in mass.items()}))
-            return dists
+        states = sorted(d.support(), key=self._order.get)
+        comps = list(compositions(q, len(parts)))
 
         # The needs are integers over d.den * q * wden, where wden clears the
         # weights' denominators: a unit of comp at states[i] takes mass[i],
@@ -399,11 +374,10 @@ class Evaluator:
         def all_candidates(idx, need, acc):
             if idx == len(states):
                 if all(n == 0 for n in need):
-                    yield dict(acc)
+                    yield list(acc)
                 return
-            s = states[idx]
             m, remaining = mass[idx], rest[idx]
-            for comp in per_state[s]:
+            for comp in comps:
                 self._tried += 1
                 if self._tried > SPLIT_BUDGET:
                     raise EvalBudgetError(
@@ -413,16 +387,21 @@ class Evaluator:
                 new_need = [n - m * c for n, c in zip(need, comp)]
                 if any(n < 0 or n > remaining for n in new_need):
                     continue
-                acc[s] = comp
+                acc.append(comp)
                 yield from all_candidates(idx + 1, new_need, acc)
-            acc.pop(states[idx], None)
+                acc.pop()
 
         need = [w.numerator * (wden // w.denominator) * d.den * q for w in weights]
-        for assignment in all_candidates(0, need, {}):
-            try:
-                dists = assemble(assignment)
-            except ValueError:
-                continue
+        for assignment in all_candidates(0, need, []):
+            # Component j takes d[s] * comp[j] / (q * w_j) at each s, where
+            # comp is the composition chosen at s.
+            dists = [
+                Distribution.from_ints(
+                    {s: d.nums[s] * comp[j] * w.denominator for s, comp in zip(states, assignment)},
+                    d.den * q * w.numerator,
+                )
+                for j, w in enumerate(weights)
+            ]
             results = []
             ok = True
             for dist, (_, item) in zip(dists, parts):
@@ -441,22 +420,17 @@ class Evaluator:
         q = self.opts.split_denominator
         n = len(items)
         indices = list(range(n))
-        zero_witnesses = {}
+        zero_certified = {}  # j -> whether j's zero-weight witness is certified, or None
 
         def zero_ok(j):
             """A zero-weight component still needs a nonempty denotation."""
-            if j in zero_witnesses:
-                return zero_witnesses[j] is not None
-            if items[j].flat:
-                zero_witnesses[j] = ("sat", None) if self.flat.sat(items[j]) else None
-            else:
-                zero_witnesses[j] = None
-                for cand in self._witness_pool():
-                    r = self.eval(cand, items[j])
-                    if r.verdict == HOLDS:
-                        zero_witnesses[j] = (cand, r)
-                        break
-            return zero_witnesses[j] is not None
+            if j not in zero_certified:
+                if items[j].flat:
+                    zero_certified[j] = True if self.flat.sat(items[j]) else None
+                else:
+                    found = (self.eval(cand, items[j]) for cand in self._witness_pool())
+                    zero_certified[j] = next((r.certified for r in found if r.verdict == HOLDS), None)
+            return zero_certified[j] is not None
 
         for size in range(1, n + 1):
             for subset in itertools.combinations(indices, size):
@@ -473,11 +447,8 @@ class Evaluator:
                     if found is None:
                         continue
                     dists, results = found
-                    certified = all(r.certified for r in results) and all(
-                        zero_witnesses[j][1] is None or zero_witnesses[j][1].certified
-                        for j in rest
-                    )
-                    bound = max((r.bound_used for r in results), default=0)
+                    certified, bound = _joint(results)
+                    certified = certified and all(zero_certified[j] for j in rest)
                     witness = {
                         "mix": [
                             [format_rational(w), dist.format()]
@@ -507,8 +478,7 @@ class Evaluator:
 
     def _enforce(self, d, body) -> EvalResult:
         g = self.g
-        order = _state_order(g)
-        states = sorted(d.support(), key=order.get)
+        states = sorted(d.support(), key=self._order.get)
         lotteries = self._succ.lotteries
         vertices = list(itertools.product(range(len(g.acts2)), repeat=len(states)))
         safe = body.convex
@@ -523,7 +493,7 @@ class Evaluator:
             for sigma in vertices:
                 theta = self.step(d, states, combo, sigma)
                 r = self.eval(theta, body)
-                results.append((sigma, theta, r))
+                results.append(r)
                 if r.verdict != HOLDS:
                     rejected = True
                     if r.verdict == FAILS and r.certified and fallback_fail is None:
@@ -531,14 +501,16 @@ class Evaluator:
                     if not refutable or fallback_fail is not None:
                         break
             if not rejected:
-                certified = safe and all(r.certified for _, _, r in results)
-                bound = max((r.bound_used for _, _, r in results), default=0)
+                certified, bound = _joint(results)
                 witness = {
-                    "pi1": {s: _render_lottery(lotteries[i]) for s, i in zip(states, combo)},
+                    "pi1": {
+                        s: {a: format_rational(p) for a, p in lotteries[i].items()}
+                        for s, i in zip(states, combo)
+                    },
                     "vertices": len(results),
                 }
-                return _holds(witness, certified, bound)
-        if len(g.acts1) == 1 and fallback_fail is not None:
+                return _holds(witness, safe and certified, bound)
+        if refutable and fallback_fail is not None:
             sigma, theta, r = fallback_fail
             counterexample = {
                 "sigma2": {s: g.acts2[j] for s, j in zip(states, sigma)},
@@ -571,21 +543,15 @@ class Evaluator:
         all points plus every one-step successor of a point under a grid
         lottery and a pure response."""
         if self._pool is None:
-            pool = []
-            seen = set()
-
-            def add(dist):
-                if dist not in seen:
-                    seen.add(dist)
-                    pool.append(dist)
-
-            for t in self.g.states:
-                add(Distribution.point(t))
-            for t in self.g.states:
-                for i in range(len(self._succ.lotteries)):
-                    for j in range(len(self.g.acts2)):
-                        add(self._succ.get(t, i, j))
-            self._pool = pool
+            g = self.g
+            points = [Distribution.point(t) for t in g.states]
+            successors = [
+                self._succ.get(t, i, j)
+                for t in g.states
+                for i in range(len(self._succ.lotteries))
+                for j in range(len(g.acts2))
+            ]
+            self._pool = list(dict.fromkeys(points + successors))
         return self._pool
 
 
@@ -593,39 +559,30 @@ class Evaluator:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def _finalize(result: EvalResult, opts: EvalOptions) -> EvalResult:
-    if not opts.certify and result.certified:
-        return replace(result, certified=False)
-    return result
-
-
 def evaluate(g, d: Distribution, phi, opts: EvalOptions = None) -> EvalResult:
     """Evaluate a closed formula at a distribution."""
     opts = opts or EvalOptions()
     if phi.free:
         raise FormulaError("formula must be closed")
-    return _finalize(Evaluator(g, opts).eval(d, phi), opts)
+    result = Evaluator(g, opts).eval(d, phi)
+    if not opts.certify and result.certified:
+        return replace(result, certified=False)
+    return result
 
 
 def split_check(g, d: Distribution, parts, opts: EvalOptions = None) -> EvalResult:
     """Decide the pinned-weight summation semantics for given components."""
-    opts = opts or EvalOptions()
-    phi = ProbSum(parts)
-    if sum(w for w, _ in phi.parts) != 1:
-        raise ValueError("summation weights must total exactly 1")
-    return _finalize(Evaluator(g, opts).eval(d, phi), opts)
+    return evaluate(g, d, ProbSum(parts), opts)
 
 
 def mix_check(g, d: Distribution, items, opts: EvalOptions = None) -> EvalResult:
     """Decide the free-weight interpolation semantics for given components."""
-    opts = opts or EvalOptions()
-    return _finalize(Evaluator(g, opts).eval(d, Mix(tuple(items))), opts)
+    return evaluate(g, d, Mix(items), opts)
 
 
 def enforce_check(g, d: Distribution, body, opts: EvalOptions = None) -> EvalResult:
     """Decide whether player 1 can enforce ``body`` in one step from ``d``."""
-    opts = opts or EvalOptions()
-    return _finalize(Evaluator(g, opts).eval(d, Enforce(body)), opts)
+    return evaluate(g, d, Enforce(body), opts)
 
 
 class CharFormulaBuilder:
@@ -639,6 +596,7 @@ class CharFormulaBuilder:
     def __init__(self, g, k: int):
         self.g = g
         self._succ = _SuccessorTable(g, k)  # rejects k < 1
+        self._order = _state_order(g)
         self._state_memo = {}
 
     def state(self, s, n: int):
@@ -664,8 +622,7 @@ class CharFormulaBuilder:
         return phi
 
     def dist(self, d: Distribution, n: int):
-        order = _state_order(self.g)
-        return ProbSum((d[t], self.state(t, n)) for t in sorted(d.support(), key=order.get))
+        return ProbSum((d[t], self.state(t, n)) for t in sorted(d.support(), key=self._order.get))
 
 
 def char_formula_state(g, s, n: int, k: int):
@@ -687,4 +644,4 @@ def logic_preorder(g, s, t, n: int, k: int) -> EvalResult:
         raise ValueError(f"depth must be >= 0, got {n}")
     builder = CharFormulaBuilder(g, k)
     phi = And(tuple(builder.state(s, level) for level in range(n + 1)))
-    return _finalize(Evaluator(g, opts).eval(Distribution.point(t), phi), opts)
+    return evaluate(g, Distribution.point(t), phi, opts)

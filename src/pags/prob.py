@@ -240,7 +240,8 @@ def parse_relation(text: str) -> Relation:
 
 @dataclass(frozen=True)
 class WeightWitness:
-    """Lifting witness: positive weights whose marginals are the two sides."""
+    """Lifting witness: positive rational weights whose marginals are the two
+    sides."""
 
     weights: dict
 
@@ -255,12 +256,12 @@ class WeightWitness:
                 raise ValueError(f"weighted pair ({s},{t}) not in relation")
             rows[s] = rows.get(s, ZERO) + w
             cols[t] = cols.get(t, ZERO) + w
-        for s in set(d.support()) | set(rows):
-            if rows.get(s, ZERO) != d[s]:
-                raise ValueError(f"row sum at {s} is {rows.get(s, ZERO)}, expected {d[s]}")
-        for t in set(th.support()) | set(cols):
-            if cols.get(t, ZERO) != th[t]:
-                raise ValueError(f"column sum at {t} is {cols.get(t, ZERO)}, expected {th[t]}")
+        for side, sums, what in ((d, rows, "row"), (th, cols, "column")):
+            for s in set(side.support()) | set(sums):
+                got = sums.get(s, ZERO)
+                # got == side[s], on integers: no Fraction is built for side[s]
+                if got.numerator * side.den != side.nums.get(s, 0) * got.denominator:
+                    raise ValueError(f"{what} sum at {s} is {got}, expected {side[s]}")
 
     def is_valid(self, d: Distribution, th: Distribution, r: Relation) -> bool:
         try:
@@ -523,19 +524,21 @@ def lift_check(d: Distribution, th: Distribution, r: Relation) -> Optional[Weigh
     Solved as an exact transportation feasibility problem: one variable per
     related support pair, row sums pinned to ``d``, column sums to ``th``.
     """
-    supp_d = d.support()
-    supp_t = th.support()
-    pairs = [(s, t) for s in sorted(supp_d) for t in sorted(supp_t) if (s, t) in r]
+    supp_d = sorted(d.support())
+    supp_t = sorted(th.support())
+    pairs = [(s, t) for s in supp_d for t in supp_t if (s, t) in r]
     if not pairs and supp_d:
         return None
     lp = LinearProblem()
     lp.cols(len(pairs))  # column j is pairs[j]
-    for s in sorted(supp_d):
-        coeffs = {j: ONE for j, (u, _) in enumerate(pairs) if u == s}
-        lp.add(coeffs, "==", d[s])
-    for t in sorted(supp_t):
-        coeffs = {j: ONE for j, (_, v) in enumerate(pairs) if v == t}
-        lp.add(coeffs, "==", th[t])
+    rows = {s: {} for s in supp_d}
+    cols = {t: {} for t in supp_t}
+    for j, (s, t) in enumerate(pairs):
+        rows[s][j] = cols[t][j] = ONE
+    for s in supp_d:
+        lp.add(rows[s], "==", d[s])
+    for t in supp_t:
+        lp.add(cols[t], "==", th[t])
     point = lp_feasible(lp)
     if point is None:
         return None

@@ -200,6 +200,21 @@ def test_split_check_grid_route(rps):
     assert r.verdict == "holds"
 
 
+@pytest.mark.parametrize("check,message", [
+    (lambda g, d: split_check(g, d, [(0, Prop("win1")), (1, TRUE)]), "be positive"),
+    (lambda g, d: split_check(g, d, [(Fraction(-1, 2), Prop("win1")), (Fraction(3, 2), TRUE)]),
+     "be positive"),
+    (lambda g, d: evaluate(g, d, ProbSum(((Fraction(1, 2), TRUE),))), "total exactly 1"),
+    (lambda g, d: evaluate(g, d, ProbSum(((0, Enforce(Prop("win1"))), (1, TRUE)))), "be positive"),
+], ids=["split-zero", "split-negative", "lone-half", "zero-weight-enforce"])
+def test_malformed_summation_is_rejected_on_every_route(rps, check, message):
+    """The node checks its weights, so neither the exact nor the grid route
+    ever sees a malformed summation."""
+    with pytest.raises(ValueError, match=f"^sum weights must {message}$") as exc:
+        check(rps, parse_distribution("s0:1/2,s1:1/2"))
+    assert isinstance(exc.value, FormulaError)
+
+
 def test_mix_check_nonflat_component(rps):
     d = Distribution.point("s1")
     r = mix_check(rps, d, [parse_formula("<1> win1"), parse_formula("win2")])

@@ -109,6 +109,65 @@ def test_header_arity_and_duplicate_actions_carry_line(old, new, line, message):
         parse_model(MINIMAL.replace(old, new))
     assert exc.value.line == line
 
+def _edit(old, new):
+    assert old in MINIMAL
+    return MINIMAL.replace(old, new)
+
+
+@pytest.mark.parametrize("source,message", [
+    pytest.param(MINIMAL + "model again\n",
+                 "line 11: duplicate model line", id="model-twice"),
+    pytest.param(_edit("    init: s0", ""),
+                 "line 3: states line must carry 'init:'", id="states-no-init"),
+    pytest.param(_edit("init: s0", "init: s0 s1"),
+                 "line 3: exactly one init state expected", id="two-inits"),
+    pytest.param(_edit("states: s0 s1", "states: s0 s1 s0"),
+                 "line 3: duplicate state declaration", id="state-twice"),
+    pytest.param(_edit("props: p", "props: p p"),
+                 "line 4: duplicate proposition declaration", id="prop-twice"),
+    pytest.param(_edit("props: p", "props: p-q"),
+                 "line 4: bad identifier 'p-q'", id="bad-identifier"),
+    pytest.param(_edit("label s1: p", "label s1 p"),
+                 "line 5: label line needs '<state>: <prop>*'", id="label-no-colon"),
+    pytest.param(_edit("label s1: p", "label zz: p"),
+                 "line 5: unknown state 'zz' in label", id="label-unknown-state"),
+    pytest.param(_edit("label s1: p", "label s1: p\nlabel s1:"),
+                 "line 6: duplicate label line for 's1'", id="label-twice"),
+    pytest.param(_edit("props: p", "trans s0 (a,x): s1=1\nprops: p"),
+                 "line 4: trans before states/actions declarations", id="trans-too-early"),
+    pytest.param(_edit("(a,y): s1=1", "a,y: s1=1"),
+                 "line 9: trans line needs '<state> (<a1>,<a2>):'", id="trans-no-parens"),
+    pytest.param(_edit("(a,y): s1=1", "(a y): s1=1"),
+                 "line 9: joint action needs '<a1>,<a2>'", id="joint-no-comma"),
+    pytest.param(_edit("(a,y): s1=1", "(b,y): s1=1"),
+                 "line 9: unknown player-1 action 'b'", id="unknown-action1"),
+    pytest.param(_edit("(a,y): s1=1", "(a,z): s1=1"),
+                 "line 9: unknown player-2 action 'z'", id="unknown-action2"),
+    pytest.param(_edit("(a,y): s1=1", "(a,x): s1=1"),
+                 "line 9: duplicate row (s0,a,x)", id="row-twice"),
+    pytest.param(_edit("(a,y): s1=1", "(a,y): s1:1"),
+                 "line 9: bad entry 's1:1', expected state=rat", id="entry-no-equals"),
+    pytest.param(_edit("(a,y): s1=1", "(a,y): s1=1/2 s1=1/2"),
+                 "line 9: duplicate target 's1' in row", id="target-twice"),
+    pytest.param(_edit("props: p", "absorb s1\nprops: p"),
+                 "line 4: absorb before states/actions declarations", id="absorb-too-early"),
+    pytest.param(MINIMAL + "trans s1 (a,y): s0=1\n",
+                 "line 10: absorb s1 conflicts with explicit row (s1,a,y)", id="absorb-conflict"),
+    pytest.param(MINIMAL + "bogus s1\n",
+                 "line 11: unknown directive 'bogus'", id="unknown-directive"),
+    pytest.param(_edit("model tiny", ""),
+                 "missing model line", id="no-model"),
+    pytest.param("model m\nactions1: a\nactions2: x\n",
+                 "missing states line", id="no-states"),
+    pytest.param("model m\nstates: s    init: s\nactions1: a\n",
+                 "missing actions declarations", id="no-actions"),
+])
+def test_every_parse_error_has_its_message_and_line(source, message):
+    with pytest.raises(ModelError) as exc:
+        parse_model(source)
+    assert str(exc.value) == message
+
+
 def test_validate_model_direct():
     g = parse_model(MINIMAL)
     assert validate_model(g) == []

@@ -1,7 +1,8 @@
 """Property tests: the exact LP core, lifting, simulation, the flat
-formula encoder and the strategy modality's successors against their
-oracles, the integer distribution sum against a plain ``Fraction`` sum,
-and the interned formula nodes against plain recursion."""
+formula encoder, the strategy modality's successors and the bounded
+evaluator's certified verdicts against their oracles, the integer
+distribution sum against a plain ``Fraction`` sum, and the interned formula
+nodes against plain recursion."""
 
 from fractions import Fraction
 from math import lcm
@@ -358,3 +359,32 @@ def test_int_and_fraction_weights_give_one_node(phi, int_first):
     node = ProbSum(((first, phi),))
     assert ProbSum(((second, phi),)) is node
     assert type(node.parts[0][0]) is Fraction
+
+
+BOUNDED = EvalOptions(unfold_bound=2, pi1_grid=2, split_denominator=2)
+HALVING = load_fixture_model("halving.pgs")
+
+
+@st.composite
+def eval_instances(draw):
+    g = draw(st.sampled_from([HALVING, None])) or draw(games(sizes=(2, 3)))
+    phi = draw(formulas().filter(lambda phi: not phi.flat))  # flat ones: see above
+    return g, draw(distributions(g.states, st.integers(0, 2))), phi
+
+
+@settings(SETTINGS, max_examples=100)
+@given(eval_instances())
+def test_certified_fails_are_never_contradicted_by_brute_eval(instance):
+    """Beyond the flat fragment (`<1>`, fixpoints): every `fails` inside the
+    evaluator is certified, and no certified `fails` stands where the
+    oracle's own grid search finds that the formula holds."""
+    g, d, phi = instance
+    result = evaluate(g, d, phi, BOUNDED)
+    if result.verdict != "fails":
+        return
+    assert result.certified
+    try:
+        brute = brute_eval(g, d, phi, BOUNDED, budget=20_000)
+    except OracleBudgetError:
+        return
+    assert brute.verdict != "holds"
