@@ -461,24 +461,26 @@ class Evaluator:
 
     # -- strategy modality -----------------------------------------------------
 
-    def step(self, d, states, lots, acts) -> Distribution:
+    def step(self, d, states, lots, acts, order=None) -> Distribution:
         """The one-step successor of ``d`` when each ``states[k]`` plays the
         ``lots[k]``-th grid lottery against the ``acts[k]``-th player-2
-        action; built entry for entry as ``step_mixed_dist`` builds it."""
+        action; built entry for entry as ``step_mixed_dist`` builds it, over
+        ``order``, the indices of ``states`` by name (computed if None)."""
         self._built += 1
         if self._built > ENFORCE_BUDGET:
             raise EvalBudgetError(
                 f"<1> built {self._built} successor distributions, "
                 f"over the budget of {ENFORCE_BUDGET}"
             )
-        return combine_ints(
-            [(d.nums[s], self._succ.get(s, i, j)) for s, i, j in sorted(zip(states, lots, acts))],
-            d.den,
-        )
+        if order is None:
+            order = sorted(range(len(states)), key=states.__getitem__)
+        parts = [(d.nums[states[k]], self._succ.get(states[k], lots[k], acts[k])) for k in order]
+        return combine_ints(parts, d.den)
 
     def _enforce(self, d, body) -> EvalResult:
         g = self.g
         states = sorted(d.support(), key=self._order.get)
+        order = sorted(range(len(states)), key=states.__getitem__)  # by name
         lotteries = self._succ.lotteries
         vertices = list(itertools.product(range(len(g.acts2)), repeat=len(states)))
         safe = body.convex
@@ -491,7 +493,7 @@ class Evaluator:
             results = []
             rejected = False
             for sigma in vertices:
-                theta = self.step(d, states, combo, sigma)
+                theta = self.step(d, states, combo, sigma, order)
                 r = self.eval(theta, body)
                 results.append(r)
                 if r.verdict != HOLDS:

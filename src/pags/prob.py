@@ -3,9 +3,10 @@
 A ``Distribution`` holds positive integer numerators over one reduced common
 denominator, and weighted sums of distributions (successors included) are
 built on those integers alone; ``d[s]`` and ``entries`` read the masses as
-``fractions.Fraction``. Every other number is a ``Fraction`` or, inside the
-simplex, an integer row. Feasibility questions are decided exactly, never
-with tolerances.
+``fractions.Fraction``. LP coefficients stay the ``int``s and ``Fraction``s
+they were given, and the simplex builds its rows and phase-1 objective on
+integers. Every other number is a ``Fraction``. Feasibility questions are
+decided exactly, never with tolerances.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ class WeightWitness:
             rows[s] = rows.get(s, ZERO) + w
             cols[t] = cols.get(t, ZERO) + w
         for side, sums, what in ((d, rows, "row"), (th, cols, "column")):
-            for s in set(side.support()) | set(sums):
+            for s in sorted(set(side.support()) | set(sums)):
                 got = sums.get(s, ZERO)
                 # got == side[s], on integers: no Fraction is built for side[s]
                 if got.numerator * side.den != side.nums.get(s, 0) * got.denominator:
@@ -280,12 +281,14 @@ class LinearProblem:
 
     Columns are the integers ``0 .. n_vars() - 1``, handed out in blocks by
     ``cols``. Constraints are ``{column: coeff}`` rows with senses ``<=``,
-    ``>=`` or ``==``.
+    ``>=`` or ``==``. Coefficients and right-hand sides are kept as given
+    when they are ``int`` or ``Fraction``; any other value goes through
+    ``Fraction(...)``, and zero coefficients are dropped.
     """
 
     def __init__(self):
         self.names = range(0)  # the columns so far
-        self.constraints = []  # (coeffs: {column: Fraction}, sense, rhs)
+        self.constraints = []  # (coeffs: {column: int | Fraction}, sense, rhs)
 
     def cols(self, k: int) -> range:
         """``k`` new columns."""
@@ -300,10 +303,13 @@ class LinearProblem:
         for j, c in coeffs.items():
             if j not in self.names:
                 raise ValueError(f"unknown column {j!r}")
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 row[j] = c
-        self.constraints.append((row, sense, Fraction(rhs)))
+        if type(rhs) is not int and type(rhs) is not Fraction:
+            rhs = Fraction(rhs)
+        self.constraints.append((row, sense, rhs))
 
     def n_vars(self) -> int:
         return len(self.names)
@@ -319,15 +325,6 @@ def _reduce(row: dict) -> dict:
         if g == 1:
             return row
     return {j: v // g for j, v in row.items()} if g else row
-
-
-def _int_row(row: dict) -> dict:
-    """The nonzero entries of a rational row, scaled by a positive factor to
-    coprime integers."""
-    scale = 1
-    for c in row.values():
-        scale = lcm(scale, c.denominator)
-    return _reduce({j: c.numerator * (scale // c.denominator) for j, c in row.items() if c})
 
 
 def _eliminate(row: dict, prow: dict, a: int, f: int) -> dict:
@@ -354,7 +351,12 @@ def lp_feasible(p: LinearProblem) -> Optional[list]:
     Fraction-free and sparse: each tableau row is held as a dict of nonzero
     Python ``int``s that is some positive multiple of the rational row, with
     the right-hand side under key ``total``; a basic variable's value is the
-    row's rhs over its own coefficient there. The artificial column of row
+    row's rhs over its own coefficient there. Rows start as each constraint
+    times the lcm of its denominators, negated when its rhs is negative;
+    the phase-1 objective, the sum of those rational rows, is summed over
+    the lcm of the row scales. Both are reduced by their gcd. (Starting from
+    another multiple of a row would change the objective, and so the pivot
+    path.) The artificial column of row
     ``i`` (basis label ``total + i``) is never read, so it is not stored.
     A pivot rescales and updates only the rows with a nonzero in the pivot
     column, then divides each by its gcd. Ratios compare by cross
@@ -365,20 +367,31 @@ def lp_feasible(p: LinearProblem) -> Optional[list]:
     n = p.n_vars()
     total = n + sum(1 for _, sense, _ in p.constraints if sense != "==")
     rows = []
-    obj = {}  # phase-1 reduced costs: the sum of the starting rows
+    scales = []
+    common = 1  # lcm of the row scales
     slack = n
     for coeffs, sense, rhs in p.constraints:
-        row = dict(coeffs)
+        scale = rhs.denominator
+        for c in coeffs.values():
+            scale = lcm(scale, c.denominator)
+        f = -scale if rhs.numerator < 0 else scale
+        row = {j: c.numerator * (f // c.denominator) for j, c in coeffs.items()}
         if sense != "==":
-            row[slack] = ONE if sense == "<=" else -ONE
+            row[slack] = f if sense == "<=" else -f
             slack += 1
-        row[total] = rhs
-        if rhs < 0:
-            row = {j: -c for j, c in row.items()}
-        for j, c in row.items():
-            obj[j] = obj.get(j, ZERO) + c
-        rows.append(_int_row(row))
-    obj = _int_row(obj)
+        if rhs.numerator:
+            row[total] = rhs.numerator * (f // rhs.denominator)
+        rows.append(row)
+        scales.append(scale)
+        common = lcm(common, scale)
+    # Phase-1 reduced costs: the sum of the starting rows, times ``common``.
+    obj = {}
+    for row, scale in zip(rows, scales):
+        f = common // scale
+        for j, v in row.items():
+            obj[j] = obj.get(j, 0) + f * v
+    obj = _reduce({j: v for j, v in obj.items() if v})
+    rows = [_reduce(row) for row in rows]
     basis = list(range(total, total + len(rows)))
 
     def pivot(pr: int, pc: int) -> None:
@@ -534,7 +547,7 @@ def lift_check(d: Distribution, th: Distribution, r: Relation) -> Optional[Weigh
     rows = {s: {} for s in supp_d}
     cols = {t: {} for t in supp_t}
     for j, (s, t) in enumerate(pairs):
-        rows[s][j] = cols[t][j] = ONE
+        rows[s][j] = cols[t][j] = 1
     for s in supp_d:
         lp.add(rows[s], "==", d[s])
     for t in supp_t:

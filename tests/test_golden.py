@@ -2,9 +2,9 @@
 
 Witnesses are the vertices the simplex stops at, so a change to the LP
 kernel's pivot order shows here even when the verdicts stay the same. Most
-fixture LPs have a single feasible point; the ``mix`` witness and the LP
-pinned at the end do not, and they change under another entering or
-leaving rule.
+fixture LPs have a single feasible point; the ``mix`` witness and the two
+LPs pinned after the CLI runs do not, and they change under another
+entering or leaving rule or another phase-1 objective.
 """
 
 import io
@@ -120,6 +120,26 @@ def test_lp_vertex_is_pinned():
     for coeffs, sense, rhs in rows:
         lp.add(coeffs, sense, rhs)
     assert lp_feasible(lp) == [Q(3, 11), 0, 0, Q(18, 11), 0, Q(18, 11)]
+
+
+def test_lp_vertex_with_negative_right_hand_sides_is_pinned():
+    """``<=`` and ``>=`` rows with negative right-hand sides, whose slacks
+    change sign, and rows over different denominators. The phase-1 objective
+    is the sum of the rational rows; another positive multiple of any row
+    changes it, and Bland's rule then stops at another vertex."""
+    rows = [
+        ({0: Q(3), 4: Q(-1, 5)}, ">=", Q(-1, 2)),
+        ({0: Q(-3), 1: Q(2, 3), 2: Q(1, 2)}, ">=", Q(1, 2)),
+        ({1: Q(-3), 3: Q(1, 2), 4: Q(1)}, "==", Q(-4, 3)),
+        ({0: Q(3, 5), 3: Q(-1)}, "<=", Q(-1, 4)),
+        ({2: Q(-2, 3), 3: Q(2), 4: Q(-2)}, ">=", 0),
+        ({2: Q(3, 5), 3: Q(-3), 4: Q(1, 5)}, "<=", 1),
+    ]
+    lp = LinearProblem()
+    lp.cols(5)
+    for coeffs, sense, rhs in rows:
+        lp.add(coeffs, sense, rhs)
+    assert lp_feasible(lp) == [Q(215, 2196), Q(121, 244), Q(113, 122), Q(113, 366), 0]
 
 
 # Every simulation witness of three fixture runs: per surviving pair, each

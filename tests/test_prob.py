@@ -151,6 +151,15 @@ def test_weight_witness_rejects_wrong_marginals():
     assert not w.is_valid(Distribution.point("a"), Distribution.point("b"), r)
 
 
+def test_weight_witness_reports_the_first_bad_state_by_name():
+    """Both rows are wrong; the message names ``a`` under every hash seed."""
+    r = Relation([("a", "b"), ("c", "b")])
+    w = WeightWitness({("a", "b"): 1, ("c", "b"): 1})
+    with pytest.raises(ValueError) as err:
+        w.validate(parse_distribution("a:1/2,c:1/2"), Distribution.point("b"), r)
+    assert str(err.value) == "row sum at a is 1, expected 1/2"
+
+
 def test_smyth_check_reflexive():
     r = Relation.identity(["x", "y"])
     p = [Distribution.point("x"), Distribution.point("y")]

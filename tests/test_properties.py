@@ -95,6 +95,40 @@ def test_lp_point_satisfies_every_constraint(problem):
         assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]
 
 
+@st.composite
+def retyped_problems(draw):
+    """An LP from ``linear_problems``, and the same LP with every coefficient
+    and right-hand side given as an ``int`` (when integral), a ``Fraction``
+    or an ``"n/d"`` string; some rows gain an explicit zero coefficient."""
+    n, rows, _ = draw(linear_problems())
+
+    def retype(v):
+        forms = [v, f"{v.numerator}/{v.denominator}"] + ([int(v)] if v.denominator == 1 else [])
+        return draw(st.sampled_from(forms))
+
+    exact, mixed = [], []
+    for coeffs, sense, rhs in rows:
+        if draw(st.booleans()):
+            coeffs = {**coeffs, draw(st.integers(0, n - 1)): Fraction(0)}
+        exact.append((coeffs, sense, rhs))
+        mixed.append(({j: retype(c) for j, c in coeffs.items()}, sense, retype(rhs)))
+    return n, exact, mixed
+
+
+@settings(SETTINGS, max_examples=100)
+@given(retyped_problems())
+def test_lp_point_does_not_depend_on_coefficient_types(problem):
+    n, exact, mixed = problem
+    points = []
+    for rows in (exact, mixed):
+        lp = LinearProblem()
+        lp.cols(n)
+        for coeffs, sense, rhs in rows:
+            lp.add(coeffs, sense, rhs)
+        points.append(lp_feasible(lp))
+    assert points[0] == points[1]
+
+
 def distributions(states, weight=st.integers(0, 4)):
     weights = st.lists(weight, min_size=len(states), max_size=len(states))
     return weights.filter(any).map(
