@@ -48,14 +48,16 @@ HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown"
 
-# Successor distributions one Evaluator may build for the strategy modality.
-# Each nested `<1>` multiplies the count, so deep nesting stops here with a
-# clear error; the fixture and benchmark queries stay below 25,000.
+# Successor requests one Evaluator may make for the strategy modality. A
+# request for a successor already built is a cache hit but still counts, so
+# the limit bounds the candidate scan, not the distinct successors. Each
+# nested `<1>` multiplies the count, so deep nesting stops here with a clear
+# error; the fixture and benchmark queries stay below 25,000.
 ENFORCE_BUDGET = 250_000
 
 # Per-state split fractions one Evaluator may try for `sum` and `mix`, whose
-# search explodes at fine split denominators; the tests and benchmark try at
-# most 14,892.
+# search explodes at fine split denominators; the last support state's
+# fraction is computed, as one try. The tests and benchmark try at most 1,914.
 SPLIT_BUDGET = 150_000
 
 
@@ -110,25 +112,51 @@ def _state_order(g):
     return {s: i for i, s in enumerate(g.states)}
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)`` on lookup."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
 class _SuccessorTable:
     """One-step successors of single states: entry (s, i, j) is the
     successor of ``s`` under the i-th player-1 grid lottery and the j-th
-    player-2 action, built on first use and then kept."""
+    player-2 action.
+
+    ``ids[s, i, j]`` is the id of entry (s, i, j), built on first lookup and
+    then kept, and ``entries[id]`` is the entry itself. Ids number entries
+    by their ordered content (``den`` and ``nums`` in entry order), not by
+    ``Distribution`` equality: equal entries in different entry orders get
+    different ids, because entry order fixes the support order of the
+    successors built from them, and with it the flat checker's LP columns
+    and its vertex."""
 
     def __init__(self, g, k: int):
         self.g = g
         self.lotteries = grid_lotteries(g.acts1, k)
-        self._table = {}
+        self.entries = []
+        self.ids = _Memo(self._number)
+        self._numbers = {}  # (den, tuple(nums.items())) -> id
+
+    def _number(self, key) -> int:
+        s, i, j = key
+        b = self.g.acts2[j]
+        dist = combine_dists((p, self.g.step(s, a, b)) for a, p in self.lotteries[i].items())
+        content = (dist.den, tuple(dist.nums.items()))
+        n = self._numbers.get(content)
+        if n is None:
+            n = self._numbers[content] = len(self.entries)
+            self.entries.append(dist)
+        return n
 
     def get(self, s, i: int, j: int) -> Distribution:
-        key = (s, i, j)
-        hit = self._table.get(key)
-        if hit is None:
-            b = self.g.acts2[j]
-            hit = self._table[key] = combine_dists(
-                (p, self.g.step(s, a, b)) for a, p in self.lotteries[i].items()
-            )
-        return hit
+        return self.entries[self.ids[s, i, j]]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +292,8 @@ class Evaluator:
         self._order = _state_order(g)
         self._pool = None
         self._succ = _SuccessorTable(g, opts.pi1_grid)
-        self._built = 0  # successor distributions built by _enforce
+        self._successors = {}  # (d, entry ids by state name) -> successor
+        self._built = 0  # successor requests made by _enforce, repeats included
         self._tried = 0  # per-state split candidates tried by _split_grid
 
     # -- public dispatch ----------------------------------------------------
@@ -369,21 +398,31 @@ class Evaluator:
         mass = [d.nums[s] * wden for s in states]
         rest = [sum(mass[i + 1 :]) * q for i in range(len(states))]
 
+        def try_one():
+            self._tried += 1
+            if self._tried > SPLIT_BUDGET:
+                raise EvalBudgetError(
+                    f"the split search tried {self._tried} candidates, "
+                    f"over the budget of {SPLIT_BUDGET}"
+                )
+
         # Enumerate candidate splits lazily: depth-first over per-state
-        # compositions with infeasible partial sums pruned.
+        # compositions with infeasible partial sums pruned. At the last
+        # state only need / mass zeroes the need, so that composition is
+        # computed, as one try; its parts sum to q, since each earlier state
+        # took mass * q of the need.
+        last = len(states) - 1
+
         def all_candidates(idx, need, acc):
-            if idx == len(states):
-                if all(n == 0 for n in need):
-                    yield list(acc)
+            m = mass[idx]
+            if idx == last:
+                try_one()
+                if all(n % m == 0 for n in need):
+                    yield acc + [tuple(n // m for n in need)]
                 return
-            m, remaining = mass[idx], rest[idx]
+            remaining = rest[idx]
             for comp in comps:
-                self._tried += 1
-                if self._tried > SPLIT_BUDGET:
-                    raise EvalBudgetError(
-                        f"the split search tried {self._tried} candidates, "
-                        f"over the budget of {SPLIT_BUDGET}"
-                    )
+                try_one()
                 new_need = [n - m * c for n, c in zip(need, comp)]
                 if any(n < 0 or n > remaining for n in new_need):
                     continue
@@ -465,7 +504,12 @@ class Evaluator:
         """The one-step successor of ``d`` when each ``states[k]`` plays the
         ``lots[k]``-th grid lottery against the ``acts[k]``-th player-2
         action; built entry for entry as ``step_mixed_dist`` builds it, over
-        ``order``, the indices of ``states`` by name (computed if None)."""
+        ``order``, the indices of ``states`` by name (computed if None).
+
+        The successor is keyed on ``d`` and the ids of its table entries in
+        ``order``: it is built on the first request for its key, and every
+        later request returns that same object. Each request counts against
+        ``ENFORCE_BUDGET``, a repeated one included."""
         self._built += 1
         if self._built > ENFORCE_BUDGET:
             raise EvalBudgetError(
@@ -474,8 +518,14 @@ class Evaluator:
             )
         if order is None:
             order = sorted(range(len(states)), key=states.__getitem__)
-        parts = [(d.nums[states[k]], self._succ.get(states[k], lots[k], acts[k])) for k in order]
-        return combine_ints(parts, d.den)
+        ids = self._succ.ids
+        key = (d, tuple([ids[states[k], lots[k], acts[k]] for k in order]))
+        hit = self._successors.get(key)
+        if hit is None:
+            entries = self._succ.entries
+            parts = [(d.nums[states[k]], entries[n]) for k, n in zip(order, key[1])]
+            hit = self._successors[key] = combine_ints(parts, d.den)
+        return hit
 
     def _enforce(self, d, body) -> EvalResult:
         g = self.g

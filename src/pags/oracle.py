@@ -192,21 +192,21 @@ def brute_eval(g, d: Distribution, phi, opts: EvalOptions = None, budget: int = 
         q = opts.split_denominator
         states = sorted(dist.support())
         comps = list(compositions(q, n_parts))
+        # Part j takes dist.nums[s] * c over dist.den * q at each s, where c
+        # is its share of the composition chosen at s.
+        den = dist.den * q
         for assignment in itertools.product(comps, repeat=len(states)):
             spend()
             masses = [dict() for _ in range(n_parts)]
             for s, comp in zip(states, assignment):
                 for j, c in enumerate(comp):
                     if c:
-                        masses[j][s] = dist[s] * Fraction(c, q)
-            weights = [sum(m.values(), Fraction(0)) for m in masses]
+                        masses[j][s] = dist.nums[s] * c
             parts = []
-            for w, m in zip(weights, masses):
-                if w == 0:
-                    parts.append((w, None))
-                    continue
-                parts.append((w, Distribution({s: x / w for s, x in m.items()})))
-            yield weights, parts
+            for m in masses:
+                total = sum(m.values())
+                parts.append((Fraction(total, den), Distribution.from_ints(m, total) if total else None))
+            yield [w for w, _ in parts], parts
 
     def ev(dist, psi):
         spend()

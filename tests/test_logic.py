@@ -34,6 +34,7 @@ from pags.logic import (
     mix_check,
     split_check,
 )
+from pags.model import parse_model
 from pags.prob import Distribution, parse_distribution
 
 
@@ -301,6 +302,36 @@ def test_equal_subformulas_are_evaluated_once(rps):
         ev.eval(d, parse_formula(text))
         built.append(ev._built)
     assert 0 < built[1] <= built[0]
+
+
+def test_each_distinct_successor_is_built_once_per_evaluator():
+    """Requests whose per-state table entries are equal entry for entry get
+    one shared successor, and each request still counts. Equal entries in
+    another entry order give a successor of their own, since support order
+    fixes the flat checker's LP columns."""
+    g = parse_model(
+        "model swap\n"
+        "states: s t1 t2    init: s\n"
+        "props: p\n"
+        "actions1: a b\n"
+        "actions2: x y\n"
+        "trans s (a,x): t1=1\n"
+        "trans s (b,x): t2=1\n"
+        "trans s (a,y): t2=1\n"
+        "trans s (b,y): t1=1\n"
+        "absorb t1\n"
+        "absorb t2\n"
+    )
+    ev = Evaluator(g, EvalOptions(pi1_grid=2))  # lotteries: a, a:1/2 b:1/2, b
+    d = Distribution.point("s")
+    first = ev.step(d, ["s"], [0], [0])  # a against x: t1
+    assert ev.step(d, ["s"], [2], [1]) is first  # b against y: t1
+    assert ev._built == 2
+    mixed_x = ev.step(d, ["s"], [1], [0])
+    mixed_y = ev.step(d, ["s"], [1], [1])
+    assert mixed_x == mixed_y and mixed_x is not mixed_y
+    assert (list(mixed_x.nums), list(mixed_y.nums)) == (["t1", "t2"], ["t2", "t1"])
+    assert ev._built == 4
 
 
 def test_formula_nodes_are_interned_and_immutable():

@@ -1,8 +1,9 @@
 """Property tests: the exact LP core, lifting, simulation, the flat
 formula encoder, the strategy modality's successors and the bounded
 evaluator's certified verdicts against their oracles, the integer
-distribution sum against a plain ``Fraction`` sum, and the interned formula
-nodes against plain recursion."""
+distribution sum against a plain ``Fraction`` sum, the interned formula
+nodes against plain recursion, and the evaluator's successor cache against
+rebuilding every successor."""
 
 from fractions import Fraction
 from math import lcm
@@ -38,6 +39,7 @@ from pags.prob import (
     MixedAction,
     Relation,
     combine_dists,
+    combine_ints,
     format_rational,
     grid_lotteries,
     lift_check,
@@ -422,3 +424,47 @@ def test_certified_fails_are_never_contradicted_by_brute_eval(instance):
     except OracleBudgetError:
         return
     assert brute.verdict != "holds"
+
+
+class _RebuildingEvaluator(Evaluator):
+    """The evaluator without its successor cache: every `<1>` request builds
+    its successor afresh from the table entries."""
+
+    def step(self, d, states, lots, acts, order=None):
+        self._built += 1
+        if order is None:
+            order = sorted(range(len(states)), key=states.__getitem__)
+        parts = [(d.nums[states[k]], self._succ.get(states[k], lots[k], acts[k])) for k in order]
+        return combine_ints(parts, d.den)
+
+
+@st.composite
+def enforce_instances(draw):
+    """`<1>` and fixpoint formulas at unfold bounds up to 2 and player-1
+    grids 1-3."""
+    g = draw(games(sizes=(2, 3)))
+    kind = draw(st.sampled_from(["<1>", "mu", "nu"]))
+    if kind == "<1>":
+        phi = Enforce(draw(formulas(depth=2)))
+    else:
+        var = draw(st.sampled_from("XYZ"))
+        phi = {"mu": Mu, "nu": Nu}[kind](var, draw(formulas((var,), depth=2)))
+    opts = EvalOptions(
+        unfold_bound=draw(st.integers(0, 2)),
+        pi1_grid=draw(st.integers(1, 3)),
+        split_denominator=2,
+    )
+    return g, draw(distributions(g.states, st.integers(0, 2))), phi, opts
+
+
+@settings(SETTINGS, max_examples=100)
+@given(enforce_instances())
+def test_successor_cache_matches_rebuilding_every_successor(instance):
+    """Sharing one successor per (distribution, table entries) key changes
+    no result, witness or request count, nor which distribution and
+    subformula pairs are evaluated and to what."""
+    g, d, phi, opts = instance
+    cached, rebuilt = Evaluator(g, opts), _RebuildingEvaluator(g, opts)
+    assert repr(cached.eval(d, phi)) == repr(rebuilt.eval(d, phi))
+    assert cached._built == rebuilt._built
+    assert cached._memo == rebuilt._memo
