@@ -33,9 +33,9 @@ from .prob import (
     MixedAction,
     Relation,
     combine_dists,
+    combine_ints,
     compositions,
     grid_lotteries,
-    step_mixed_dist,
     step_mixed_state,
 )
 from .sim import initial_relation
@@ -181,6 +181,14 @@ def brute_eval(g, d: Distribution, phi, opts: EvalOptions = None, budget: int = 
     """
     opts = opts or EvalOptions()
     counter = [0]
+    lotteries = grid_lotteries(g.acts1, opts.pi1_grid)
+    entries = {}
+
+    def entry(s, i, b):
+        """The successor of ``s`` under the i-th grid lottery and response ``b``."""
+        if (s, i, b) not in entries:
+            entries[s, i, b] = combine_dists((p, g.step(s, a, b)) for a, p in lotteries[i].items())
+        return entries[s, i, b]
 
     def spend(n=1):
         counter[0] += n
@@ -264,15 +272,14 @@ def brute_eval(g, d: Distribution, phi, opts: EvalOptions = None, budget: int = 
             return EvalResult(UNKNOWN, False)
         if isinstance(psi, Enforce):
             states = sorted(dist.support())
-            lotteries = grid_lotteries(g.acts1, opts.pi1_grid)
-            for combo in itertools.product(lotteries, repeat=len(states)):
-                pi1 = MixedAction({s: lot for s, lot in zip(states, combo)}, 1)
+            for combo in itertools.product(range(len(lotteries)), repeat=len(states)):
                 ok = True
                 for resp in itertools.product(g.acts2, repeat=len(states)):
-                    sigma = MixedAction(
-                        {s: {b: Fraction(1)} for s, b in zip(states, resp)}, 2
+                    # step_mixed_dist's successor, summed the same way on integers
+                    theta = combine_ints(
+                        [(dist.nums[s], entry(s, i, b)) for s, i, b in zip(states, combo, resp)],
+                        dist.den,
                     )
-                    theta = step_mixed_dist(g, dist, pi1, sigma)
                     if ev(theta, psi.body).verdict != HOLDS:
                         ok = False
                         break

@@ -72,8 +72,10 @@ class SimReport:
     """Outcome of the approximant iteration.
 
     ``witnesses`` maps each surviving pair to one (lottery, response) entry
-    per tested universal lottery; ``deferred`` lists pairs whose condition
-    was exported rather than decided.
+    per tested universal lottery: a step-LP vertex for a pair of distinct
+    states, the lottery itself (the copy strategy) for a pair ``(s, s)``.
+    ``deferred`` lists pairs whose condition was exported rather than
+    decided.
     """
 
     relation: Relation
@@ -198,6 +200,12 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     universal lottery has an exact existential response; under SMT export
     nothing is decided, scripts are written and every pair survives.
     ``data`` carries step LPs across the rounds of one ``pa_simulation``.
+
+    If ``r`` holds every ``(u, u)``, as it does in ``pa_simulation``, each
+    ``(s, s)`` survives without an LP, by the copy strategy: answer a
+    lottery ``p`` with ``x = p``, and for each response ``b`` put ``lam`` on
+    ``b`` and ``w[(u, u)] = theta_s(p, b)[u]``, which meets every row of
+    the step LP. Otherwise every pair goes through ``exists_pi2_check``.
     """
     if strat.kind == SMT_EXPORT:
         os.makedirs(strat.directory, exist_ok=True)
@@ -209,9 +217,14 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     lotteries = grid_lotteries(g.acts1, strat.k)  # k = 1 for pure: each action alone
     if data is None:
         data = _StepData(g)
+    copy = all((u, u) in r for u in g.states)
     kept = []
     witnesses = {}
     for s, t in r:
+        if copy and s == t:
+            kept.append((s, t))
+            witnesses[(s, t)] = [(dict(lot), MixedAction({s: lot}, 1)) for lot in lotteries]
+            continue
         entry = []
         ok = True
         for lot in lotteries:

@@ -14,8 +14,8 @@ import pytest
 
 from pags import fixture_path, load_fixture_model
 from pags.cli import run
-from pags.prob import LinearProblem, format_rational, lp_feasible
-from pags.sim import QuantStrategy, pa_simulation
+from pags.prob import LinearProblem, format_rational, grid_lotteries, lp_feasible
+from pags.sim import QuantStrategy, exists_pi2_check, initial_relation, pa_simulation
 
 F = {name: str(fixture_path(name)) for name in
      ("lifthost.pgs", "lifthost.rel", "dup.pgs", "rps.pgs", "single.pgs")}
@@ -143,10 +143,113 @@ def test_lp_vertex_with_negative_right_hand_sides_is_pinned():
 
 
 # Every simulation witness of three fixture runs: per surviving pair, each
-# tested universal lottery and the player-1 lottery the step LP returned at
-# the simulating state, as ``tested -> state: matched``.
+# tested universal lottery and the player-1 lottery matched at the simulating
+# state, as ``tested -> state: matched``. A pair of distinct states is
+# matched by the step LP's vertex, a pair ``(s, s)`` by the lottery itself
+# (the copy strategy).
 SIM_WITNESSES = [
     ("rps.pgs", 2, 1, {
+        ('s0', 's0'): [
+            "r=1 -> s0: r=1",
+            "r=1/2 p=1/2 -> s0: r=1/2 p=1/2",
+            "r=1/2 s=1/2 -> s0: r=1/2 s=1/2",
+            "p=1 -> s0: p=1",
+            "p=1/2 s=1/2 -> s0: p=1/2 s=1/2",
+            "s=1 -> s0: s=1",
+        ],
+        ('s1', 's1'): [
+            "r=1 -> s1: r=1",
+            "r=1/2 p=1/2 -> s1: r=1/2 p=1/2",
+            "r=1/2 s=1/2 -> s1: r=1/2 s=1/2",
+            "p=1 -> s1: p=1",
+            "p=1/2 s=1/2 -> s1: p=1/2 s=1/2",
+            "s=1 -> s1: s=1",
+        ],
+        ('s2', 's2'): [
+            "r=1 -> s2: r=1",
+            "r=1/2 p=1/2 -> s2: r=1/2 p=1/2",
+            "r=1/2 s=1/2 -> s2: r=1/2 s=1/2",
+            "p=1 -> s2: p=1",
+            "p=1/2 s=1/2 -> s2: p=1/2 s=1/2",
+            "s=1 -> s2: s=1",
+        ],
+    }),
+    ("rps.pgs", 3, 1, {
+        ('s0', 's0'): [
+            "r=1 -> s0: r=1",
+            "r=2/3 p=1/3 -> s0: r=2/3 p=1/3",
+            "r=2/3 s=1/3 -> s0: r=2/3 s=1/3",
+            "r=1/3 p=2/3 -> s0: r=1/3 p=2/3",
+            "r=1/3 p=1/3 s=1/3 -> s0: r=1/3 p=1/3 s=1/3",
+            "r=1/3 s=2/3 -> s0: r=1/3 s=2/3",
+            "p=1 -> s0: p=1",
+            "p=2/3 s=1/3 -> s0: p=2/3 s=1/3",
+            "p=1/3 s=2/3 -> s0: p=1/3 s=2/3",
+            "s=1 -> s0: s=1",
+        ],
+        ('s1', 's1'): [
+            "r=1 -> s1: r=1",
+            "r=2/3 p=1/3 -> s1: r=2/3 p=1/3",
+            "r=2/3 s=1/3 -> s1: r=2/3 s=1/3",
+            "r=1/3 p=2/3 -> s1: r=1/3 p=2/3",
+            "r=1/3 p=1/3 s=1/3 -> s1: r=1/3 p=1/3 s=1/3",
+            "r=1/3 s=2/3 -> s1: r=1/3 s=2/3",
+            "p=1 -> s1: p=1",
+            "p=2/3 s=1/3 -> s1: p=2/3 s=1/3",
+            "p=1/3 s=2/3 -> s1: p=1/3 s=2/3",
+            "s=1 -> s1: s=1",
+        ],
+        ('s2', 's2'): [
+            "r=1 -> s2: r=1",
+            "r=2/3 p=1/3 -> s2: r=2/3 p=1/3",
+            "r=2/3 s=1/3 -> s2: r=2/3 s=1/3",
+            "r=1/3 p=2/3 -> s2: r=1/3 p=2/3",
+            "r=1/3 p=1/3 s=1/3 -> s2: r=1/3 p=1/3 s=1/3",
+            "r=1/3 s=2/3 -> s2: r=1/3 s=2/3",
+            "p=1 -> s2: p=1",
+            "p=2/3 s=1/3 -> s2: p=2/3 s=1/3",
+            "p=1/3 s=2/3 -> s2: p=1/3 s=2/3",
+            "s=1 -> s2: s=1",
+        ],
+    }),
+    ("dup.pgs", 2, 1, {
+        ('u', 'u'): [
+            "a=1 -> u: a=1",
+            "a=1/2 b=1/2 -> u: a=1/2 b=1/2",
+            "b=1 -> u: b=1",
+        ],
+        ('u', 'u2'): [
+            "a=1 -> u2: a=1",
+            "a=1/2 b=1/2 -> u2: a=1/2 b=1/2",
+            "b=1 -> u2: b=1",
+        ],
+        ('u2', 'u'): [
+            "a=1 -> u: a=1",
+            "a=1/2 b=1/2 -> u: a=1/2 b=1/2",
+            "b=1 -> u: b=1",
+        ],
+        ('u2', 'u2'): [
+            "a=1 -> u2: a=1",
+            "a=1/2 b=1/2 -> u2: a=1/2 b=1/2",
+            "b=1 -> u2: b=1",
+        ],
+        ('x', 'x'): [
+            "a=1 -> x: a=1",
+            "a=1/2 b=1/2 -> x: a=1/2 b=1/2",
+            "b=1 -> x: b=1",
+        ],
+        ('y', 'y'): [
+            "a=1 -> y: a=1",
+            "a=1/2 b=1/2 -> y: a=1/2 b=1/2",
+            "b=1 -> y: b=1",
+        ],
+    }),
+]
+
+# The step LP's vertices for the reflexive pairs above, whose pinned
+# witnesses are copies; ``exists_pi2_check``, called directly, solves them.
+REFLEXIVE_LP_VERTICES = {
+    ("rps.pgs", 2): {
         ('s0', 's0'): [
             "r=1 -> s0: s=1",
             "r=1/2 p=1/2 -> s0: r=1/2 s=1/2",
@@ -171,8 +274,8 @@ SIM_WITNESSES = [
             "p=1/2 s=1/2 -> s2: r=1",
             "s=1 -> s2: r=1",
         ],
-    }),
-    ("rps.pgs", 3, 1, {
+    },
+    ("rps.pgs", 3): {
         ('s0', 's0'): [
             "r=1 -> s0: s=1",
             "r=2/3 p=1/3 -> s0: r=1/3 s=2/3",
@@ -209,19 +312,9 @@ SIM_WITNESSES = [
             "p=1/3 s=2/3 -> s2: r=1",
             "s=1 -> s2: r=1",
         ],
-    }),
-    ("dup.pgs", 2, 1, {
+    },
+    ("dup.pgs", 2): {
         ('u', 'u'): [
-            "a=1 -> u: a=1",
-            "a=1/2 b=1/2 -> u: a=1/2 b=1/2",
-            "b=1 -> u: b=1",
-        ],
-        ('u', 'u2'): [
-            "a=1 -> u2: a=1",
-            "a=1/2 b=1/2 -> u2: a=1/2 b=1/2",
-            "b=1 -> u2: b=1",
-        ],
-        ('u2', 'u'): [
             "a=1 -> u: a=1",
             "a=1/2 b=1/2 -> u: a=1/2 b=1/2",
             "b=1 -> u: b=1",
@@ -241,12 +334,16 @@ SIM_WITNESSES = [
             "a=1/2 b=1/2 -> y: a=1",
             "b=1 -> y: a=1",
         ],
-    }),
-]
+    },
+}
 
 
 def _lottery(lot):
     return " ".join(f"{a}={format_rational(p)}" for a, p in lot.items())
+
+
+def _entry(lot, pi):
+    return _lottery(lot) + " -> " + "; ".join(f"{s}: {_lottery(c)}" for s, c in pi.choice.items())
 
 
 @pytest.mark.parametrize("model,k,iterations,witnesses", SIM_WITNESSES,
@@ -256,11 +353,21 @@ def test_sim_witnesses_are_pinned(model, k, iterations, witnesses):
     rep = pa_simulation(g, QuantStrategy.grid(k))
     assert rep.iterations == iterations
     assert rep.relation.pairs == set(witnesses)
-    got = {
-        pair: [
-            _lottery(lot) + " -> " + "; ".join(f"{s}: {_lottery(c)}" for s, c in pi.choice.items())
-            for lot, pi in entries
-        ]
-        for pair, entries in rep.witnesses.items()
-    }
+    got = {pair: [_entry(lot, pi) for lot, pi in entries] for pair, entries in rep.witnesses.items()}
     assert got == witnesses
+
+
+@pytest.mark.parametrize("model,k,iterations,witnesses", SIM_WITNESSES,
+                         ids=["rps-grid2", "rps-grid3", "dup-grid2"])
+def test_step_lp_vertices_are_pinned(model, k, iterations, witnesses):
+    """Each fixture converges in one round, so the step LP against the zeroth
+    approximant answers every pinned pair and lottery: with the pinned
+    witness for a pair of distinct states, and with the vertex in
+    ``REFLEXIVE_LP_VERTICES`` for a pair ``(s, s)``."""
+    g = load_fixture_model(model)
+    r = initial_relation(g)
+    lotteries = grid_lotteries(g.acts1, k)
+    for (s, t), entries in witnesses.items():
+        expected = REFLEXIVE_LP_VERTICES[model, k][s, t] if s == t else entries
+        got = [_entry(lot, exists_pi2_check(g, s, t, lot, r)) for lot in lotteries]
+        assert got == expected

@@ -1,4 +1,5 @@
-"""Property tests: the exact LP core, lifting, simulation, the flat
+"""Property tests: the exact LP core, lifting, simulation (its copy
+strategy for reflexive pairs against the step LP), the flat
 formula encoder, the strategy modality's successors and the bounded
 evaluator's certified verdicts against their oracles, the integer
 distribution sum against a plain ``Fraction`` sum, the interned formula
@@ -38,6 +39,7 @@ from pags.prob import (
     LinearProblem,
     MixedAction,
     Relation,
+    WeightWitness,
     combine_dists,
     combine_ints,
     format_rational,
@@ -47,8 +49,16 @@ from pags.prob import (
     parse_distribution,
     parse_rational,
     step_mixed_dist,
+    step_mixed_state,
 )
-from pags.sim import QuantStrategy, SimReport, initial_relation, pa_simulation, refine_once
+from pags.sim import (
+    QuantStrategy,
+    SimReport,
+    exists_pi2_check,
+    initial_relation,
+    pa_simulation,
+    refine_once,
+)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -192,6 +202,52 @@ def test_simulation_nests_and_matches_fresh_rounds(g):
     assert brute_sim(g, 2) <= grid2
     for rep in reports:
         assert rep == _fresh_fixpoint(g, rep.strategy)
+
+
+def _lp_fixpoint(g, strat):
+    """The refinement with every pair, reflexive ones included, sent through
+    ``exists_pi2_check`` for every tested lottery; the LP must answer each
+    reflexive pair. Returns the relation, the rounds and the last witnesses."""
+    lotteries = grid_lotteries(g.acts1, strat.k)
+    r = initial_relation(g)
+    iterations = 0
+    while True:
+        iterations += 1
+        witnesses = {}
+        for s, t in r:
+            entry = [(dict(lot), exists_pi2_check(g, s, t, lot, r)) for lot in lotteries]
+            if all(pi is not None for _, pi in entry):
+                witnesses[s, t] = entry
+            else:
+                assert s != t
+        nxt = Relation(witnesses)
+        if nxt == r:
+            return r, iterations, witnesses
+        r = nxt
+
+
+@settings(SETTINGS, max_examples=12)
+@given(games())
+def test_copy_strategy_matches_solving_every_reflexive_pair(g):
+    """``pa_simulation`` answers ``(s, s)`` by the copy strategy instead of
+    the step LP: same relation, rounds and distinct-pair witnesses as the
+    all-LP refinement, and each copy entry's diagonal coupling lifts the
+    step under the tested lottery to the step under its answer."""
+    for strat in (QuantStrategy.pure(), QuantStrategy.grid(2), QuantStrategy.grid(3)):
+        rep = pa_simulation(g, strat)
+        relation, iterations, witnesses = _lp_fixpoint(g, strat)
+        assert (rep.relation, rep.iterations) == (relation, iterations)
+        for (s, t), entry in rep.witnesses.items():
+            if s != t:
+                assert entry == witnesses[s, t]
+                continue
+            for lot, pi in entry:
+                for b in g.acts2:
+                    sigma = MixedAction({s: {b: 1}}, 2)
+                    left = step_mixed_state(g, s, MixedAction({s: lot}, 1), sigma)
+                    right = step_mixed_state(g, s, pi, sigma)
+                    coupling = WeightWitness({(u, u): left[u] for u in left.support()})
+                    coupling.validate(left, right, rep.relation)
 
 
 FLAT_MODELS = {name: load_fixture_model(name) for name in ("rps.pgs", "dup.pgs")}

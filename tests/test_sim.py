@@ -89,6 +89,22 @@ def test_refine_once_removes_unmatched_pair():
         assert (s, s) in nxt
 
 
+def test_refine_once_copies_reflexive_pairs_only_with_the_whole_diagonal(rps):
+    pure = QuantStrategy.pure()
+    r = Relation.identity(rps.states)
+    nxt, witnesses = refine_once(rps, r, pure)
+    assert nxt == r
+    copies = [{"s2": {a: 1}} for a in rps.acts1]
+    assert [pi.choice for _, pi in witnesses[("s2", "s2")]] == copies
+    # Without (s1, s1) every pair goes through the step LP: each lottery at
+    # s0 reaches s1 under some response, and s1 is now related to nothing,
+    # so (s0, s0) fails; (s2, s2) gets the LP's vertex, not the copy.
+    r = Relation(r.pairs - {("s1", "s1")})
+    nxt, witnesses = refine_once(rps, r, pure)
+    assert nxt == Relation({("s2", "s2")})
+    assert [pi.choice for _, pi in witnesses[("s2", "s2")]] == [{"s2": {"r": 1}}] * 3
+
+
 def test_grid_result_contained_in_pure(rps, dup, halving, lifthost, single):
     for g in (rps, dup, halving, lifthost, single):
         pure = pa_simulation(g, QuantStrategy.pure()).relation
