@@ -165,7 +165,7 @@ class _SuccessorTable:
 
 def _or_free_variants(phi):
     """All ways of resolving every disjunction to a single child."""
-    if isinstance(phi, (Prop, NegProp)):
+    if phi.convex:  # no Or in it, so the (interned) node is its only variant
         yield phi
         return
     if isinstance(phi, Or):
@@ -339,8 +339,22 @@ class Evaluator:
 
     # -- boolean combinations -----------------------------------------------
 
+    def _until(self, d, items, decides):
+        """Results of ``items`` at ``d`` in order, up to the first that
+        ``decides`` their node while no later item is ``fixed``, so budgets
+        are charged only for items evaluated. Only ``_fixpoint`` reports a
+        bound above 0, so ``_joint`` of this prefix is that of all items."""
+        results = []
+        for i, item in enumerate(items):
+            results.append(self.eval(d, item))
+            if decides(results[-1]) and not any(x.fixed for x in items[i + 1 :]):
+                break
+        return results
+
     def _combine_or(self, d, phi) -> EvalResult:
-        results = [self.eval(d, item) for item in phi.items]
+        """Stops at the first certified `holds` (``_until``): the disjunct
+        that a scan of every disjunct picks, so the result is the same."""
+        results = self._until(d, phi.items, lambda r: r.verdict == HOLDS and r.certified)
         certified, bound = _joint(results)
         holding = [i for i, r in enumerate(results) if r.verdict == HOLDS]
         if holding:
@@ -353,7 +367,9 @@ class Evaluator:
         return _unknown(bound)
 
     def _combine_and(self, d, phi) -> EvalResult:
-        results = [self.eval(d, item) for item in phi.items]
+        """Stops at the first `fails` (``_until``): it decides the verdict,
+        ``conjunct``, counterexample and ``certified``, so the result is the same."""
+        results = self._until(d, phi.items, lambda r: r.verdict == FAILS)
         certified, bound = _joint(results)
         # Every `fails` inside the Evaluator is certified (only `evaluate`
         # strips certification, at the top), so the first one decides.

@@ -100,8 +100,8 @@ def _marginal_rows(dists):
 
 
 class _StepData:
-    """Step-LP inputs that depend on the model alone, and the answers of the
-    step LPs solved so far, for one ``pa_simulation`` call."""
+    """Step-LP inputs that depend on the model alone, the answers of the
+    step LPs solved so far and the copy entries, for one ``pa_simulation`` call."""
 
     def __init__(self, g: GameStructure):
         self.g = g
@@ -109,6 +109,7 @@ class _StepData:
         self.successor_ids = {}  # successors of s over acts2 -> small int
         self.right = {}  # t -> (support over all b, [(states, rows)] per b)
         self.solved = {}  # (t, successor id, related pairs) -> MixedAction or None
+        self.copies = {}  # (s, grid k) -> the copy-strategy witness entry of (s, s)
 
     def left_side(self, s, lottery):
         key = (s, tuple(sorted(lottery.items())))
@@ -199,7 +200,7 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     Returns (relation, witnesses). A pair survives iff every tested
     universal lottery has an exact existential response; under SMT export
     nothing is decided, scripts are written and every pair survives.
-    ``data`` carries step LPs across the rounds of one ``pa_simulation``.
+    ``data`` carries step LPs and copy entries across ``pa_simulation`` rounds.
 
     If ``r`` holds every ``(u, u)``, as it does in ``pa_simulation``, each
     ``(s, s)`` survives without an LP, by the copy strategy: answer a
@@ -223,7 +224,10 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     for s, t in r:
         if copy and s == t:
             kept.append((s, t))
-            witnesses[(s, t)] = [(dict(lot), MixedAction({s: lot}, 1)) for lot in lotteries]
+            key = (s, strat.k)
+            if key not in data.copies:
+                data.copies[key] = [(dict(lot), MixedAction({s: lot}, 1)) for lot in lotteries]
+            witnesses[(s, t)] = data.copies[key]
             continue
         entry = []
         ok = True

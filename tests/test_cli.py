@@ -390,3 +390,27 @@ def test_pinned_paths(tmp_path, argv, code, stdout, stderr):
     tmp = str(tmp_path)
     got = invoke([a.replace("{tmp}", tmp) for a in argv])
     assert got == (code, stdout, stderr.replace("{tmp}", tmp))
+
+
+_NESTED = "<1> " * 10 + "win1"  # over ENFORCE_BUDGET when evaluated at s0:1
+_BUDGET = (
+    f"error: <1> built {ENFORCE_BUDGET + 1} successor distributions, "
+    f"over the budget of {ENFORCE_BUDGET}\n"
+)
+
+
+@pytest.mark.parametrize("formula, code, stdout, stderr", [
+    # A certified verdict of an earlier item decides, so the nested `<1>`
+    # is never evaluated and charges nothing.
+    (f"win1 & {_NESTED}", 1,
+     'verdict: fails\ncertified: true\n'
+     'counterexample: {"conjunct": 0, "counterexample": {"exact": true}}\n', ""),
+    (f"draw | {_NESTED}", 0,
+     'verdict: holds\ncertified: true\n'
+     'witness: {"disjunct": 0, "witness": {"exact": true}}\n', ""),
+    # Evaluated first, or before a later fixpoint: the budget runs out.
+    (f"{_NESTED} & win1", 3, "", _BUDGET),
+    (f"win1 & (mu Z. {_NESTED} | Z)", 3, "", _BUDGET),
+])
+def test_budgets_are_charged_only_for_evaluated_items(formula, code, stdout, stderr):
+    assert invoke(_EVAL + ["--formula", formula]) == (code, stdout, stderr)

@@ -156,6 +156,29 @@ def test_or_is_not_per_state(dup):
     assert r2.verdict == "holds" and r2.certified
 
 
+def test_and_and_or_stop_at_their_deciding_child(rps):
+    """`&` stops at its first `fails` and `|` at its first certified
+    `holds`, unless a later item holds a fixpoint, whose unfold bound the
+    result reports."""
+    d = parse_distribution("s0:1")
+    exact = {"exact": True}
+    cases = [
+        # `<1> (true | win1)` holds uncertified, as its body is not convex.
+        ("<1> (true | win1) | draw | <1> <1> win1", [True, True, False],
+         ("holds", True, {"disjunct": 1, "witness": exact}, None, 0)),
+        ("win1 & <1> win1", [True, False],
+         ("fails", True, None, {"conjunct": 0, "counterexample": exact}, 0)),
+        ("win1 & <1> win1 & (mu Z. win1 | <1> Z)", [True, True, True],
+         ("fails", True, None, {"conjunct": 0, "counterexample": exact}, 4)),
+    ]
+    for text, evaluated, expected in cases:
+        ev = Evaluator(rps, EvalOptions())
+        phi = parse_formula(text)
+        r = ev.eval(d, phi)
+        assert (r.verdict, r.certified, r.witness, r.counterexample, r.bound_used) == expected
+        assert [(d, item) in ev._memo for item in phi.items] == evaluated
+
+
 def test_sum_exact_split(dup):
     d = parse_distribution("x:1/3,y:2/3")
     r = evaluate(dup, d, parse_formula("sum{1/3: pa, 2/3: pb}"))

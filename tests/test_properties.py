@@ -3,8 +3,9 @@ strategy for reflexive pairs against the step LP), the flat
 formula encoder, the strategy modality's successors and the bounded
 evaluator's certified verdicts against their oracles, the integer
 distribution sum against a plain ``Fraction`` sum, the interned formula
-nodes against plain recursion, and the evaluator's successor cache against
-rebuilding every successor."""
+nodes against plain recursion, the evaluator's successor cache against
+rebuilding every successor, and its `&` and `|`, which stop at their
+deciding child, against evaluating every child."""
 
 from fractions import Fraction
 from math import lcm
@@ -31,7 +32,17 @@ from pags.formula import (
     is_flat,
     parse_formula,
 )
-from pags.logic import EvalOptions, Evaluator, evaluate
+from pags.logic import (
+    FAILS,
+    HOLDS,
+    EvalOptions,
+    Evaluator,
+    _fails,
+    _holds,
+    _joint,
+    _unknown,
+    evaluate,
+)
 from pags.model import GameStructure
 from pags.oracle import OracleBudgetError, brute_eval, brute_lift, brute_sim
 from pags.prob import (
@@ -417,28 +428,29 @@ def test_formula_text_round_trips_to_the_same_node(phi):
 
 
 def _reference(phi):
-    """(flat, convex, free variables) of ``phi`` by plain recursion."""
+    """(flat, convex, fixed, free variables) of ``phi`` by plain recursion."""
     if isinstance(phi, (Prop, NegProp)):
-        return True, True, frozenset()
+        return True, True, False, frozenset()
     if isinstance(phi, Var):
-        return False, False, frozenset({phi.name})
+        return False, False, False, frozenset({phi.name})
     if isinstance(phi, ProbSum):
         kids = [item for _, item in phi.parts]
     else:
         kids = phi.items if isinstance(phi, (And, Or, Mix)) else [phi.body]
     refs = [_reference(kid) for kid in kids]
-    free = frozenset().union(*(f for _, _, f in refs))
+    free = frozenset().union(*(f for _, _, _, f in refs))
     if isinstance(phi, (Mu, Nu)):
         free -= {phi.var}
-    flat = isinstance(phi, (And, Or, Mix, ProbSum)) and all(f for f, _, _ in refs)
-    convex = isinstance(phi, (And, Mix, ProbSum)) and all(c for _, c, _ in refs)
-    return flat, convex, free
+    flat = isinstance(phi, (And, Or, Mix, ProbSum)) and all(f for f, _, _, _ in refs)
+    convex = isinstance(phi, (And, Mix, ProbSum)) and all(c for _, c, _, _ in refs)
+    fixed = isinstance(phi, (Mu, Nu)) or any(x for _, _, x, _ in refs)
+    return flat, convex, fixed, free
 
 
 @SETTINGS
 @given(formulas(bound=("W",)))
 def test_cached_fragments_match_a_recursive_reference(phi):
-    assert (phi.flat, phi.convex, phi.free) == _reference(phi)
+    assert (phi.flat, phi.convex, phi.fixed, phi.free) == _reference(phi)
     assert (is_flat(phi), convex_safe(phi)) == (phi.flat, phi.convex)
 
 
@@ -524,3 +536,78 @@ def test_successor_cache_matches_rebuilding_every_successor(instance):
     assert repr(cached.eval(d, phi)) == repr(rebuilt.eval(d, phi))
     assert cached._built == rebuilt._built
     assert cached._memo == rebuilt._memo
+
+
+class _EagerEvaluator(Evaluator):
+    """The evaluator whose `&` and `|` evaluate every child before they look
+    at any verdict."""
+
+    def _combine_or(self, d, phi):
+        results = [self.eval(d, item) for item in phi.items]
+        certified, bound = _joint(results)
+        holding = [i for i, r in enumerate(results) if r.verdict == HOLDS]
+        if holding:
+            i = next((i for i in holding if results[i].certified), holding[0])
+            r = results[i]
+            return _holds({"disjunct": i, "witness": r.witness}, r.certified, bound)
+        if all(r.verdict == FAILS for r in results):
+            return _fails([r.counterexample for r in results], certified, bound)
+        return _unknown(bound)
+
+    def _combine_and(self, d, phi):
+        results = [self.eval(d, item) for item in phi.items]
+        certified, bound = _joint(results)
+        for i, r in enumerate(results):
+            if r.verdict == FAILS:
+                return _fails({"conjunct": i, "counterexample": r.counterexample}, r.certified, bound)
+        if all(r.verdict == HOLDS for r in results):
+            return _holds({"conjuncts": len(results)}, certified, bound)
+        return _unknown(bound)
+
+
+@st.composite
+def junction_instances(draw):
+    """`&` and `|` whose first item is a literal, which often decides, or
+    `<1> (true | p)`, which holds uncertified, and whose later items hold
+    `<1>`, `sum`, `mix` or a fixpoint; at times in another order, and at
+    times under a `<1>`, `sum` or fixpoint itself."""
+    g = draw(games(sizes=(2, 3)))
+    uncertified = Enforce(Or((TRUE, Prop("p"))))
+    first = draw(st.sampled_from([Prop("p"), NegProp("p"), TRUE, FALSE, uncertified]))
+    later = []
+    kinds = st.sampled_from(["<1>", "sum", "mix", "mu", "nu"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=2)):
+        if kind in ("mu", "nu"):
+            later.append({"mu": Mu, "nu": Nu}[kind]("X", draw(formulas(("X",), depth=2))))
+        elif kind == "<1>":
+            later.append(Enforce(draw(formulas(depth=1))))
+        else:
+            a, b = draw(formulas(depth=1)), draw(formulas(depth=1))
+            pair = ProbSum(((Fraction(1, 3), a), (Fraction(2, 3), b))) if kind == "sum" else Mix((a, b))
+            later.append(pair)
+    items = draw(st.permutations([first] + later)) if draw(st.booleans()) else [first] + later
+    phi = draw(st.sampled_from([And, Or]))(items)
+    wrap = draw(st.sampled_from(["", "<1>", "sum", "mu"]))
+    if wrap == "<1>":
+        phi = Enforce(phi)
+    elif wrap == "sum":
+        phi = ProbSum(((Fraction(1, 2), phi), (Fraction(1, 2), Or((Prop("p"), phi)))))
+    elif wrap == "mu":
+        phi = Mu("Z", Or((phi, Enforce(Var("Z")))))
+    return g, draw(distributions(g.states, st.integers(0, 2))), phi
+
+
+@settings(SETTINGS, max_examples=60)
+@given(junction_instances())
+def test_junctions_stop_at_their_deciding_child_with_the_same_result(instance):
+    """Skipping the children after the deciding one changes no result,
+    witness, counterexample, certification or bound; each evaluation made
+    is one the eager evaluator makes too, with the same result; and a node
+    without a fixpoint reports bound 0."""
+    g, d, phi = instance
+    lazy, eager = Evaluator(g, BOUNDED), _EagerEvaluator(g, BOUNDED)
+    assert repr(lazy.eval(d, phi)) == repr(eager.eval(d, phi))
+    assert lazy._memo.items() <= eager._memo.items()
+    assert lazy._built <= eager._built
+    for (_, psi), r in eager._memo.items():
+        assert psi.fixed or r.bound_used == 0

@@ -10,6 +10,7 @@ from pags.oracle import brute_sim
 from pags.prob import Relation
 from pags.sim import (
     QuantStrategy,
+    _StepData,
     a_simulation,
     exists_pi2_check,
     export_smt,
@@ -103,6 +104,18 @@ def test_refine_once_copies_reflexive_pairs_only_with_the_whole_diagonal(rps):
     nxt, witnesses = refine_once(rps, r, pure)
     assert nxt == Relation({("s2", "s2")})
     assert [pi.choice for _, pi in witnesses[("s2", "s2")]] == [{"s2": {"r": 1}}] * 3
+
+
+def test_copy_entries_are_built_once_per_step_data(rps):
+    """Rounds that share their step data share each (s, s) copy entry; a
+    finer grid gets an entry of its own."""
+    data = _StepData(rps)
+    r = Relation.identity(rps.states)
+    rounds = [refine_once(rps, r, strat, data)[1]
+              for strat in (QuantStrategy.pure(), QuantStrategy.pure(), QuantStrategy.grid(2))]
+    first, again, grid = (w[("s0", "s0")] for w in rounds)
+    assert again is first and len(first) == 3
+    assert [lot for lot, _ in grid] == [pi.at("s0") for _, pi in grid] and len(grid) == 6
 
 
 def test_grid_result_contained_in_pure(rps, dup, halving, lifthost, single):
