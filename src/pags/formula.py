@@ -32,16 +32,13 @@ class Formula:
     O(1). When first built, a node derives from its children ``children``,
     ``flat`` (no ``<1>``, variable or fixpoint: the fragment with an exact LP
     decision), ``convex`` (literals, conjunction and both summations only: a
-    syntactic certificate that the denotation is convex), ``fixed`` (some
-    ``mu`` or ``nu`` occurs in it: only such a node can report an unfold
-    bound above 0) and ``free`` (its free variable names); no field is set
-    again."""
+    syntactic certificate that the denotation is convex) and ``free`` (its
+    free variable names); no field is set again."""
 
-    __slots__ = ("children", "flat", "convex", "fixed", "free", "__weakref__")
+    __slots__ = ("children", "flat", "convex", "free", "__weakref__")
     _table = weakref.WeakValueDictionary()
     _fields = ()
     _flat = _convex = True  # whether the connective keeps the property
-    _fixed = False  # whether the connective is a fixpoint
 
     def __new__(cls, *fields):
         fields = cls._normalize(*fields)
@@ -56,7 +53,6 @@ class Formula:
             init(node, "children", children)
             init(node, "flat", cls._flat and all(c.flat for c in children))
             init(node, "convex", cls._convex and all(c.convex for c in children))
-            init(node, "fixed", cls._fixed or any(c.fixed for c in children))
             init(node, "free", node._free(children))
             Formula._table[key] = node
         return node
@@ -148,7 +144,6 @@ class Enforce(Formula):
 class _Fixpoint(Formula):
     __slots__ = _fields = ("var", "body")
     _flat = _convex = False
-    _fixed = True
     _children = Enforce._children
 
     def _free(self, children):

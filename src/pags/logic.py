@@ -84,6 +84,14 @@ class EvalOptions:
 
 @dataclass(frozen=True)
 class EvalResult:
+    """A verdict, whether it is certified, and its witness or counterexample.
+
+    ``bound_used`` is the unfold depth the verdict rests on. A fixpoint gives
+    the depth at which it decided, else the unfold bound. `&`, `|`, `sum`,
+    `mix` and a `<1>` that holds give the largest bound of the child results
+    they combine; a `<1>` that fails gives its failing vertex's. A flat
+    formula and an unknown `sum`, `mix` or `<1>` give 0."""
+
     verdict: str
     certified: bool
     witness: object = None
@@ -95,8 +103,11 @@ def _holds(witness, certified=True, bound=0):
     return EvalResult(HOLDS, certified, witness=witness, bound_used=bound)
 
 
-def _fails(counterexample, certified=True, bound=0):
-    return EvalResult(FAILS, certified, counterexample=counterexample, bound_used=bound)
+def _fails(counterexample, bound=0):
+    """Always certified: flat, `<1>` and fixpoint `fails` by construction, `&`
+    on its failing child's and `|` only when every child fails; `evaluate`
+    strips certification at the top when asked."""
+    return EvalResult(FAILS, True, counterexample=counterexample, bound_used=bound)
 
 
 def _unknown(bound=0):
@@ -341,21 +352,18 @@ class Evaluator:
 
     def _until(self, d, items, decides):
         """Results of ``items`` at ``d`` in order, up to the first that
-        ``decides`` their node while no later item is ``fixed``, so budgets
-        are charged only for items evaluated. Only ``_fixpoint`` reports a
-        bound above 0, so ``_joint`` of this prefix is that of all items."""
+        ``decides`` their node: later items are never evaluated or charged."""
         results = []
-        for i, item in enumerate(items):
+        for item in items:
             results.append(self.eval(d, item))
-            if decides(results[-1]) and not any(x.fixed for x in items[i + 1 :]):
+            if decides(results[-1]):
                 break
         return results
 
     def _combine_or(self, d, phi) -> EvalResult:
-        """Stops at the first certified `holds` (``_until``): the disjunct
-        that a scan of every disjunct picks, so the result is the same."""
+        """Stops at the first certified `holds`, the disjunct it reports."""
         results = self._until(d, phi.items, lambda r: r.verdict == HOLDS and r.certified)
-        certified, bound = _joint(results)
+        _, bound = _joint(results)
         holding = [i for i, r in enumerate(results) if r.verdict == HOLDS]
         if holding:
             # The first certified disjunct, else the first that holds at all.
@@ -363,19 +371,16 @@ class Evaluator:
             r = results[i]
             return _holds({"disjunct": i, "witness": r.witness}, r.certified, bound)
         if all(r.verdict == FAILS for r in results):
-            return _fails([r.counterexample for r in results], certified, bound)
+            return _fails([r.counterexample for r in results], bound)
         return _unknown(bound)
 
     def _combine_and(self, d, phi) -> EvalResult:
-        """Stops at the first `fails` (``_until``): it decides the verdict,
-        ``conjunct``, counterexample and ``certified``, so the result is the same."""
+        """Stops at the first `fails`, which decides the result."""
         results = self._until(d, phi.items, lambda r: r.verdict == FAILS)
         certified, bound = _joint(results)
-        # Every `fails` inside the Evaluator is certified (only `evaluate`
-        # strips certification, at the top), so the first one decides.
         for i, r in enumerate(results):
             if r.verdict == FAILS:
-                return _fails({"conjunct": i, "counterexample": r.counterexample}, r.certified, bound)
+                return _fails({"conjunct": i, "counterexample": r.counterexample}, bound)
         if all(r.verdict == HOLDS for r in results):
             return _holds({"conjuncts": len(results)}, certified, bound)
         return _unknown(bound)
@@ -550,10 +555,9 @@ class Evaluator:
         lotteries = self._succ.lotteries
         vertices = list(itertools.product(range(len(g.acts2)), repeat=len(states)))
         safe = body.convex
-        fallback_fail = None
         # With a single player-1 action the candidate space is a point, so a
-        # certified failing vertex refutes the modality; keep scanning
-        # vertices for one instead of stopping at the first non-holds.
+        # failing vertex refutes the modality; scan past unknown vertices for
+        # one instead of stopping at the first that does not hold.
         refutable = len(g.acts1) == 1
         for combo in itertools.product(range(len(lotteries)), repeat=len(states)):
             results = []
@@ -563,10 +567,15 @@ class Evaluator:
                 r = self.eval(theta, body)
                 results.append(r)
                 if r.verdict != HOLDS:
+                    if refutable and r.verdict == FAILS:
+                        counterexample = {
+                            "sigma2": {s: g.acts2[j] for s, j in zip(states, sigma)},
+                            "reached": theta.format(),
+                            "counterexample": r.counterexample,
+                        }
+                        return _fails(counterexample, r.bound_used)
                     rejected = True
-                    if r.verdict == FAILS and r.certified and fallback_fail is None:
-                        fallback_fail = (sigma, theta, r)
-                    if not refutable or fallback_fail is not None:
+                    if not refutable:
                         break
             if not rejected:
                 certified, bound = _joint(results)
@@ -578,14 +587,6 @@ class Evaluator:
                     "vertices": len(results),
                 }
                 return _holds(witness, safe and certified, bound)
-        if refutable and fallback_fail is not None:
-            sigma, theta, r = fallback_fail
-            counterexample = {
-                "sigma2": {s: g.acts2[j] for s, j in zip(states, sigma)},
-                "reached": theta.format(),
-                "counterexample": r.counterexample,
-            }
-            return _fails(counterexample, True, r.bound_used)
         return _unknown()
 
     # -- fixpoints ----------------------------------------------------------
@@ -601,7 +602,7 @@ class Evaluator:
             if mu and r.verdict == HOLDS:
                 return _holds({"unfold": i, "witness": r.witness}, r.certified, i)
             if not mu and r.verdict == FAILS:
-                return _fails({"unfold": i, "counterexample": r.counterexample}, r.certified, i)
+                return _fails({"unfold": i, "counterexample": r.counterexample}, i)
         return _unknown(self.opts.unfold_bound)
 
     # -- support machinery ----------------------------------------------------
@@ -632,7 +633,10 @@ def evaluate(g, d: Distribution, phi, opts: EvalOptions = None) -> EvalResult:
     opts = opts or EvalOptions()
     if phi.free:
         raise FormulaError("formula must be closed")
-    result = Evaluator(g, opts).eval(d, phi)
+    try:
+        result = Evaluator(g, opts).eval(d, phi)
+    except RecursionError:
+        raise FormulaError("formula is nested too deeply") from None
     if not opts.certify and result.certified:
         return replace(result, certified=False)
     return result

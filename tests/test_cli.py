@@ -19,6 +19,7 @@ HOST = str(fixture_path("lifthost.pgs"))
 REL = str(fixture_path("lifthost.rel"))
 HALV = str(fixture_path("halving.pgs"))
 DUP = str(fixture_path("dup.pgs"))
+SINGLE = str(fixture_path("single.pgs"))
 
 
 def invoke(argv):
@@ -264,10 +265,14 @@ def test_duplicate_action_model_is_usage_error(tmp_path):
 
 
 def test_deeply_nested_formula_is_usage_error():
-    for text in ("(" * 3000 + "win1" + ")" * 3000,
-                 "mu X. sum{1: " * 200 + "win1" + "}" * 200):
-        code, out, err = invoke(["eval", "--model", RPS, "--dist", "s0:1", "--formula", text])
-        assert code == 3 and out == "" and "nested too deeply" in err
+    """Too deep for the parser, or parsed but too deep for the evaluator:
+    exit 3 with one error line and no traceback."""
+    for model, text in ((RPS, "(" * 3000 + "win1" + ")" * 3000),
+                        (RPS, "mu X. sum{1: " * 200 + "win1" + "}" * 200),
+                        (SINGLE, "<1> " * 600 + "p")):
+        code, out, err = invoke(["eval", "--model", model, "--dist", "s0:1", "--formula", text])
+        assert code == 3 and out == "" and "nested too deeply" in err and err.count("\n") == 1
+    assert err == "error: formula is nested too deeply\n"
 
 
 def test_internal_error_exits_three(monkeypatch):
@@ -408,9 +413,12 @@ _BUDGET = (
     (f"draw | {_NESTED}", 0,
      'verdict: holds\ncertified: true\n'
      'witness: {"disjunct": 0, "witness": {"exact": true}}\n', ""),
-    # Evaluated first, or before a later fixpoint: the budget runs out.
+    (f"win1 & (mu Z. {_NESTED} | Z)", 1,
+     'verdict: fails\ncertified: true\n'
+     'counterexample: {"conjunct": 0, "counterexample": {"exact": true}}\n', ""),
+    # Evaluated first, so the budget runs out, also inside a fixpoint.
     (f"{_NESTED} & win1", 3, "", _BUDGET),
-    (f"win1 & (mu Z. {_NESTED} | Z)", 3, "", _BUDGET),
+    (f"(mu Z. {_NESTED} | Z) & win1", 3, "", _BUDGET),
 ])
 def test_budgets_are_charged_only_for_evaluated_items(formula, code, stdout, stderr):
     assert invoke(_EVAL + ["--formula", formula]) == (code, stdout, stderr)

@@ -158,8 +158,8 @@ def test_or_is_not_per_state(dup):
 
 def test_and_and_or_stop_at_their_deciding_child(rps):
     """`&` stops at its first `fails` and `|` at its first certified
-    `holds`, unless a later item holds a fixpoint, whose unfold bound the
-    result reports."""
+    `holds`, also before a later fixpoint, whose unfold bound the result
+    then does not report; a `|` that fails is certified."""
     d = parse_distribution("s0:1")
     exact = {"exact": True}
     cases = [
@@ -168,8 +168,12 @@ def test_and_and_or_stop_at_their_deciding_child(rps):
          ("holds", True, {"disjunct": 1, "witness": exact}, None, 0)),
         ("win1 & <1> win1", [True, False],
          ("fails", True, None, {"conjunct": 0, "counterexample": exact}, 0)),
-        ("win1 & <1> win1 & (mu Z. win1 | <1> Z)", [True, True, True],
-         ("fails", True, None, {"conjunct": 0, "counterexample": exact}, 4)),
+        ("win1 & <1> win1 & (mu Z. win1 | <1> Z)", [True, False, False],
+         ("fails", True, None, {"conjunct": 0, "counterexample": exact}, 0)),
+        # No disjunct holds, so each is evaluated; the fixpoint's bound counts.
+        ("win2 | (nu X. win1 & <1> X)", [True, True],
+         ("fails", True, None,
+          [exact, {"unfold": 1, "counterexample": {"conjunct": 0, "counterexample": exact}}], 1)),
     ]
     for text, evaluated, expected in cases:
         ev = Evaluator(rps, EvalOptions())
@@ -215,6 +219,9 @@ def test_enforce_single_action_refutation(halving):
     d = Distribution.point("s0")
     r = enforce_check(halving, d, parse_formula("p"))
     assert r.verdict == "fails" and r.certified
+    # A vertex where the body is unknown refutes nothing.
+    r = enforce_check(halving, d, parse_formula("mu Z. p | <1> Z"))
+    assert r.verdict == "unknown" and not r.certified
 
 
 def test_split_check_grid_route(rps):
@@ -278,6 +285,16 @@ def test_open_formula_rejected(rps):
     from pags.logic import evaluate as ev
     with pytest.raises(FormulaError):
         ev(rps, Distribution.point("s0"), Var("X"))
+
+
+def test_too_deep_a_formula_is_a_formula_error(single):
+    """Nesting deeper than the evaluator's recursion allows is refused with
+    the parser's message, not a `RecursionError`."""
+    phi = Prop("p")
+    for _ in range(3000):
+        phi = Enforce(phi)
+    with pytest.raises(FormulaError, match="^formula is nested too deeply$"):
+        evaluate(single, Distribution.point("s0"), phi)
 
 
 # -- characteristic formulas -------------------------------------------------

@@ -7,6 +7,7 @@ nodes against plain recursion, the evaluator's successor cache against
 rebuilding every successor, and its `&` and `|`, which stop at their
 deciding child, against evaluating every child."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -428,29 +429,28 @@ def test_formula_text_round_trips_to_the_same_node(phi):
 
 
 def _reference(phi):
-    """(flat, convex, fixed, free variables) of ``phi`` by plain recursion."""
+    """(flat, convex, free variables) of ``phi`` by plain recursion."""
     if isinstance(phi, (Prop, NegProp)):
-        return True, True, False, frozenset()
+        return True, True, frozenset()
     if isinstance(phi, Var):
-        return False, False, False, frozenset({phi.name})
+        return False, False, frozenset({phi.name})
     if isinstance(phi, ProbSum):
         kids = [item for _, item in phi.parts]
     else:
         kids = phi.items if isinstance(phi, (And, Or, Mix)) else [phi.body]
     refs = [_reference(kid) for kid in kids]
-    free = frozenset().union(*(f for _, _, _, f in refs))
+    free = frozenset().union(*(f for _, _, f in refs))
     if isinstance(phi, (Mu, Nu)):
         free -= {phi.var}
-    flat = isinstance(phi, (And, Or, Mix, ProbSum)) and all(f for f, _, _, _ in refs)
-    convex = isinstance(phi, (And, Mix, ProbSum)) and all(c for _, c, _, _ in refs)
-    fixed = isinstance(phi, (Mu, Nu)) or any(x for _, _, x, _ in refs)
-    return flat, convex, fixed, free
+    flat = isinstance(phi, (And, Or, Mix, ProbSum)) and all(f for f, _, _ in refs)
+    convex = isinstance(phi, (And, Mix, ProbSum)) and all(c for _, c, _ in refs)
+    return flat, convex, free
 
 
 @SETTINGS
 @given(formulas(bound=("W",)))
 def test_cached_fragments_match_a_recursive_reference(phi):
-    assert (phi.flat, phi.convex, phi.fixed, phi.free) == _reference(phi)
+    assert (phi.flat, phi.convex, phi.free) == _reference(phi)
     assert (is_flat(phi), convex_safe(phi)) == (phi.flat, phi.convex)
 
 
@@ -544,14 +544,14 @@ class _EagerEvaluator(Evaluator):
 
     def _combine_or(self, d, phi):
         results = [self.eval(d, item) for item in phi.items]
-        certified, bound = _joint(results)
+        _, bound = _joint(results)
         holding = [i for i, r in enumerate(results) if r.verdict == HOLDS]
         if holding:
             i = next((i for i in holding if results[i].certified), holding[0])
             r = results[i]
             return _holds({"disjunct": i, "witness": r.witness}, r.certified, bound)
         if all(r.verdict == FAILS for r in results):
-            return _fails([r.counterexample for r in results], certified, bound)
+            return _fails([r.counterexample for r in results], bound)
         return _unknown(bound)
 
     def _combine_and(self, d, phi):
@@ -559,7 +559,7 @@ class _EagerEvaluator(Evaluator):
         certified, bound = _joint(results)
         for i, r in enumerate(results):
             if r.verdict == FAILS:
-                return _fails({"conjunct": i, "counterexample": r.counterexample}, r.certified, bound)
+                return _fails({"conjunct": i, "counterexample": r.counterexample}, bound)
         if all(r.verdict == HOLDS for r in results):
             return _holds({"conjuncts": len(results)}, certified, bound)
         return _unknown(bound)
@@ -600,14 +600,19 @@ def junction_instances(draw):
 @settings(SETTINGS, max_examples=60)
 @given(junction_instances())
 def test_junctions_stop_at_their_deciding_child_with_the_same_result(instance):
-    """Skipping the children after the deciding one changes no result,
-    witness, counterexample, certification or bound; each evaluation made
-    is one the eager evaluator makes too, with the same result; and a node
-    without a fixpoint reports bound 0."""
+    """Skipping the children after the deciding one changes no verdict,
+    certification, witness or counterexample, and can only lower the bound;
+    each evaluation made is one the eager evaluator makes too, with the same
+    result apart from the bound; and every `fails` is certified."""
     g, d, phi = instance
     lazy, eager = Evaluator(g, BOUNDED), _EagerEvaluator(g, BOUNDED)
-    assert repr(lazy.eval(d, phi)) == repr(eager.eval(d, phi))
-    assert lazy._memo.items() <= eager._memo.items()
+    lazy.eval(d, phi), eager.eval(d, phi)
+    assert lazy._memo.keys() <= eager._memo.keys()
+    for key, r in lazy._memo.items():
+        e = eager._memo[key]
+        assert replace(r, bound_used=0) == replace(e, bound_used=0)
+        assert r.bound_used <= e.bound_used
     assert lazy._built <= eager._built
-    for (_, psi), r in eager._memo.items():
-        assert psi.fixed or r.bound_used == 0
+    for r in [*lazy._memo.values(), *eager._memo.values()]:
+        assert r.verdict != FAILS or r.certified
+
