@@ -417,4 +417,7 @@ def _fmt(phi, level: int) -> str:
 
 def format_formula(phi) -> str:
     """Canonical text form; reparsing yields an equal AST."""
-    return _fmt(phi, 0)
+    try:
+        return _fmt(phi, 0)
+    except RecursionError:
+        raise FormulaError("formula is nested too deeply") from None

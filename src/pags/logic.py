@@ -36,7 +36,6 @@ from .formula import (
 from .prob import (
     Distribution,
     LinearProblem,
-    combine_dists,
     combine_ints,
     compositions,
     format_rational,
@@ -48,11 +47,14 @@ HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown"
 
-# Successor requests one Evaluator may make for the strategy modality. A
-# request for a successor already built is a cache hit but still counts, so
-# the limit bounds the candidate scan, not the distinct successors. Each
-# nested `<1>` multiplies the count, so deep nesting stops here with a clear
-# error; the fixture and benchmark queries stay below 25,000.
+# Successor requests one Evaluator may make for the strategy modality,
+# counted as the scan over every lottery and response would make them. A
+# request for a successor already built is a cache hit but still counts, and
+# so does a choice `_enforce` skips because a blind player's choices all give
+# the same successors, so the limit bounds the candidate scan, not the
+# distinct successors or the work. Each nested `<1>` multiplies the count, so
+# deep nesting stops here with a clear error; the fixture and benchmark
+# queries stay below 25,000.
 ENFORCE_BUDGET = 250_000
 
 # Per-state split fractions one Evaluator may try for `sum` and `mix`, whose
@@ -135,6 +137,23 @@ class _Memo(dict):
         return value
 
 
+def _content(dist):
+    """``dist``'s ordered content: equal only for equal entries in equal order."""
+    return dist.den, tuple(dist.nums.items())
+
+
+def _blindness(g, s):
+    """Whether player 1, and whether player 2, is blind at ``s``: the
+    successor of ``s`` has the same ordered content (``_content``) for every
+    action of that player, against each action of the other. A blind
+    player's choices at ``s`` all give the same table entries."""
+    rows = [[_content(g.table[s, a, b]) for b in g.acts2] for a in g.acts1]
+    return (
+        all(row == rows[0] for row in rows),
+        all(row.count(row[0]) == len(row) for row in rows),
+    )
+
+
 class _SuccessorTable:
     """One-step successors of single states: entry (s, i, j) is the
     successor of ``s`` under the i-th player-1 grid lottery and the j-th
@@ -150,16 +169,22 @@ class _SuccessorTable:
 
     def __init__(self, g, k: int):
         self.g = g
+        self.k = k
         self.lotteries = grid_lotteries(g.acts1, k)
         self.entries = []
         self.ids = _Memo(self._number)
-        self._numbers = {}  # (den, tuple(nums.items())) -> id
+        self._numbers = {}  # _content(entry) -> id
 
     def _number(self, key) -> int:
         s, i, j = key
-        b = self.g.acts2[j]
-        dist = combine_dists((p, self.g.step(s, a, b)) for a, p in self.lotteries[i].items())
-        content = (dist.den, tuple(dist.nums.items()))
+        b, k = self.g.acts2[j], self.k
+        # Grid numerators over k: the ordered content combine_dists gives.
+        parts = [
+            (p.numerator * (k // p.denominator), self.g.step(s, a, b))
+            for a, p in self.lotteries[i].items()
+        ]
+        dist = combine_ints(parts, k)
+        content = _content(dist)
         n = self._numbers.get(content)
         if n is None:
             n = self._numbers[content] = len(self.entries)
@@ -304,6 +329,9 @@ class Evaluator:
         self._pool = None
         self._succ = _SuccessorTable(g, opts.pi1_grid)
         self._successors = {}  # (d, entry ids by state name) -> successor
+        # state -> (player 1, player 2) blind; a closure over g, not a bound
+        # method, so that no cycle holds the Evaluator past its last use.
+        self._blind = _Memo(lambda s: _blindness(g, s))
         self._built = 0  # successor requests made by _enforce, repeats included
         self._tried = 0  # per-state split candidates tried by _split_grid
 
@@ -521,6 +549,17 @@ class Evaluator:
 
     # -- strategy modality -----------------------------------------------------
 
+    def _charge(self, n: int) -> None:
+        """Count ``n`` successor requests against ``ENFORCE_BUDGET``. A lump
+        that crosses it is reported as the request one at a time would
+        report it: the first over the budget."""
+        self._built += n
+        if self._built > ENFORCE_BUDGET:
+            raise EvalBudgetError(
+                f"<1> built {ENFORCE_BUDGET + 1} successor distributions, "
+                f"over the budget of {ENFORCE_BUDGET}"
+            )
+
     def step(self, d, states, lots, acts, order=None) -> Distribution:
         """The one-step successor of ``d`` when each ``states[k]`` plays the
         ``lots[k]``-th grid lottery against the ``acts[k]``-th player-2
@@ -530,13 +569,9 @@ class Evaluator:
         The successor is keyed on ``d`` and the ids of its table entries in
         ``order``: it is built on the first request for its key, and every
         later request returns that same object. Each request counts against
-        ``ENFORCE_BUDGET``, a repeated one included."""
-        self._built += 1
-        if self._built > ENFORCE_BUDGET:
-            raise EvalBudgetError(
-                f"<1> built {self._built} successor distributions, "
-                f"over the budget of {ENFORCE_BUDGET}"
-            )
+        ``ENFORCE_BUDGET``, a repeated one included; `_enforce` charges the
+        requests it skips itself."""
+        self._charge(1)
         if order is None:
             order = sorted(range(len(states)), key=states.__getitem__)
         ids = self._succ.ids
@@ -549,20 +584,49 @@ class Evaluator:
         return hit
 
     def _enforce(self, d, body) -> EvalResult:
+        """Some grid lottery per support state (a combo) under which ``body``
+        holds against every pure player-2 response (a vertex), as the scan
+        of combos, each against vertices, in ``itertools.product`` order
+        decides it.
+
+        A combo or vertex that differs from an earlier one only at states
+        where its player is blind (``_blindness``) makes the same successor
+        keys, and so the same results, as the first of its class, which has
+        a 0 there; only firsts are evaluated. The product of per-state
+        representative lists yields each combo's first in full order, and a
+        first seen before was rejected: it is charged what its scan
+        requested. Skipped vertices are charged at their rank in the full
+        order, so ``ENFORCE_BUDGET`` counts the full scan's requests."""
         g = self.g
         states = sorted(d.support(), key=self._order.get)
         order = sorted(range(len(states)), key=states.__getitem__)  # by name
         lotteries = self._succ.lotteries
-        vertices = list(itertools.product(range(len(g.acts2)), repeat=len(states)))
+        n_lot, n_act = len(lotteries), len(g.acts2)
+        blind = [self._blind[s] for s in states]
+        full = n_act ** len(states)
+        # The first vertex of each class, with its rank in the full order.
+        vertices = list(enumerate(itertools.product(range(n_act), repeat=len(states))))
+        mask = [b2 for _, b2 in blind]
+        if any(mask):
+            vertices = [v for v in vertices if not any(itertools.compress(v[1], mask))]
         safe = body.convex
         # With a single player-1 action the candidate space is a point, so a
         # failing vertex refutes the modality; scan past unknown vertices for
         # one instead of stopping at the first that does not hold.
         refutable = len(g.acts1) == 1
-        for combo in itertools.product(range(len(lotteries)), repeat=len(states)):
+        costs = {}  # rejected representative -> requests its full scan made
+        for combo in itertools.product(*[[0] * n_lot if b1 else range(n_lot) for b1, _ in blind]):
+            cost = costs.get(combo)
+            if cost is not None:
+                self._charge(cost)
+                continue
             results = []
             rejected = False
-            for sigma in vertices:
+            done = 0  # requests of this combo's full scan charged so far
+            for rank, sigma in vertices:
+                if rank > done:
+                    self._charge(rank - done)
+                done = rank + 1
                 theta = self.step(d, states, combo, sigma, order)
                 r = self.eval(theta, body)
                 results.append(r)
@@ -577,6 +641,9 @@ class Evaluator:
                     rejected = True
                     if not refutable:
                         break
+            if refutable or not rejected:  # every vertex was scanned
+                self._charge(full - done)
+                done = full
             if not rejected:
                 certified, bound = _joint(results)
                 witness = {
@@ -584,9 +651,10 @@ class Evaluator:
                         s: {a: format_rational(p) for a, p in lotteries[i].items()}
                         for s, i in zip(states, combo)
                     },
-                    "vertices": len(results),
+                    "vertices": full,
                 }
                 return _holds(witness, safe and certified, bound)
+            costs[combo] = done
         return _unknown()
 
     # -- fixpoints ----------------------------------------------------------

@@ -288,13 +288,15 @@ def test_open_formula_rejected(rps):
 
 
 def test_too_deep_a_formula_is_a_formula_error(single):
-    """Nesting deeper than the evaluator's recursion allows is refused with
-    the parser's message, not a `RecursionError`."""
+    """Nesting deeper than the evaluator's or the printer's recursion allows
+    is refused with the parser's message, not a `RecursionError`."""
     phi = Prop("p")
     for _ in range(3000):
         phi = Enforce(phi)
     with pytest.raises(FormulaError, match="^formula is nested too deeply$"):
         evaluate(single, Distribution.point("s0"), phi)
+    with pytest.raises(FormulaError, match="^formula is nested too deeply$"):
+        format_formula(phi)
 
 
 # -- characteristic formulas -------------------------------------------------
@@ -372,6 +374,55 @@ def test_each_distinct_successor_is_built_once_per_evaluator():
     assert mixed_x == mixed_y and mixed_x is not mixed_y
     assert (list(mixed_x.nums), list(mixed_y.nums)) == (["t1", "t2"], ["t2", "t1"])
     assert ev._built == 4
+
+
+def test_blind_choices_are_charged_as_the_full_scan_requests_them(rps):
+    """rps's goal states absorb whatever either player does, so `<1>` there
+    evaluates one lottery and one response, but still counts every request
+    of the scan over all lotteries and all responses."""
+    d = Distribution.point("s0")
+    cases = [
+        ("<1> <1> <1> <1> <1> <1> <1> <1> win1", 4, 106_139, 1_659),
+        ("mu Z. win1 | <1> Z", 5, 8_734, 202),
+    ]
+    for text, bound, built, successors in cases:
+        ev = Evaluator(rps, EvalOptions(unfold_bound=bound))
+        assert ev.eval(d, parse_formula(text)).verdict == "unknown"
+        assert (ev._built, len(ev._successors)) == (built, successors)
+        assert ev._blind["s1"] == ev._blind["s2"] == (True, True)
+        assert ev._blind["s0"] == (False, False)
+
+
+def test_a_blind_player_reports_every_vertex(rps):
+    """Where player 2 is blind only one response is evaluated, but the
+    witness counts every pure-response vertex."""
+    d = parse_distribution("s0:1/2,s1:1/2")
+    r = enforce_check(rps, d, parse_formula("sum{1/2: true, 1/2: win1}"))
+    assert r.verdict == "holds"
+    assert r.witness["vertices"] == 9
+
+
+def test_equal_rows_in_another_entry_order_leave_a_player_sighted():
+    """Player 1 changes only the entry order of ``s``'s successor, which
+    still gives successors of their own, so both lotteries are scanned;
+    player 2 changes nothing, so one response is."""
+    g = parse_model(
+        "model reorder\n"
+        "states: s t1 t2    init: s\n"
+        "props: p\n"
+        "actions1: a b\n"
+        "actions2: x y\n"
+        "trans s (a,x): t1=1/2 t2=1/2\n"
+        "trans s (a,y): t1=1/2 t2=1/2\n"
+        "trans s (b,x): t2=1/2 t1=1/2\n"
+        "trans s (b,y): t2=1/2 t1=1/2\n"
+        "absorb t1\n"
+        "absorb t2\n"
+    )
+    ev = Evaluator(g, EvalOptions(pi1_grid=1))  # lotteries: a, b
+    assert ev.eval(Distribution.point("s"), parse_formula("<1> p")).verdict == "unknown"
+    assert ev._blind["s"] == (False, True)
+    assert (ev._built, len(ev._successors)) == (2, 2)
 
 
 def test_formula_nodes_are_interned_and_immutable():

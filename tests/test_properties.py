@@ -4,9 +4,11 @@ formula encoder, the strategy modality's successors and the bounded
 evaluator's certified verdicts against their oracles, the integer
 distribution sum against a plain ``Fraction`` sum, the interned formula
 nodes against plain recursion, the evaluator's successor cache against
-rebuilding every successor, and its `&` and `|`, which stop at their
-deciding child, against evaluating every child."""
+rebuilding every successor, its `<1>`, which evaluates one choice per class
+of a blind player's choices, against scanning every choice, and its `&` and
+`|`, which stop at their deciding child, against evaluating every child."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -538,6 +540,129 @@ def test_successor_cache_matches_rebuilding_every_successor(instance):
     assert cached._memo == rebuilt._memo
 
 
+class _FullScanEvaluator(Evaluator):
+    """The evaluator whose `<1>` evaluates every grid lottery per support
+    state against every pure response, blind players or not."""
+
+    def _enforce(self, d, body):
+        g = self.g
+        states = sorted(d.support(), key=self._order.get)
+        order = sorted(range(len(states)), key=states.__getitem__)
+        lotteries = self._succ.lotteries
+        vertices = list(itertools.product(range(len(g.acts2)), repeat=len(states)))
+        refutable = len(g.acts1) == 1
+        for combo in itertools.product(range(len(lotteries)), repeat=len(states)):
+            results = []
+            rejected = False
+            for sigma in vertices:
+                theta = self.step(d, states, combo, sigma, order)
+                r = self.eval(theta, body)
+                results.append(r)
+                if r.verdict != HOLDS:
+                    if refutable and r.verdict == FAILS:
+                        counterexample = {
+                            "sigma2": {s: g.acts2[j] for s, j in zip(states, sigma)},
+                            "reached": theta.format(),
+                            "counterexample": r.counterexample,
+                        }
+                        return _fails(counterexample, r.bound_used)
+                    rejected = True
+                    if not refutable:
+                        break
+            if not rejected:
+                certified, bound = _joint(results)
+                witness = {
+                    "pi1": {
+                        s: {a: format_rational(p) for a, p in lotteries[i].items()}
+                        for s, i in zip(states, combo)
+                    },
+                    "vertices": len(results),
+                }
+                return _holds(witness, body.convex and certified, bound)
+        return _unknown()
+
+
+def _reordered(dist):
+    """``dist`` with its entries in reverse order: equal, but not entry for
+    entry."""
+    return Distribution(dict(reversed(list(dist.entries.items()))))
+
+
+@st.composite
+def blind_games(draw):
+    """Models of 2-3 states with 1-2 player-1 and 2-3 player-2 actions
+    whose states are often blind for one player or both: the row of a
+    blind player repeats for each of its actions, at times with the
+    entries of a repeat in another order, which that player does change."""
+    states = [f"q{i}" for i in range(draw(st.integers(2, 3)))]
+    acts1 = ["a0", "a1"][: draw(st.integers(1, 2))]
+    acts2 = ["b0", "b1", "b2"][: draw(st.integers(2, 3))]
+    labels = {s: ["p"] for s in states if draw(st.booleans())}
+    dists = distributions(states, st.sampled_from([0, 0, 1, 2]))
+    table = {}
+    for s in states:
+        kind = draw(st.sampled_from(["free", "blind1", "blind2", "both"]))
+        shared = {b: draw(dists) for b in acts2}  # blind1: one row per b
+        shared.update({a: draw(dists) for a in acts1})  # blind2: one row per a
+        point = draw(dists)
+        for a in acts1:
+            for b in acts2:
+                dist = {"free": None, "blind1": shared[b], "blind2": shared[a], "both": point}[kind]
+                dist = draw(dists) if dist is None else dist
+                if (a, b) != (acts1[0], acts2[0]) and draw(st.integers(0, 3)) == 0:
+                    dist = _reordered(dist)
+                table[s, a, b] = dist
+    return GameStructure("blind", states, states[0], ["p"], labels, acts1, acts2, table)
+
+
+@st.composite
+def blind_instances(draw):
+    """`<1>` and fixpoint formulas over `<1>` on ``blind_games``, at
+    unfold bounds up to 2 and player-1 grids 1-3. Half the `<1>` bodies
+    hold everywhere, so that the scan reaches every vertex, or are a
+    literal, so that it often stops at a later one."""
+    g = draw(blind_games())
+    kind = draw(st.sampled_from(["<1>", "<1><1>", "mu", "nu"]))
+    if kind.startswith("<1>"):
+        simple = st.sampled_from([TRUE, Or((Prop("p"), NegProp("p"))), Prop("p"), NegProp("p")])
+        phi = Enforce(draw(st.one_of(formulas(depth=2), simple)))
+        phi = Enforce(phi) if kind == "<1><1>" else phi
+    else:
+        body = draw(formulas(("X",), depth=2))
+        body = draw(st.sampled_from([Or, And]))((body, Enforce(Var("X"))))
+        phi = {"mu": Mu, "nu": Nu}[kind]("X", body)
+    opts = EvalOptions(
+        unfold_bound=draw(st.integers(0, 2)),
+        pi1_grid=draw(st.integers(1, 3)),
+        split_denominator=2,
+    )
+    return g, draw(distributions(g.states, st.integers(0, 3))), phi, opts
+
+
+def _ordered(dist):
+    return dist.den, list(dist.nums.items())
+
+
+@settings(SETTINGS, max_examples=100)
+@given(blind_instances())
+def test_enforce_classes_match_the_full_scan(instance):
+    """Evaluating one lottery and one response per class of choices a blind
+    player has changes no result or witness, no request count, and neither
+    which successors are built, entry for entry and in which order, nor
+    which distribution and subformula pairs are evaluated and to what."""
+    g, d, phi, opts = instance
+    ev, full = Evaluator(g, opts), _FullScanEvaluator(g, opts)
+    assert repr(ev.eval(d, phi)) == repr(full.eval(d, phi))
+    assert (ev._built, ev._tried) == (full._built, full._tried)
+    assert [(_ordered(k[0]), k[1]) for k in ev._successors] == [
+        (_ordered(k[0]), k[1]) for k in full._successors
+    ]
+    assert [_ordered(e) for e in ev._succ.entries] == [_ordered(e) for e in full._succ.entries]
+    assert [(_ordered(k[0]), k[1], r) for (k, r) in ev._memo.items()] == [
+        (_ordered(k[0]), k[1], r) for (k, r) in full._memo.items()
+    ]
+
+
 class _EagerEvaluator(Evaluator):
     """The evaluator whose `&` and `|` evaluate every child before they look
     at any verdict."""
@@ -569,15 +694,23 @@ class _EagerEvaluator(Evaluator):
 def junction_instances(draw):
     """`&` and `|` whose first item is a literal, which often decides, or
     `<1> (true | p)`, which holds uncertified, and whose later items hold
-    `<1>`, `sum`, `mix` or a fixpoint; at times in another order, and at
-    times under a `<1>`, `sum` or fixpoint itself."""
+    `<1>`, `sum`, `mix` or a fixpoint, or are `nu X. l & <1> X` for a
+    literal l, which fails wherever the distribution has mass off l; at
+    times in another order, and at times under a `<1>`, `sum` or fixpoint
+    itself."""
     g = draw(games(sizes=(2, 3)))
     uncertified = Enforce(Or((TRUE, Prop("p"))))
     first = draw(st.sampled_from([Prop("p"), NegProp("p"), TRUE, FALSE, uncertified]))
     later = []
-    kinds = st.sampled_from(["<1>", "sum", "mix", "mu", "nu"])
+    kinds = ["<1>", "sum", "mix", "mu", "nu", "fails"]
+    # A `|` fails only when every item does, so at times every later item
+    # is of the kind that can.
+    kinds = st.sampled_from(kinds if draw(st.booleans()) else ["fails"])
     for kind in draw(st.lists(kinds, min_size=1, max_size=2)):
-        if kind in ("mu", "nu"):
+        if kind == "fails":
+            literal = draw(st.sampled_from([Prop("p"), NegProp("p")]))
+            later.append(Nu("X", And((literal, Enforce(Var("X"))))))
+        elif kind in ("mu", "nu"):
             later.append({"mu": Mu, "nu": Nu}[kind]("X", draw(formulas(("X",), depth=2))))
         elif kind == "<1>":
             later.append(Enforce(draw(formulas(depth=1))))
