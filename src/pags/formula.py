@@ -350,9 +350,13 @@ def unfold_fixpoint(phi, m: int):
         raise FormulaError("unfold_fixpoint expects a mu or nu formula")
     if m < 0:
         raise ValueError("unfold bound must be nonnegative")
-    if m == 0:
-        return FALSE if isinstance(phi, Mu) else TRUE
-    return substitute(phi.body, phi.var, unfold_fixpoint(phi, m - 1))
+    approx = FALSE if isinstance(phi, Mu) else TRUE
+    try:
+        for _ in range(m):
+            approx = substitute(phi.body, phi.var, approx)
+    except RecursionError:
+        raise FormulaError("formula is nested too deeply") from None
+    return approx
 
 
 def convex_safe(phi) -> bool:

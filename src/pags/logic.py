@@ -137,17 +137,12 @@ class _Memo(dict):
         return value
 
 
-def _content(dist):
-    """``dist``'s ordered content: equal only for equal entries in equal order."""
-    return dist.den, tuple(dist.nums.items())
-
-
 def _blindness(g, s):
     """Whether player 1, and whether player 2, is blind at ``s``: the
-    successor of ``s`` has the same ordered content (``_content``) for every
-    action of that player, against each action of the other. A blind
-    player's choices at ``s`` all give the same table entries."""
-    rows = [[_content(g.table[s, a, b]) for b in g.acts2] for a in g.acts1]
+    successor of ``s`` is the same distribution for every action of that
+    player, against each action of the other. A blind player's choices at
+    ``s`` all give the same table entries."""
+    rows = [[g.table[s, a, b] for b in g.acts2] for a in g.acts1]
     return (
         all(row == rows[0] for row in rows),
         all(row.count(row[0]) == len(row) for row in rows),
@@ -160,36 +155,30 @@ class _SuccessorTable:
     player-2 action.
 
     ``ids[s, i, j]`` is the id of entry (s, i, j), built on first lookup and
-    then kept, and ``entries[id]`` is the entry itself. Ids number entries
-    by their ordered content (``den`` and ``nums`` in entry order), not by
-    ``Distribution`` equality: equal entries in different entry orders get
-    different ids, because entry order fixes the support order of the
-    successors built from them, and with it the flat checker's LP columns
-    and its vertex."""
+    then kept, and ``entries[id]`` is the entry itself; equal entries share
+    one id."""
 
     def __init__(self, g, k: int):
-        self.g = g
-        self.k = k
-        self.lotteries = grid_lotteries(g.acts1, k)
-        self.entries = []
-        self.ids = _Memo(self._number)
-        self._numbers = {}  # _content(entry) -> id
+        self.lotteries = lotteries = grid_lotteries(g.acts1, k)
+        self.entries = entries = []
+        numbers = {}  # entry -> id
 
-    def _number(self, key) -> int:
-        s, i, j = key
-        b, k = self.g.acts2[j], self.k
-        # Grid numerators over k: the ordered content combine_dists gives.
-        parts = [
-            (p.numerator * (k // p.denominator), self.g.step(s, a, b))
-            for a, p in self.lotteries[i].items()
-        ]
-        dist = combine_ints(parts, k)
-        content = _content(dist)
-        n = self._numbers.get(content)
-        if n is None:
-            n = self._numbers[content] = len(self.entries)
-            self.entries.append(dist)
-        return n
+        # A closure, not a bound method, so that no cycle holds the table.
+        def number(key):
+            s, i, j = key
+            b = g.acts2[j]
+            # Grid numerators over k, as combine_dists would scale them.
+            parts = [
+                (p.numerator * (k // p.denominator), g.step(s, a, b))
+                for a, p in lotteries[i].items()
+            ]
+            dist = combine_ints(parts, k)
+            n = numbers.setdefault(dist, len(entries))
+            if n == len(entries):
+                entries.append(dist)
+            return n
+
+        self.ids = _Memo(number)
 
     def get(self, s, i: int, j: int) -> Distribution:
         return self.entries[self.ids[s, i, j]]
@@ -224,6 +213,7 @@ class _FlatChecker:
 
     def __init__(self, g):
         self.g = g
+        self._order = _state_order(g)
         self._sat_memo = {}
 
     def holds(self, d: Distribution, phi):
@@ -247,9 +237,10 @@ class _FlatChecker:
 
     def _check(self, d, variant):
         """Decide whether ``d``, or some distribution when ``d`` is None,
-        satisfies the Or-free ``variant``; as ``holds``."""
+        satisfies the Or-free ``variant``; as ``holds``. The columns follow
+        the model's state order, whatever ``d``'s entry order."""
         lp = LinearProblem()
-        states = self.g.states if d is None else d.support()
+        states = self.g.states if d is None else sorted(d.support(), key=self._order.__getitem__)
         root = dict(zip(states, lp.cols(len(states))))
         if d is None:
             lp.add(dict.fromkeys(root.values(), 1), "==", 1)
@@ -328,7 +319,7 @@ class Evaluator:
         self._order = _state_order(g)
         self._pool = None
         self._succ = _SuccessorTable(g, opts.pi1_grid)
-        self._successors = {}  # (d, entry ids by state name) -> successor
+        self._successors = {}  # (d, entry ids in model order) -> successor
         # state -> (player 1, player 2) blind; a closure over g, not a bound
         # method, so that no cycle holds the Evaluator past its last use.
         self._blind = _Memo(lambda s: _blindness(g, s))
@@ -560,26 +551,24 @@ class Evaluator:
                 f"over the budget of {ENFORCE_BUDGET}"
             )
 
-    def step(self, d, states, lots, acts, order=None) -> Distribution:
+    def step(self, d, states, lots, acts) -> Distribution:
         """The one-step successor of ``d`` when each ``states[k]`` plays the
         ``lots[k]``-th grid lottery against the ``acts[k]``-th player-2
-        action; built entry for entry as ``step_mixed_dist`` builds it, over
-        ``order``, the indices of ``states`` by name (computed if None).
+        action. ``states`` is ``d``'s support, in one order for every
+        request at ``d`` (`_enforce` gives the model's).
 
         The successor is keyed on ``d`` and the ids of its table entries in
-        ``order``: it is built on the first request for its key, and every
+        that order: it is built on the first request for its key, and every
         later request returns that same object. Each request counts against
         ``ENFORCE_BUDGET``, a repeated one included; `_enforce` charges the
         requests it skips itself."""
         self._charge(1)
-        if order is None:
-            order = sorted(range(len(states)), key=states.__getitem__)
         ids = self._succ.ids
-        key = (d, tuple([ids[states[k], lots[k], acts[k]] for k in order]))
+        key = (d, tuple([ids[s, i, j] for s, i, j in zip(states, lots, acts)]))
         hit = self._successors.get(key)
         if hit is None:
             entries = self._succ.entries
-            parts = [(d.nums[states[k]], entries[n]) for k, n in zip(order, key[1])]
+            parts = [(d.nums[s], entries[n]) for s, n in zip(states, key[1])]
             hit = self._successors[key] = combine_ints(parts, d.den)
         return hit
 
@@ -599,7 +588,6 @@ class Evaluator:
         order, so ``ENFORCE_BUDGET`` counts the full scan's requests."""
         g = self.g
         states = sorted(d.support(), key=self._order.get)
-        order = sorted(range(len(states)), key=states.__getitem__)  # by name
         lotteries = self._succ.lotteries
         n_lot, n_act = len(lotteries), len(g.acts2)
         blind = [self._blind[s] for s in states]
@@ -627,7 +615,7 @@ class Evaluator:
                 if rank > done:
                     self._charge(rank - done)
                 done = rank + 1
-                theta = self.step(d, states, combo, sigma, order)
+                theta = self.step(d, states, combo, sigma)
                 r = self.eval(theta, body)
                 results.append(r)
                 if r.verdict != HOLDS:

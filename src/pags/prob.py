@@ -221,9 +221,6 @@ class Relation:
     def __le__(self, other):
         return self.pairs <= other.pairs
 
-    def inverse(self) -> "Relation":
-        return Relation((t, s) for s, t in self.pairs)
-
 
 def parse_relation(text: str) -> Relation:
     """Parse the pair-per-line relation format; ``#`` starts a comment."""

@@ -202,6 +202,18 @@ def test_determinism_byte_identical():
         assert first == second
 
 
+def test_literal_order_of_a_distribution_changes_no_byte():
+    """``s0:1/3,s1:1/3,s2:1/3`` and ``s0:1/3,s2:1/3,s1:1/3`` are one
+    distribution, so they print one split."""
+    outputs = [
+        invoke(["eval", "--model", RPS, "--formula", "sum{1/3: !draw, 2/3: true}", "--json",
+                "--dist", dist])
+        for dist in ("s0:1/3,s1:1/3,s2:1/3", "s0:1/3,s2:1/3,s1:1/3")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
 def test_eval_split_denominator_zero_is_usage_error():
     code, out, err = invoke([
         "eval", "--model", RPS, "--dist", "s0:1", "--formula", "win1", "--split-denom", "0",

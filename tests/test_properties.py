@@ -5,8 +5,9 @@ evaluator's certified verdicts against their oracles, the integer
 distribution sum against a plain ``Fraction`` sum, the interned formula
 nodes against plain recursion, the evaluator's successor cache against
 rebuilding every successor, its `<1>`, which evaluates one choice per class
-of a blind player's choices, against scanning every choice, and its `&` and
-`|`, which stop at their deciding child, against evaluating every child."""
+of a blind player's choices, against scanning every choice, its `&` and
+`|`, which stop at their deciding child, against evaluating every child, and
+its results against their distribution's entry order."""
 
 import itertools
 from dataclasses import replace
@@ -350,9 +351,8 @@ def step_instances(draw):
 @settings(SETTINGS, max_examples=300)
 @given(step_instances())
 def test_enforce_successors_match_step_mixed_dist(instance):
-    """``<1>`` builds each successor from its per-state table entries; it
-    must equal ``step_mixed_dist`` entry for entry, in the same order, since
-    the support order fixes the flat checker's LP columns."""
+    """``<1>`` builds each successor from its per-state table entries, in
+    any order of the support states; it must equal ``step_mixed_dist``."""
     g, k, d, states, lots, vertices = instance
     lotteries = grid_lotteries(g.acts1, k)
     ev = Evaluator(g, EvalOptions(pi1_grid=k))
@@ -361,7 +361,6 @@ def test_enforce_successors_match_step_mixed_dist(instance):
         sigma = MixedAction({s: {g.acts2[j]: 1} for s, j in zip(states, acts)}, 2)
         expected = step_mixed_dist(g, d, pi1, sigma)
         theta = ev.step(d, states, lots, acts)
-        assert list(theta.entries.items()) == list(expected.entries.items())
         assert theta == expected and hash(theta) == hash(expected)
 
 
@@ -496,15 +495,43 @@ def test_certified_fails_are_never_contradicted_by_brute_eval(instance):
     assert brute.verdict != "holds"
 
 
+@st.composite
+def split_instances(draw):
+    """Pinned-weight sums of literals and `true` on a fixture model: a
+    literal that holds at several states leaves many splits, so the flat
+    checker's LP has many vertices."""
+    g = FLAT_MODELS[draw(st.sampled_from(sorted(FLAT_MODELS)))]
+    leaves = [TRUE] + [lit(p) for p in g.props for lit in (Prop, NegProp)]
+    items = draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=3))
+    weights = [draw(st.integers(1, 3)) for _ in items]
+    phi = ProbSum((Fraction(w, sum(weights)), i) for w, i in zip(weights, items))
+    return g, draw(distributions(g.states, st.integers(0, 3))), phi
+
+
+@st.composite
+def permuted_instances(draw):
+    """A ``split_instances``, ``flat_instances`` or ``eval_instances``
+    instance, with its distribution's entries also in a drawn order."""
+    g, d, phi = draw(st.one_of(split_instances(), flat_instances(), eval_instances()))
+    return g, d, Distribution(dict(draw(st.permutations(list(d.entries.items()))))), phi
+
+
+@settings(SETTINGS, max_examples=150)
+@given(permuted_instances())
+def test_results_do_not_depend_on_entry_order(instance):
+    """A distribution is a function from states to masses, so its entries
+    in another order give the same verdict, witness and counterexample."""
+    g, d, permuted, phi = instance
+    assert repr(evaluate(g, permuted, phi, BOUNDED)) == repr(evaluate(g, d, phi, BOUNDED))
+
+
 class _RebuildingEvaluator(Evaluator):
     """The evaluator without its successor cache: every `<1>` request builds
     its successor afresh from the table entries."""
 
-    def step(self, d, states, lots, acts, order=None):
+    def step(self, d, states, lots, acts):
         self._built += 1
-        if order is None:
-            order = sorted(range(len(states)), key=states.__getitem__)
-        parts = [(d.nums[states[k]], self._succ.get(states[k], lots[k], acts[k])) for k in order]
+        parts = [(d.nums[s], self._succ.get(s, i, j)) for s, i, j in zip(states, lots, acts)]
         return combine_ints(parts, d.den)
 
 
@@ -547,7 +574,6 @@ class _FullScanEvaluator(Evaluator):
     def _enforce(self, d, body):
         g = self.g
         states = sorted(d.support(), key=self._order.get)
-        order = sorted(range(len(states)), key=states.__getitem__)
         lotteries = self._succ.lotteries
         vertices = list(itertools.product(range(len(g.acts2)), repeat=len(states)))
         refutable = len(g.acts1) == 1
@@ -555,7 +581,7 @@ class _FullScanEvaluator(Evaluator):
             results = []
             rejected = False
             for sigma in vertices:
-                theta = self.step(d, states, combo, sigma, order)
+                theta = self.step(d, states, combo, sigma)
                 r = self.eval(theta, body)
                 results.append(r)
                 if r.verdict != HOLDS:
@@ -593,7 +619,7 @@ def blind_games(draw):
     """Models of 2-3 states with 1-2 player-1 and 2-3 player-2 actions
     whose states are often blind for one player or both: the row of a
     blind player repeats for each of its actions, at times with the
-    entries of a repeat in another order, which that player does change."""
+    entries of a repeat in another order, which changes nothing."""
     states = [f"q{i}" for i in range(draw(st.integers(2, 3)))]
     acts1 = ["a0", "a1"][: draw(st.integers(1, 2))]
     acts2 = ["b0", "b1", "b2"][: draw(st.integers(2, 3))]
