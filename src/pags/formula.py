@@ -329,18 +329,26 @@ def parse_formula(text: str):
 
 def substitute(phi, var: str, replacement):
     """Capture-avoiding substitution of a closed replacement for ``var``;
-    subformulas without ``var`` free are kept, not rebuilt."""
+    subformulas without ``var`` free are kept, not rebuilt. A ``phi`` nested
+    too deeply to recurse through raises ``FormulaError``."""
+    try:
+        return _substitute(phi, var, replacement)
+    except RecursionError:
+        raise FormulaError("formula is nested too deeply") from None
+
+
+def _substitute(phi, var, replacement):
     if var not in phi.free:
         return phi
     if isinstance(phi, Var):
         return replacement
     if isinstance(phi, ProbSum):
-        return ProbSum(tuple((w, substitute(i, var, replacement)) for w, i in phi.parts))
+        return ProbSum(tuple((w, _substitute(i, var, replacement)) for w, i in phi.parts))
     if isinstance(phi, Enforce):
-        return Enforce(substitute(phi.body, var, replacement))
+        return Enforce(_substitute(phi.body, var, replacement))
     if isinstance(phi, (Mu, Nu)):
-        return type(phi)(phi.var, substitute(phi.body, var, replacement))
-    return type(phi)(tuple(substitute(i, var, replacement) for i in phi.items))
+        return type(phi)(phi.var, _substitute(phi.body, var, replacement))
+    return type(phi)(tuple(_substitute(i, var, replacement) for i in phi.items))
 
 
 def unfold_fixpoint(phi, m: int):
@@ -351,11 +359,8 @@ def unfold_fixpoint(phi, m: int):
     if m < 0:
         raise ValueError("unfold bound must be nonnegative")
     approx = FALSE if isinstance(phi, Mu) else TRUE
-    try:
-        for _ in range(m):
-            approx = substitute(phi.body, phi.var, approx)
-    except RecursionError:
-        raise FormulaError("formula is nested too deeply") from None
+    for _ in range(m):
+        approx = substitute(phi.body, phi.var, approx)
     return approx
 
 

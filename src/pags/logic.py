@@ -246,7 +246,7 @@ class _FlatChecker:
             lp.add(dict.fromkeys(root.values(), 1), "==", 1)
         else:
             for s, j in root.items():
-                lp.add({j: 1}, "==", d[s])
+                lp.add({j: d.den}, "==", d.nums[s], d.den)
         components = self._emit(lp, variant, root)
         if components is None:
             return False, None

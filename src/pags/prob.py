@@ -3,9 +3,9 @@
 A ``Distribution`` holds positive integer numerators over one reduced common
 denominator, and weighted sums of distributions (successors included) are
 built on those integers alone; ``d[s]`` and ``entries`` read the masses as
-``fractions.Fraction``. LP coefficients stay the ``int``s and ``Fraction``s
-they were given, and the simplex builds its rows and phase-1 objective on
-integers. Every other number is a ``Fraction``. Feasibility questions are
+``fractions.Fraction``. An LP row is held as integers over one row
+denominator, cleared once when the row is added, and the simplex works on
+integers alone. Every other number is a ``Fraction``. Feasibility questions are
 decided exactly, never with tolerances.
 """
 
@@ -164,12 +164,17 @@ class MixedAction:
             raise ValueError(f"owner must be 1 or 2, got {owner}")
         clean = {}
         for s, lot in choice.items():
-            lot = {a: Fraction(p) for a, p in lot.items() if Fraction(p) != 0}
-            if any(p < 0 for p in lot.values()):
+            kept = {}
+            for a, p in lot.items():
+                if type(p) is not Fraction:
+                    p = Fraction(p)
+                if p:
+                    kept[a] = p
+            if any(p < 0 for p in kept.values()):
                 raise ValueError(f"negative action probability at state {s}")
-            if sum(lot.values(), ZERO) != 1:
+            if sum(kept.values(), ZERO) != 1:
                 raise ValueError(f"action lottery at state {s} does not sum to 1")
-            clean[s] = lot
+            clean[s] = kept
         self.choice = clean
         self.owner = owner
 
@@ -277,15 +282,19 @@ class LinearProblem:
     """A pure feasibility problem over nonnegative rational variables.
 
     Columns are the integers ``0 .. n_vars() - 1``, handed out in blocks by
-    ``cols``. Constraints are ``{column: coeff}`` rows with senses ``<=``,
-    ``>=`` or ``==``. Coefficients and right-hand sides are kept as given
-    when they are ``int`` or ``Fraction``; any other value goes through
-    ``Fraction(...)``, and zero coefficients are dropped.
+    ``cols``. Constraint ``i`` is held as integers over one positive row
+    denominator: ``constraints[i]`` is ``(coeffs, sense, rhs)``, with
+    ``coeffs`` a ``{column: int}`` dict without zeros, ``sense`` one of
+    ``<=``, ``>=`` or ``==`` and ``rhs`` an ``int``, and ``dens[i]`` is the
+    denominator, so the row reads ``coeffs/den (sense) rhs/den``. The
+    rational row is kept exactly as given, never rescaled: the phase-1
+    objective of ``lp_feasible`` sums the rational rows.
     """
 
     def __init__(self):
         self.names = range(0)  # the columns so far
-        self.constraints = []  # (coeffs: {column: int | Fraction}, sense, rhs)
+        self.constraints = []  # (coeffs: {column: int}, sense, rhs: int) over dens[i]
+        self.dens = []
 
     def cols(self, k: int) -> range:
         """``k`` new columns."""
@@ -293,20 +302,37 @@ class LinearProblem:
         self.names = range(n + k)
         return range(n, n + k)
 
-    def add(self, coeffs: dict, sense: str, rhs) -> None:
+    def add(self, coeffs: dict, sense: str, rhs, den: int = 1) -> None:
+        """Add the row ``coeffs/den (sense) rhs/den``, for a positive ``int``
+        ``den``. Coefficients and ``rhs`` may be any rationals (``int``,
+        ``Fraction``, ``"n/d"``); when one is not an ``int``, the row and
+        ``den`` are multiplied once by the lcm of their denominators, which
+        keeps the rational row. Zero coefficients are dropped."""
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
+        if type(den) is not int or den < 1:
+            raise ValueError(f"row denominator must be a positive int, got {den!r}")
         row = {}
+        ints = type(rhs) is int
         for j, c in coeffs.items():
             if j not in self.names:
                 raise ValueError(f"unknown column {j!r}")
-            if type(c) is not int and type(c) is not Fraction:
-                c = Fraction(c)
+            if type(c) is not int:
+                ints = False
             if c:
                 row[j] = c
-        if type(rhs) is not int and type(rhs) is not Fraction:
+        if not ints:
             rhs = Fraction(rhs)
+            row = {j: Fraction(c) for j, c in row.items()}
+            scale = rhs.denominator
+            for c in row.values():
+                if scale % c.denominator:
+                    scale = lcm(scale, c.denominator)
+            row = {j: c.numerator * (scale // c.denominator) for j, c in row.items() if c}
+            rhs = rhs.numerator * (scale // rhs.denominator)
+            den *= scale
         self.constraints.append((row, sense, rhs))
+        self.dens.append(den)
 
     def n_vars(self) -> int:
         return len(self.names)
@@ -348,43 +374,45 @@ def lp_feasible(p: LinearProblem) -> Optional[list]:
     Fraction-free and sparse: each tableau row is held as a dict of nonzero
     Python ``int``s that is some positive multiple of the rational row, with
     the right-hand side under key ``total``; a basic variable's value is the
-    row's rhs over its own coefficient there. Rows start as each constraint
-    times the lcm of its denominators, negated when its rhs is negative;
-    the phase-1 objective, the sum of those rational rows, is summed over
-    the lcm of the row scales. Both are reduced by their gcd. (Starting from
-    another multiple of a row would change the objective, and so the pivot
-    path.) The artificial column of row
-    ``i`` (basis label ``total + i``) is never read, so it is not stored.
-    A pivot rescales and updates only the rows with a nonzero in the pivot
-    column, then divides each by its gcd. Ratios compare by cross
+    row's rhs over its own coefficient there. Rows start from the integer
+    rows of ``p`` (their slack gets ``den``, the row's denominator), negated
+    when the rhs is negative; the phase-1 objective, the sum of the rational
+    rows ``row/den``, is summed over the lcm of the denominators. Both are
+    reduced by their gcd. (Starting from another multiple of a rational row
+    would change the objective, and so the pivot path.) The artificial
+    column of row ``i`` (basis label ``total + i``) is never read, so it is
+    not stored. A pivot rescales and updates only the rows with a nonzero in
+    the pivot column, then divides each by its gcd. Ratios compare by cross
     multiplication, since a row's scale cancels in ``rhs/a``. Entering,
     leaving and drive-out choices are those of the dense rational tableau,
-    so the pivot sequence and the returned vertex are too.
+    so the pivot sequence and the returned vertex are too. No ``Fraction``
+    is built before the returned point.
     """
     n = p.n_vars()
     total = n + sum(1 for _, sense, _ in p.constraints if sense != "==")
     rows = []
-    scales = []
-    common = 1  # lcm of the row scales
+    common = 1  # lcm of the row denominators
     slack = n
-    for coeffs, sense, rhs in p.constraints:
-        scale = rhs.denominator
-        for c in coeffs.values():
-            scale = lcm(scale, c.denominator)
-        f = -scale if rhs.numerator < 0 else scale
-        row = {j: c.numerator * (f // c.denominator) for j, c in coeffs.items()}
+    for (coeffs, sense, rhs), den in zip(p.constraints, p.dens):
+        if rhs < 0:
+            row = {j: -c for j, c in coeffs.items()}
+            f = -den
+            rhs = -rhs
+        else:
+            row = dict(coeffs)
+            f = den
         if sense != "==":
             row[slack] = f if sense == "<=" else -f
             slack += 1
-        if rhs.numerator:
-            row[total] = rhs.numerator * (f // rhs.denominator)
+        if rhs:
+            row[total] = rhs
         rows.append(row)
-        scales.append(scale)
-        common = lcm(common, scale)
-    # Phase-1 reduced costs: the sum of the starting rows, times ``common``.
+        if common % den:
+            common = lcm(common, den)
+    # Phase-1 reduced costs: the sum of the rational rows, times ``common``.
     obj = {}
-    for row, scale in zip(rows, scales):
-        f = common // scale
+    for row, den in zip(rows, p.dens):
+        f = common // den
         for j, v in row.items():
             obj[j] = obj.get(j, 0) + f * v
     obj = _reduce({j: v for j, v in obj.items() if v})
@@ -541,14 +569,16 @@ def lift_check(d: Distribution, th: Distribution, r: Relation) -> Optional[Weigh
         return None
     lp = LinearProblem()
     lp.cols(len(pairs))  # column j is pairs[j]
+    # Each row reads ``sum of its weights == mass``, over the side's ``den``.
     rows = {s: {} for s in supp_d}
     cols = {t: {} for t in supp_t}
     for j, (s, t) in enumerate(pairs):
-        rows[s][j] = cols[t][j] = 1
+        rows[s][j] = d.den
+        cols[t][j] = th.den
     for s in supp_d:
-        lp.add(rows[s], "==", d[s])
+        lp.add(rows[s], "==", d.nums[s], d.den)
     for t in supp_t:
-        lp.add(cols[t], "==", th[t])
+        lp.add(cols[t], "==", th.nums[t], th.den)
     point = lp_feasible(lp)
     if point is None:
         return None

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from urllib.parse import quote
 
 from .model import GameStructure, ModelError
@@ -93,22 +94,42 @@ def initial_relation(g: GameStructure) -> Relation:
 
 
 def _marginal_rows(dists):
-    """Sorted union of the supports of ``dists``, and for each state in it
-    the coefficients ``[(index into dists, -mass)]`` of its marginal row."""
-    states = sorted(set().union(*[d.support() for d in dists]))
-    return states, {x: [(i, -d[x]) for i, d in enumerate(dists) if d[x] > 0] for x in states}
+    """Sorted union of the supports of ``dists``, and for each state ``x`` in
+    it the integer form ``(den, [(index into dists, -mass * den)])`` of its
+    marginal row, ``den`` the lcm of the denominators of the ``dists`` with
+    mass at ``x``."""
+    states = sorted(set().union(*[d.nums for d in dists]))
+    rows = {}
+    for x in states:
+        held = [(i, d) for i, d in enumerate(dists) if x in d.nums]
+        den = 1
+        for _, d in held:
+            if den % d.den:
+                den = lcm(den, d.den)
+        rows[x] = (den, [(i, -d.nums[x] * (den // d.den)) for i, d in held])
+    return states, rows
 
 
 class _StepData:
     """Step-LP inputs that depend on the model alone, the answers of the
-    step LPs solved so far and the copy entries, for one ``pa_simulation`` call."""
+    step LPs solved so far and the copy entries, for one ``pa_simulation`` call.
+
+    Both sides of the step LP are numbered by content: the left by the
+    successors of ``s`` under the lottery, one per response, and the right
+    by the successors of ``t``, one per action pair. States with equal rows,
+    such as mirror copies, get one id, and so share their LPs. Each side
+    also keeps its forced states, which get mass whatever the side's mixing
+    variables are: on the left, a state every response reaches; on the
+    right, a state that every player-1 action reaches under some response.
+    """
 
     def __init__(self, g: GameStructure):
         self.g = g
-        self.left = {}  # (s, lottery) -> (successor id, states, rows)
+        self.left = {}  # (s, lottery) -> (successor id, states, rows, forced)
         self.successor_ids = {}  # successors of s over acts2 -> small int
-        self.right = {}  # t -> (support over all b, [(states, rows)] per b)
-        self.solved = {}  # (t, successor id, related pairs) -> MixedAction or None
+        self.right = {}  # t -> (right id, support over all b, forced, [(states, rows)] per b)
+        self.right_ids = {}  # successors of t over acts2 and acts1 -> small int
+        self.solved = {}  # (right id, successor id, related pairs) -> lottery at t or None
         self.copies = {}  # (s, grid k) -> the copy-strategy witness entry of (s, s)
 
     def left_side(self, s, lottery):
@@ -119,47 +140,48 @@ class _StepData:
                 for b2 in self.g.acts2
             )
             succ_id = self.successor_ids.setdefault(succ, len(self.successor_ids))
-            self.left[key] = (succ_id, *_marginal_rows(succ))
+            states, rows = _marginal_rows(succ)
+            forced = [u for u in states if len(rows[u][1]) == len(succ)]
+            self.left[key] = (succ_id, states, rows, forced)
         return self.left[key]
 
     def right_side(self, t):
         if t not in self.right:
             g = self.g
-            per_b = [_marginal_rows([g.step(t, a, b) for a in g.acts1]) for b in g.acts2]
-            self.right[t] = (sorted(set().union(*[v for v, _ in per_b])), per_b)
+            succ = tuple(tuple(g.step(t, a, b) for a in g.acts1) for b in g.acts2)
+            right_id = self.right_ids.setdefault(succ, len(self.right_ids))
+            per_b = [_marginal_rows(row) for row in succ]
+            forced = {v for _, rows in per_b for v, (_, terms) in rows.items()
+                      if len(terms) == len(g.acts1)}
+            support = sorted(set().union(*[v for v, _ in per_b]))
+            self.right[t] = (right_id, support, forced, per_b)
         return self.right[t]
 
 
-def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
-    """Exact search for a player-1 lottery at ``t`` matching ``pi1_at_s``.
+def _refuted(left_forced, right_forced, per_b, related) -> bool:
+    """Whether the step LP has a marginal row that no point can meet: one
+    whose only terms are negative ones over a whole block that sums to 1
+    (all of ``x``, or one response's ``lam``), with a right-hand side of 0.
+    That is a forced right state related to no left state, or a forced left
+    state related to no right state of some response's block."""
+    if not right_forced <= {v for _, v in related}:
+        return True
+    for u in left_forced:
+        partners = {v for x, v in related if x == u}
+        if any(partners.isdisjoint(states) for states, _ in per_b):
+            return True
+    return False
 
-    Feasibility of: the successor set of ``t`` under the unknown lottery is
-    Smyth-dominated by the successor set of ``s``, in the lifted relation.
-    Every pure response at ``t`` is covered by a convex combination of the
-    responses at ``s`` plus a lifting witness, all in one LP. Returns the
-    lottery as a MixedAction, or None.
 
-    The LP depends on ``r`` only through ``r`` restricted to (left support x
-    right support), the successor supports of ``s`` under the lottery and of
-    ``t``. So within one ``pa_simulation`` call, which passes its ``data``,
-    an LP whose ``t``, successors of ``s`` and restricted relation were seen
-    before is not solved again: the stored answer, the same object, is
-    returned.
-    """
-    pi1_at_s = {a: Fraction(p) for a, p in pi1_at_s.items() if Fraction(p) != 0}
-    if sum(pi1_at_s.values(), Fraction(0)) != 1:
-        raise ValueError("lottery does not sum to 1")
-    if data is None:
-        data = _StepData(g)
-    succ_id, left_states, left_rows = data.left_side(s, pi1_at_s)
-    support, per_b = data.right_side(t)
-    related = tuple((u, v) for u in left_states for v in support if (u, v) in r)
-    key = (t, succ_id, related)
-    if key in data.solved:
-        return data.solved[key]
-
+def _solve_step(g: GameStructure, left_states, left_rows, per_b, related):
+    """The step LP's lottery at ``t`` (action -> positive probability), or
+    None when the LP is infeasible. Every row is entered as integers over
+    its denominator, with the rational content of the rows below."""
     # Columns: x per player-1 action (0 .. |acts1| - 1, the indices in the
     # right-side rows), then per b: lam per b2 and w per related pair.
+    # Rows: sum x == 1; per b, sum lam == 1, then for each right state v
+    # sum_u w[u, v] == sum_a x_a * theta_t(a, b)[v], and for each left state
+    # u sum_v w[u, v] == sum_b2 lam_b2 * theta_s(lottery, b2)[u].
     lp = LinearProblem()
     lp.add(dict.fromkeys(lp.cols(len(g.acts1)), 1), "==", 1)
     for right_states, right_rows in per_b:
@@ -172,20 +194,67 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
             by_v[v].append(w)
             by_u[u].append(w)
         for v in right_states:
-            coeffs = dict.fromkeys(by_v[v], 1)
-            coeffs.update(right_rows[v])
-            lp.add(coeffs, "==", 0)
+            den, terms = right_rows[v]
+            coeffs = dict.fromkeys(by_v[v], den)
+            coeffs.update(terms)
+            lp.add(coeffs, "==", 0, den)
         for u in left_states:
-            coeffs = dict.fromkeys(by_u[u], 1)
-            coeffs.update((lam[i], c) for i, c in left_rows[u])
-            lp.add(coeffs, "==", 0)
-
+            den, terms = left_rows[u]
+            coeffs = dict.fromkeys(by_u[u], den)
+            coeffs.update((lam[i], c) for i, c in terms)
+            lp.add(coeffs, "==", 0, den)
     sol = lp_feasible(lp)
-    found = None
-    if sol is not None:
-        found = MixedAction({t: {a: sol[j] for j, a in enumerate(g.acts1) if sol[j] > 0}}, 1)
-    data.solved[key] = found
-    return found
+    if sol is None:
+        return None
+    return {a: sol[j] for j, a in enumerate(g.acts1) if sol[j] > 0}
+
+
+def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
+    """Exact search for a player-1 lottery at ``t`` matching ``pi1_at_s``.
+
+    Feasibility of: the successor set of ``t`` under the unknown lottery is
+    Smyth-dominated by the successor set of ``s``, in the lifted relation.
+    Every pure response at ``t`` is covered by a convex combination of the
+    responses at ``s`` plus a lifting witness, all in one LP. Returns the
+    lottery as a MixedAction, or None.
+
+    The LP's rows are built as integers straight from the successors'
+    ``nums`` and ``den`` (see ``_solve_step``). It is refuted without being
+    built when a marginal row can hold only negative terms over a block of
+    variables that sums to 1 against a right-hand side of 0:
+    - a right state gets mass under every player-1 action at ``t`` for some
+      response, but no state of the left support is related to it; or
+    - a left state gets mass under every response at ``s``, but for some
+      response at ``t`` no state of that response's support is related to
+      it.
+    Such a row forces a positive sum to be 0, so the LP is infeasible, and
+    the answer is None exactly as the LP would give.
+
+    The LP depends on ``t`` only through its successors, on ``s`` and the
+    lottery only through theirs, and on ``r`` only through ``r`` restricted
+    to (left support x right support). So within one ``pa_simulation``
+    call, which passes its ``data``, an LP whose right content id,
+    successor id and restricted relation were seen before is not solved
+    again. The memo keeps the lottery, and each call builds a new
+    MixedAction at its own ``t``: a hit for the same ``t`` returns an equal
+    MixedAction, not the same object.
+    """
+    pi1_at_s = {a: Fraction(p) for a, p in pi1_at_s.items() if Fraction(p) != 0}
+    if sum(pi1_at_s.values(), Fraction(0)) != 1:
+        raise ValueError("lottery does not sum to 1")
+    if data is None:
+        data = _StepData(g)
+    succ_id, left_states, left_rows, left_forced = data.left_side(s, pi1_at_s)
+    right_id, support, right_forced, per_b = data.right_side(t)
+    related = tuple((u, v) for u in left_states for v in support if (u, v) in r)
+    key = (right_id, succ_id, related)
+    if key in data.solved:
+        lottery = data.solved[key]
+    elif _refuted(left_forced, right_forced, per_b, related):
+        lottery = data.solved[key] = None
+    else:
+        lottery = data.solved[key] = _solve_step(g, left_states, left_rows, per_b, related)
+    return None if lottery is None else MixedAction({t: lottery}, 1)
 
 
 def _file_part(name: str) -> str:

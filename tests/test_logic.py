@@ -23,6 +23,7 @@ from pags.formula import (
     format_formula,
     is_flat,
     parse_formula,
+    substitute,
     unfold_fixpoint,
 )
 from pags.logic import (
@@ -315,6 +316,18 @@ def test_unfolding_is_a_loop_and_too_deep_a_body_a_formula_error():
         body = Enforce(body)
     with pytest.raises(FormulaError, match="^formula is nested too deeply$"):
         unfold_fixpoint(Mu("X", body), 1)
+
+
+def test_substituting_into_too_deep_a_body_is_a_formula_error():
+    """``substitute`` called on its own refuses a body nested past the
+    recursion limit with the parser's message, not a ``RecursionError``."""
+    body = Var("X")
+    for _ in range(3000):
+        body = Enforce(body)
+    with pytest.raises(FormulaError, match="^formula is nested too deeply$"):
+        substitute(body, "X", Prop("p"))
+    shallow = Enforce(Enforce(Var("X")))
+    assert substitute(shallow, "X", Prop("p")) is Enforce(Enforce(Prop("p")))
 
 
 def test_a_successor_table_dies_with_its_evaluator(rps):

@@ -10,10 +10,12 @@ of a blind player's choices, against scanning every choice, its `&` and
 its results against their distribution's entry order."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
+from conftest import random_model, random_relation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +71,7 @@ from pags.prob import (
 from pags.sim import (
     QuantStrategy,
     SimReport,
+    _StepData,
     exists_pi2_check,
     initial_relation,
     pa_simulation,
@@ -133,27 +136,35 @@ def retyped_problems(draw):
         forms = [v, f"{v.numerator}/{v.denominator}"] + ([int(v)] if v.denominator == 1 else [])
         return draw(st.sampled_from(forms))
 
-    exact, mixed = [], []
+    exact, mixed, ints = [], [], []
     for coeffs, sense, rhs in rows:
         if draw(st.booleans()):
             coeffs = {**coeffs, draw(st.integers(0, n - 1)): Fraction(0)}
         exact.append((coeffs, sense, rhs))
         mixed.append(({j: retype(c) for j, c in coeffs.items()}, sense, retype(rhs)))
-    return n, exact, mixed
+        den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        den *= draw(st.integers(1, 3))
+        as_int = {j: int(c * den) for j, c in coeffs.items()}
+        ints.append((as_int, sense, int(rhs * den), den))
+    return n, exact, mixed, ints
 
 
 @settings(SETTINGS, max_examples=100)
 @given(retyped_problems())
 def test_lp_point_does_not_depend_on_coefficient_types(problem):
-    n, exact, mixed = problem
+    """The same rational rows give the same point (or None) whether they are
+    entered as ``Fraction``s, as mixed ``int``/``Fraction``/``"n/d"``
+    values, or as integers over a row denominator (not always the least
+    one)."""
+    n, exact, mixed, ints = problem
     points = []
-    for rows in (exact, mixed):
+    for rows in (exact, mixed, ints):
         lp = LinearProblem()
         lp.cols(n)
-        for coeffs, sense, rhs in rows:
-            lp.add(coeffs, sense, rhs)
+        for row in rows:
+            lp.add(*row)
         points.append(lp_feasible(lp))
-    assert points[0] == points[1]
+    assert points[0] == points[1] == points[2]
 
 
 def distributions(states, weight=st.integers(0, 4)):
@@ -263,6 +274,79 @@ def test_copy_strategy_matches_solving_every_reflexive_pair(g):
                     right = step_mixed_state(g, s, pi, sigma)
                     coupling = WeightWitness({(u, u): left[u] for u in left.support()})
                     coupling.validate(left, right, rep.relation)
+
+
+def _fraction_step_lp(g, s, t, lottery, r):
+    """A reference step LP: the rows of ``exists_pi2_check``'s LP with their
+    ``Fraction`` masses entered as given, one solve per call, no memo and no
+    refutation. Returns the MixedAction at ``t``, or None."""
+
+    def marginal_rows(dists):
+        states = sorted(set().union(*[d.support() for d in dists]))
+        return states, {x: [(i, -d[x]) for i, d in enumerate(dists) if d[x] > 0] for x in states}
+
+    succ = [combine_dists((p, g.step(s, a, b2)) for a, p in lottery.items()) for b2 in g.acts2]
+    left_states, left_rows = marginal_rows(succ)
+    per_b = [marginal_rows([g.step(t, a, b) for a in g.acts1]) for b in g.acts2]
+    support = sorted(set().union(*[v for v, _ in per_b]))
+    related = [(u, v) for u in left_states for v in support if (u, v) in r]
+    lp = LinearProblem()
+    lp.add(dict.fromkeys(lp.cols(len(g.acts1)), 1), "==", 1)
+    for right_states, right_rows in per_b:
+        lam = lp.cols(len(g.acts2))
+        lp.add(dict.fromkeys(lam, 1), "==", 1)
+        by_v = {v: [] for v in right_states}
+        by_u = {u: [] for u in left_states}
+        pairs = [(u, v) for u, v in related if v in by_v]
+        for w, (u, v) in zip(lp.cols(len(pairs)), pairs):
+            by_v[v].append(w)
+            by_u[u].append(w)
+        for v in right_states:
+            coeffs = dict.fromkeys(by_v[v], 1)
+            coeffs.update(right_rows[v])
+            lp.add(coeffs, "==", 0)
+        for u in left_states:
+            coeffs = dict.fromkeys(by_u[u], 1)
+            coeffs.update((lam[i], c) for i, c in left_rows[u])
+            lp.add(coeffs, "==", 0)
+    sol = lp_feasible(lp)
+    if sol is None:
+        return None
+    return MixedAction({t: {a: sol[j] for j, a in enumerate(g.acts1) if sol[j] > 0}}, 1)
+
+
+@st.composite
+def step_lp_instances(draw):
+    """A seeded 3-4-state model with 2x2 actions, its last state
+    half the time a mirror of ``q0`` (same label and rows), and a relation
+    that holds the diagonal plus random pairs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_model(rng, n_states=rng.choice([3, 4]), n_acts1=2, n_props=1)
+    if rng.random() < 0.5:
+        last = g.states[-1]
+        table = dict(g.table)
+        table.update({(last, a, b): g.step("q0", a, b) for a in g.acts1 for b in g.acts2})
+        labels = {**g.labels, last: g.labels["q0"]}
+        g = GameStructure("mirror", g.states, "q0", g.props, labels, g.acts1, g.acts2, table)
+    r = Relation(Relation.identity(g.states).pairs
+                 | random_relation(rng, g.states, g.states, rng.choice([0.2, 0.5])).pairs)
+    return g, r, rng.choice([1, 2])
+
+
+@settings(SETTINGS, max_examples=60)
+@given(step_lp_instances())
+def test_step_lp_matches_the_fraction_encoder(instance):
+    """``exists_pi2_check`` with one shared ``_StepData`` (integer rows, the
+    refutation and the memo keyed on content) gives every pair of distinct
+    states in the relation and every grid lottery the same answer and the
+    same MixedAction as ``_fraction_step_lp`` solving each LP afresh."""
+    g, r, k = instance
+    data = _StepData(g)
+    for s, t in r:
+        if s == t:
+            continue
+        for lot in grid_lotteries(g.acts1, k):
+            assert exists_pi2_check(g, s, t, lot, r, data) == _fraction_step_lp(g, s, t, lot, r)
 
 
 FLAT_MODELS = {name: load_fixture_model(name) for name in ("rps.pgs", "dup.pgs")}

@@ -7,7 +7,7 @@ import pytest
 
 from pags.model import ModelError, parse_model
 from pags.oracle import brute_sim
-from pags.prob import Relation
+from pags.prob import Relation, lp_feasible
 from pags.sim import (
     QuantStrategy,
     _StepData,
@@ -234,3 +234,65 @@ def test_smt_export_file_names_distinct_when_names_contain_underscores(tmp_path)
     g = _unlabeled_absorbing("a a_a", "b")
     rep = pa_simulation(g, QuantStrategy.smt_export(str(tmp_path)))
     assert len(list(tmp_path.iterdir())) == len(rep.deferred) == 4
+
+
+# Under response x every action at t puts mass on g1, which no successor of
+# s can carry: g1 is related to nothing at s's side.
+FORCED_RIGHT = """
+model forced
+states: s t g0 g1    init: s
+props: z o
+label g0: z
+label g1: o
+actions1: a c
+actions2: x y
+trans s (a,x): g0=1
+trans s (a,y): g0=1
+trans s (c,x): g0=1
+trans s (c,y): g0=1
+trans t (a,x): g0=1/2 g1=1/2
+trans t (c,x): g1=1
+trans t (a,y): g0=1
+trans t (c,y): g0=1
+absorb g0
+absorb g1
+"""
+
+
+def test_step_lps_with_an_unmeetable_row_are_refuted_unsolved(monkeypatch):
+    """A forced right state related to nothing (FORCED_RIGHT), and a forced
+    left state that no right state of some response is related to (ASYM's
+    g1, which s reaches under both responses), refute the step LP without
+    solving it; the memo keeps None, as for an infeasible LP."""
+
+    def unsolved(lp):
+        raise AssertionError("the step LP was solved")
+
+    monkeypatch.setattr("pags.sim.lp_feasible", unsolved)
+    for text, lottery in ((FORCED_RIGHT, {"a": Fraction(1, 2), "c": Fraction(1, 2)}),
+                          (ASYM, {"a": Fraction(1)})):
+        g = parse_model(text)
+        data = _StepData(g)
+        assert exists_pi2_check(g, "s", "t", lottery, initial_relation(g), data) is None
+        assert list(data.solved.values()) == [None]
+
+
+def test_mirror_states_share_their_step_lps(dup, monkeypatch):
+    """dup's u and u2 have equal rows, so (u, u2) and (u2, u) ask the same
+    three step LPs (one per grid-2 lottery) and the second pair reuses them:
+    three solves instead of six. Each answer is a MixedAction at its own
+    state, equal in lottery to its mirror's."""
+    solves = []
+
+    def counted(lp):
+        solves.append(lp)
+        return lp_feasible(lp)
+
+    monkeypatch.setattr("pags.sim.lp_feasible", counted)
+    rep = pa_simulation(dup, QuantStrategy.grid(2))
+    assert len(solves) == 3
+    forward, backward = rep.witnesses[("u", "u2")], rep.witnesses[("u2", "u")]
+    assert [lot for lot, _ in forward] == [lot for lot, _ in backward]
+    assert [pi.at("u2") for _, pi in forward] == [pi.at("u") for _, pi in backward]
+    assert all(set(pi.choice) == {"u2"} for _, pi in forward)
+    assert all(set(pi.choice) == {"u"} for _, pi in backward)
