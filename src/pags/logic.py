@@ -149,22 +149,17 @@ def _blindness(g, s):
     )
 
 
-class _SuccessorTable:
+class _SuccessorTable(_Memo):
     """One-step successors of single states: entry (s, i, j) is the
     successor of ``s`` under the i-th player-1 grid lottery and the j-th
-    player-2 action.
-
-    ``ids[s, i, j]`` is the id of entry (s, i, j), built on first lookup and
-    then kept, and ``entries[id]`` is the entry itself; equal entries share
-    one id."""
+    player-2 action, built on first lookup and then kept. Entries are
+    compared by value: equal entries of two keys may be two objects."""
 
     def __init__(self, g, k: int):
         self.lotteries = lotteries = grid_lotteries(g.acts1, k)
-        self.entries = entries = []
-        numbers = {}  # entry -> id
 
         # A closure, not a bound method, so that no cycle holds the table.
-        def number(key):
+        def build(key):
             s, i, j = key
             b = g.acts2[j]
             # Grid numerators over k, as combine_dists would scale them.
@@ -172,16 +167,9 @@ class _SuccessorTable:
                 (p.numerator * (k // p.denominator), g.step(s, a, b))
                 for a, p in lotteries[i].items()
             ]
-            dist = combine_ints(parts, k)
-            n = numbers.setdefault(dist, len(entries))
-            if n == len(entries):
-                entries.append(dist)
-            return n
+            return combine_ints(parts, k)
 
-        self.ids = _Memo(number)
-
-    def get(self, s, i: int, j: int) -> Distribution:
-        return self.entries[self.ids[s, i, j]]
+        super().__init__(build)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +307,7 @@ class Evaluator:
         self._order = _state_order(g)
         self._pool = None
         self._succ = _SuccessorTable(g, opts.pi1_grid)
-        self._successors = {}  # (d, entry ids in model order) -> successor
+        self._successors = {}  # (d, table entries in model order) -> successor
         # state -> (player 1, player 2) blind; a closure over g, not a bound
         # method, so that no cycle holds the Evaluator past its last use.
         self._blind = _Memo(lambda s: _blindness(g, s))
@@ -557,19 +545,17 @@ class Evaluator:
         action. ``states`` is ``d``'s support, in one order for every
         request at ``d`` (`_enforce` gives the model's).
 
-        The successor is keyed on ``d`` and the ids of its table entries in
-        that order: it is built on the first request for its key, and every
+        The successor is keyed on ``d`` and its table entries in that order,
+        by value: it is built on the first request for its key, and every
         later request returns that same object. Each request counts against
         ``ENFORCE_BUDGET``, a repeated one included; `_enforce` charges the
         requests it skips itself."""
         self._charge(1)
-        ids = self._succ.ids
-        key = (d, tuple([ids[s, i, j] for s, i, j in zip(states, lots, acts)]))
-        hit = self._successors.get(key)
+        entries = tuple([self._succ[key] for key in zip(states, lots, acts)])
+        hit = self._successors.get((d, entries))
         if hit is None:
-            entries = self._succ.entries
-            parts = [(d.nums[s], entries[n]) for s, n in zip(states, key[1])]
-            hit = self._successors[key] = combine_ints(parts, d.den)
+            parts = [(d.nums[s], e) for s, e in zip(states, entries)]
+            hit = self._successors[d, entries] = combine_ints(parts, d.den)
         return hit
 
     def _enforce(self, d, body) -> EvalResult:
@@ -671,7 +657,7 @@ class Evaluator:
             g = self.g
             points = [Distribution.point(t) for t in g.states]
             successors = [
-                self._succ.get(t, i, j)
+                self._succ[t, i, j]
                 for t in g.states
                 for i in range(len(self._succ.lotteries))
                 for j in range(len(g.acts2))
@@ -742,7 +728,7 @@ class CharFormulaBuilder:
             conjuncts = []
             for i in range(len(self._succ.lotteries)):
                 comps = tuple(
-                    self.dist(self._succ.get(s, i, j), n - 1) for j in range(len(g.acts2))
+                    self.dist(self._succ[s, i, j], n - 1) for j in range(len(g.acts2))
                 )
                 conjuncts.append(Enforce(Mix(comps)))
             phi = And(tuple(conjuncts))

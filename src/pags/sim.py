@@ -114,22 +114,18 @@ class _StepData:
     """Step-LP inputs that depend on the model alone, the answers of the
     step LPs solved so far and the copy entries, for one ``pa_simulation`` call.
 
-    Both sides of the step LP are numbered by content: the left by the
+    Each side of the step LP is kept with its successors: the left with the
     successors of ``s`` under the lottery, one per response, and the right
-    by the successors of ``t``, one per action pair. States with equal rows,
-    such as mirror copies, get one id, and so share their LPs. Each side
-    also keeps its forced states, which get mass whatever the side's mixing
-    variables are: on the left, a state every response reaches; on the
-    right, a state that every player-1 action reaches under some response.
+    with the successors of ``t``, one per action pair. ``Distribution``
+    equality compares them by value, so states with equal rows, such as
+    mirror copies, share their LPs.
     """
 
     def __init__(self, g: GameStructure):
         self.g = g
-        self.left = {}  # (s, lottery) -> (successor id, states, rows, forced)
-        self.successor_ids = {}  # successors of s over acts2 -> small int
-        self.right = {}  # t -> (right id, support over all b, forced, [(states, rows)] per b)
-        self.right_ids = {}  # successors of t over acts2 and acts1 -> small int
-        self.solved = {}  # (right id, successor id, related pairs) -> lottery at t or None
+        self.left = {}  # (s, lottery) -> (successors, states, rows)
+        self.right = {}  # t -> (successors, support over all b, [(states, rows)] per b)
+        self.solved = {}  # (right successors, left successors, related pairs) -> lottery at t or None
         self.copies = {}  # (s, grid k) -> the copy-strategy witness entry of (s, s)
 
     def left_side(self, s, lottery):
@@ -139,44 +135,30 @@ class _StepData:
                 combine_dists((p, self.g.step(s, a, b2)) for a, p in lottery.items())
                 for b2 in self.g.acts2
             )
-            succ_id = self.successor_ids.setdefault(succ, len(self.successor_ids))
-            states, rows = _marginal_rows(succ)
-            forced = [u for u in states if len(rows[u][1]) == len(succ)]
-            self.left[key] = (succ_id, states, rows, forced)
+            self.left[key] = (succ, *_marginal_rows(succ))
         return self.left[key]
 
     def right_side(self, t):
         if t not in self.right:
             g = self.g
             succ = tuple(tuple(g.step(t, a, b) for a in g.acts1) for b in g.acts2)
-            right_id = self.right_ids.setdefault(succ, len(self.right_ids))
             per_b = [_marginal_rows(row) for row in succ]
-            forced = {v for _, rows in per_b for v, (_, terms) in rows.items()
-                      if len(terms) == len(g.acts1)}
             support = sorted(set().union(*[v for v, _ in per_b]))
-            self.right[t] = (right_id, support, forced, per_b)
+            self.right[t] = (succ, support, per_b)
         return self.right[t]
-
-
-def _refuted(left_forced, right_forced, per_b, related) -> bool:
-    """Whether the step LP has a marginal row that no point can meet: one
-    whose only terms are negative ones over a whole block that sums to 1
-    (all of ``x``, or one response's ``lam``), with a right-hand side of 0.
-    That is a forced right state related to no left state, or a forced left
-    state related to no right state of some response's block."""
-    if not right_forced <= {v for _, v in related}:
-        return True
-    for u in left_forced:
-        partners = {v for x, v in related if x == u}
-        if any(partners.isdisjoint(states) for states, _ in per_b):
-            return True
-    return False
 
 
 def _solve_step(g: GameStructure, left_states, left_rows, per_b, related):
     """The step LP's lottery at ``t`` (action -> positive probability), or
     None when the LP is infeasible. Every row is entered as integers over
-    its denominator, with the rational content of the rows below."""
+    its denominator, with the rational content of the rows below.
+
+    A marginal row with no ``w`` column whose terms cover a whole block
+    that sums to 1 (every ``x``, or every ``lam`` of its ``b``) asks a
+    positive sum to be 0, so the LP is refuted there, unsolved: a right
+    state that every player-1 action reaches under ``b`` but no left state
+    is related to, or a left state that every response at ``s`` reaches
+    but no right state of ``b`` is related to."""
     # Columns: x per player-1 action (0 .. |acts1| - 1, the indices in the
     # right-side rows), then per b: lam per b2 and w per related pair.
     # Rows: sum x == 1; per b, sum lam == 1, then for each right state v
@@ -195,11 +177,15 @@ def _solve_step(g: GameStructure, left_states, left_rows, per_b, related):
             by_u[u].append(w)
         for v in right_states:
             den, terms = right_rows[v]
+            if not by_v[v] and len(terms) == len(g.acts1):
+                return None
             coeffs = dict.fromkeys(by_v[v], den)
             coeffs.update(terms)
             lp.add(coeffs, "==", 0, den)
         for u in left_states:
             den, terms = left_rows[u]
+            if not by_u[u] and len(terms) == len(g.acts2):
+                return None
             coeffs = dict.fromkeys(by_u[u], den)
             coeffs.update((lam[i], c) for i, c in terms)
             lp.add(coeffs, "==", 0, den)
@@ -219,23 +205,15 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     lottery as a MixedAction, or None.
 
     The LP's rows are built as integers straight from the successors'
-    ``nums`` and ``den`` (see ``_solve_step``). It is refuted without being
-    built when a marginal row can hold only negative terms over a block of
-    variables that sums to 1 against a right-hand side of 0:
-    - a right state gets mass under every player-1 action at ``t`` for some
-      response, but no state of the left support is related to it; or
-    - a left state gets mass under every response at ``s``, but for some
-      response at ``t`` no state of that response's support is related to
-      it.
-    Such a row forces a positive sum to be 0, so the LP is infeasible, and
-    the answer is None exactly as the LP would give.
+    ``nums`` and ``den``, and an LP with a row that no point can meet is
+    refuted before it is solved (see ``_solve_step``).
 
     The LP depends on ``t`` only through its successors, on ``s`` and the
     lottery only through theirs, and on ``r`` only through ``r`` restricted
     to (left support x right support). So within one ``pa_simulation``
-    call, which passes its ``data``, an LP whose right content id,
-    successor id and restricted relation were seen before is not solved
-    again. The memo keeps the lottery, and each call builds a new
+    call, which passes its ``data``, an LP whose right successors, left
+    successors and restricted relation were seen before, equal by value, is
+    not solved again. The memo keeps the lottery, and each call builds a new
     MixedAction at its own ``t``: a hit for the same ``t`` returns an equal
     MixedAction, not the same object.
     """
@@ -244,14 +222,12 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
         raise ValueError("lottery does not sum to 1")
     if data is None:
         data = _StepData(g)
-    succ_id, left_states, left_rows, left_forced = data.left_side(s, pi1_at_s)
-    right_id, support, right_forced, per_b = data.right_side(t)
+    left, left_states, left_rows = data.left_side(s, pi1_at_s)
+    right, support, per_b = data.right_side(t)
     related = tuple((u, v) for u in left_states for v in support if (u, v) in r)
-    key = (right_id, succ_id, related)
+    key = (right, left, related)
     if key in data.solved:
         lottery = data.solved[key]
-    elif _refuted(left_forced, right_forced, per_b, related):
-        lottery = data.solved[key] = None
     else:
         lottery = data.solved[key] = _solve_step(g, left_states, left_rows, per_b, related)
     return None if lottery is None else MixedAction({t: lottery}, 1)
@@ -315,20 +291,20 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
 def pa_simulation(g: GameStructure, strat: QuantStrategy) -> SimReport:
     """Iterate refinement from the label-equal relation to its fixpoint.
 
-    Each round removes at least one pair, so the loop ends within |S|^2
-    rounds. With pure or grid strategies the result over-approximates the
-    simulation (coarser universal test sets remove fewer pairs).
+    ``refine_once`` keeps only pairs of ``r`` (under SMT export it returns
+    ``r`` itself), so every round either returns ``r`` and ends the loop or
+    removes at least one pair of a relation that starts with at most |S|^2:
+    the loop ends within |S|^2 + 1 rounds. With pure or grid strategies the
+    result over-approximates the simulation (coarser universal test sets
+    remove fewer pairs).
     """
     r = initial_relation(g)
     data = _StepData(g)
-    witnesses = {}
     iterations = 0
-    bound = len(g.states) ** 2
-    while iterations < bound + 1:
-        nxt, wit = refine_once(g, r, strat, data)
+    while True:
+        nxt, witnesses = refine_once(g, r, strat, data)
         iterations += 1
         if nxt == r:
-            witnesses = wit
             break
         r = nxt
     deferred = tuple(r) if strat.kind == SMT_EXPORT else ()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pags import fixture_text
 from pags.model import ModelError, parse_model
 from pags.oracle import brute_sim
 from pags.prob import Relation, lp_feasible
@@ -281,7 +282,14 @@ def test_mirror_states_share_their_step_lps(dup, monkeypatch):
     """dup's u and u2 have equal rows, so (u, u2) and (u2, u) ask the same
     three step LPs (one per grid-2 lottery) and the second pair reuses them:
     three solves instead of six. Each answer is a MixedAction at its own
-    state, equal in lottery to its mirror's."""
+    state, equal in lottery to its mirror's. The same holds when u2's rows
+    list their entries in another order, which changes no row."""
+    reordered = (
+        fixture_text("dup.pgs")
+        .replace("trans u2 (a,c): x=1/2 y=1/2", "trans u2 (a,c): y=1/2 x=1/2")
+        .replace("trans u2 (b,d): x=1/3 y=2/3", "trans u2 (b,d): y=2/3 x=1/3")
+    )
+    assert reordered.count("y=1/2 x=1/2") == reordered.count("y=2/3 x=1/3") == 1
     solves = []
 
     def counted(lp):
@@ -289,10 +297,12 @@ def test_mirror_states_share_their_step_lps(dup, monkeypatch):
         return lp_feasible(lp)
 
     monkeypatch.setattr("pags.sim.lp_feasible", counted)
-    rep = pa_simulation(dup, QuantStrategy.grid(2))
-    assert len(solves) == 3
-    forward, backward = rep.witnesses[("u", "u2")], rep.witnesses[("u2", "u")]
-    assert [lot for lot, _ in forward] == [lot for lot, _ in backward]
-    assert [pi.at("u2") for _, pi in forward] == [pi.at("u") for _, pi in backward]
-    assert all(set(pi.choice) == {"u2"} for _, pi in forward)
-    assert all(set(pi.choice) == {"u"} for _, pi in backward)
+    for g in (dup, parse_model(reordered)):
+        solves.clear()
+        rep = pa_simulation(g, QuantStrategy.grid(2))
+        assert len(solves) == 3
+        forward, backward = rep.witnesses[("u", "u2")], rep.witnesses[("u2", "u")]
+        assert [lot for lot, _ in forward] == [lot for lot, _ in backward]
+        assert [pi.at("u2") for _, pi in forward] == [pi.at("u") for _, pi in backward]
+        assert all(set(pi.choice) == {"u2"} for _, pi in forward)
+        assert all(set(pi.choice) == {"u"} for _, pi in backward)
