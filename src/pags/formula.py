@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 import weakref
 from fractions import Fraction
+from math import lcm
 
 from .prob import format_rational, parse_rational
 
@@ -122,10 +123,15 @@ class ProbSum(Formula):
 
     @staticmethod
     def _normalize(parts):
-        parts = tuple((Fraction(w), item) for w, item in parts)
-        if any(w <= 0 for w, _ in parts):
+        parts = tuple((w if type(w) is Fraction else Fraction(w), item) for w, item in parts)
+        if any(w.numerator <= 0 for w, _ in parts):
             raise FormulaError("sum weights must be positive")
-        if sum(w for w, _ in parts) != 1:
+        # The total, as integers over the lcm of the denominators.
+        den = 1
+        for w, _ in parts:
+            if den % w.denominator:
+                den = lcm(den, w.denominator)
+        if sum(w.numerator * (den // w.denominator) for w, _ in parts) != den:
             raise FormulaError("sum weights must total exactly 1")
         return (parts,)
 

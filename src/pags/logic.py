@@ -197,12 +197,19 @@ def _or_free_variants(phi):
 
 class _FlatChecker:
     """Exact membership and satisfiability for Or/Enforce/fixpoint-free
-    formulas via transportation-style LPs."""
+    formulas via transportation-style LPs.
+
+    A node gets LP columns only at the states where it can carry mass
+    (``_allowed``), so a literal emits no row: every column it would have
+    zeroed is never made. A support outside the variant's allowed states
+    fails without an LP, and a variant of literals and `&` alone, whose
+    encoding is the root rows only, holds without one."""
 
     def __init__(self, g):
         self.g = g
         self._order = _state_order(g)
         self._sat_memo = {}
+        self._allowed_memo = {}
 
     def holds(self, d: Distribution, phi):
         """Exact decision of ``d`` in the denotation of flat ``phi``.
@@ -223,21 +230,52 @@ class _FlatChecker:
             hit = self._sat_memo[phi] = any(self._check(None, v)[0] for v in _or_free_variants(phi))
         return hit
 
+    def _allowed(self, phi) -> frozenset:
+        """The states where the Or-free ``phi`` can carry mass: a literal's
+        satisfying states, the intersection over `&`'s items (every state
+        for `true`) and the union over a summation's. Column order never
+        comes from iterating the set."""
+        hit = self._allowed_memo.get(phi)
+        if hit is None:
+            g = self.g
+            if isinstance(phi, (Prop, NegProp)):
+                positive = isinstance(phi, Prop)
+                hit = frozenset(s for s in g.states if (phi.name in g.labels[s]) == positive)
+            elif isinstance(phi, And):
+                hit = frozenset(g.states).intersection(*map(self._allowed, phi.items))
+            elif isinstance(phi, (ProbSum, Mix)):
+                hit = frozenset().union(*map(self._allowed, phi.children))
+            else:
+                raise TypeError(f"unexpected node in flat variant: {phi!r}")
+            self._allowed_memo[phi] = hit
+        return hit
+
     def _check(self, d, variant):
         """Decide whether ``d``, or some distribution when ``d`` is None,
         satisfies the Or-free ``variant``; as ``holds``. The columns follow
         the model's state order, whatever ``d``'s entry order."""
+        allowed = self._allowed(variant)
+        if d is None:
+            states = [s for s in self.g.states if s in allowed]
+            if not states:
+                return False, None
+        elif allowed.issuperset(d.nums):
+            states = sorted(d.nums, key=self._order.__getitem__)
+        else:
+            return False, None
         lp = LinearProblem()
-        states = self.g.states if d is None else sorted(d.support(), key=self._order.__getitem__)
         root = dict(zip(states, lp.cols(len(states))))
         if d is None:
             lp.add(dict.fromkeys(root.values(), 1), "==", 1)
         else:
             for s, j in root.items():
                 lp.add({j: d.den}, "==", d.nums[s], d.den)
+        rows = len(lp.constraints)
         components = self._emit(lp, variant, root)
         if components is None:
             return False, None
+        if len(lp.constraints) == rows:  # literals and `&` only: the root rows hold
+            return True, None
         point = lp_feasible(lp)
         if point is None:
             return False, None
@@ -256,34 +294,32 @@ class _FlatChecker:
 
     def _emit(self, lp, phi, cols):
         """Emit membership constraints for the sub-distribution held in the
-        columns ``cols`` (state -> column). Returns the component columns of
-        a summation (none for other nodes), or None when a side condition is
+        columns ``cols`` (state -> column), whose states all lie in
+        ``_allowed(phi)``. Returns the component columns of a summation
+        (none for other nodes), or None when a side condition is
         unsatisfiable."""
         if isinstance(phi, (Prop, NegProp)):
-            # No mass where the literal is false.
-            positive = isinstance(phi, Prop)
-            for s, j in cols.items():
-                if (phi.name in self.g.labels[s]) != positive:
-                    lp.add({j: 1}, "==", 0)
-            return []
+            return []  # ``cols`` holds only states that satisfy the literal
         if isinstance(phi, And):
             ok = all(self._emit(lp, item, cols) is not None for item in phi.items)
             return [] if ok else None
-        if not isinstance(phi, (ProbSum, Mix)):
-            raise TypeError(f"unexpected node in flat variant: {phi!r}")
         items = phi.children
-        components = [dict(zip(cols, lp.cols(len(cols)))) for _ in items]
+        components = []
+        for item in items:
+            states = [s for s in cols if s in self._allowed(item)]
+            components.append(dict(zip(states, lp.cols(len(states)))))
         # Component masses partition the node's mass, state by state.
         for s, j in cols.items():
-            coeffs = {comp[s]: 1 for comp in components}
+            coeffs = {comp[s]: 1 for comp in components if s in comp}
             coeffs[j] = -1
             lp.add(coeffs, "==", 0)
         if isinstance(phi, ProbSum):
-            # Pinned weights: each component total is its share of the node total.
+            # Pinned weights: each component total is its share of the node
+            # total, as integers over the weight's denominator.
             for (w, _), comp in zip(phi.parts, components):
-                coeffs = dict.fromkeys(comp.values(), 1)
-                coeffs.update(dict.fromkeys(cols.values(), -w))
-                lp.add(coeffs, "==", 0)
+                coeffs = dict.fromkeys(comp.values(), w.denominator)
+                coeffs.update(dict.fromkeys(cols.values(), -w.numerator))
+                lp.add(coeffs, "==", 0, w.denominator)
         elif not all(self.sat(item) for item in items):
             # Free weights; every component denotation must be nonempty so
             # that zero-mass components still have a satisfying distribution.

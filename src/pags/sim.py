@@ -126,7 +126,7 @@ class _StepData:
         self.left = {}  # (s, lottery) -> (successors, states, rows)
         self.right = {}  # t -> (successors, support over all b, [(states, rows)] per b)
         self.solved = {}  # (right successors, left successors, related pairs) -> lottery at t or None
-        self.copies = {}  # (s, grid k) -> the copy-strategy witness entry of (s, s)
+        self.copies = {}  # grid k -> s -> the copy-strategy witness entry of (s, s)
 
     def left_side(self, s, lottery):
         key = (s, tuple(sorted(lottery.items())))
@@ -264,15 +264,20 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     if data is None:
         data = _StepData(g)
     copy = all((u, u) in r for u in g.states)
+    if copy and strat.k not in data.copies:
+        # Every (s, s) is in r, so every state's entry is built, with each
+        # grid lottery checked once.
+        per_lot = [MixedAction.at_each(g.states, lot, 1) for lot in lotteries]
+        data.copies[strat.k] = {
+            s: [(dict(lot), actions[i]) for lot, actions in zip(lotteries, per_lot)]
+            for i, s in enumerate(g.states)
+        }
     kept = []
     witnesses = {}
     for s, t in r:
         if copy and s == t:
             kept.append((s, t))
-            key = (s, strat.k)
-            if key not in data.copies:
-                data.copies[key] = [(dict(lot), MixedAction({s: lot}, 1)) for lot in lotteries]
-            witnesses[(s, t)] = data.copies[key]
+            witnesses[(s, t)] = data.copies[strat.k][s]
             continue
         entry = []
         ok = True

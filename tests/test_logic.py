@@ -38,7 +38,7 @@ from pags.logic import (
     split_check,
 )
 from pags.model import parse_model
-from pags.prob import Distribution, parse_distribution
+from pags.prob import Distribution, lp_feasible, parse_distribution
 
 
 # -- grammar -----------------------------------------------------------------
@@ -204,6 +204,64 @@ def test_true_false_constants(rps):
     d = Distribution.point("s0")
     assert evaluate(rps, d, TRUE).verdict == "holds"
     assert evaluate(rps, d, FALSE).verdict == "fails"
+
+
+def _unsolved(lp):
+    raise AssertionError("the flat checker solved an LP")
+
+
+def test_a_support_outside_the_allowed_states_fails_without_an_lp(rps, monkeypatch):
+    """Mass where no variant can carry it refutes the formula before an LP
+    is built, and so does a `mix` item that no distribution satisfies."""
+    monkeypatch.setattr("pags.logic.lp_feasible", _unsolved)
+    spread = parse_distribution("s0:1/3,s1:1/3,s2:1/3")
+    cases = [
+        (spread, "mix{win1, win2}"),
+        (spread, "sum{1/2: draw, 1/2: win1}"),
+        (spread, "!win2"),
+        (spread, "mix{draw, win1} | win2"),
+        (Distribution.point("s0"), "mix{win1 & win2, draw}"),
+    ]
+    for d, text in cases:
+        r = evaluate(rps, d, parse_formula(text))
+        assert (r.verdict, r.certified, r.counterexample) == ("fails", True, {"exact": True}), text
+
+
+def test_a_variant_of_literals_holds_without_an_lp(rps, monkeypatch):
+    monkeypatch.setattr("pags.logic.lp_feasible", _unsolved)
+    d = parse_distribution("s0:1/2,s1:1/2")
+    for text in ("!win2", "true", "!win2 & (win2 | !draw | !win2)"):
+        r = evaluate(rps, d, parse_formula(text))
+        assert (r.verdict, r.certified, r.witness) == ("holds", True, {"exact": True}), text
+    ev = Evaluator(rps, EvalOptions())
+    assert ev.flat.sat(parse_formula("win1 & !draw"))
+    assert not ev.flat.sat(parse_formula("win1 & win2"))
+
+
+def test_flat_lps_have_no_literal_rows_and_integer_weight_rows(dup, monkeypatch):
+    """A literal removes columns instead of zeroing them, and a pinned weight
+    w is the row ``den(w) * component - num(w) * node == 0`` over den(w)."""
+    lps = []
+
+    def captured(lp):
+        lps.append(lp)
+        return lp_feasible(lp)
+
+    monkeypatch.setattr("pags.logic.lp_feasible", captured)
+    d = parse_distribution("x:1/3,y:2/3")
+    for text in ("sum{1/3: pa, 2/3: pb}", "mix{sum{1/3: pa & !pb, 2/3: pb}, pa & !pb}"):
+        assert evaluate(dup, d, parse_formula(text)).verdict == "holds", text
+    assert len(lps) == 3  # the `mix` also checks that its `sum` item is satisfiable
+    for lp in lps:
+        for (coeffs, sense, rhs), den in zip(lp.constraints, lp.dens):
+            assert not (sense == "==" and rhs == 0 and len(coeffs) == 1)
+            assert all(type(v) is int for v in (*coeffs.values(), rhs, den))
+    # Root x, y; a component at x (pa) and one at y (pb); two partition rows.
+    assert lps[0].n_vars() == 4
+    assert list(zip(lps[0].constraints[4:], lps[0].dens[4:])) == [
+        (({2: 3, 0: -1, 1: -1}, "==", 0), 3),
+        (({3: 3, 0: -2, 1: -2}, "==", 0), 3),
+    ]
 
 
 # -- bounded routes ----------------------------------------------------------
