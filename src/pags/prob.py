@@ -11,6 +11,7 @@ decided exactly, never with tolerances.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -138,7 +139,7 @@ class Distribution:
 
 
 def parse_distribution(text: str) -> Distribution:
-    """Parse the literal syntax ``s0:1/2,s1:1/2``."""
+    """Parse the literal syntax ``s0:1/2,s1:1/2``; state names are interned."""
     entries = {}
     for part in text.split(","):
         part = part.strip()
@@ -147,7 +148,7 @@ def parse_distribution(text: str) -> Distribution:
         if ":" not in part:
             raise ValueError(f"bad distribution entry {part!r}, expected state:rat")
         s, r = part.split(":", 1)
-        s = s.strip()
+        s = sys.intern(s.strip())
         if s in entries:
             raise ValueError(f"duplicate state {s!r} in distribution literal")
         entries[s] = parse_rational(r)
@@ -213,38 +214,53 @@ class MixedAction:
 
 
 class Relation:
-    """A set of state pairs."""
+    """A set of state pairs, held as each state's related states in order:
+    ``{s: (t, ...)}`` over sorted ``s``. A relation holds one small tuple
+    per state rather than a set of fresh pair tuples."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("_image",)
 
     def __init__(self, pairs):
-        self.pairs = frozenset((s, t) for s, t in pairs)
+        image = {}
+        for s, t in pairs:
+            image.setdefault(s, set()).add(t)
+        self._image = {s: tuple(sorted(image[s])) for s in sorted(image)}
+
+    @property
+    def pairs(self) -> frozenset:
+        return frozenset(self)
 
     @classmethod
     def identity(cls, states: Iterable[str]) -> "Relation":
         return cls((s, s) for s in states)
 
+    def image(self, s) -> tuple:
+        """The states related to ``s``, in order."""
+        return self._image.get(s, ())
+
     def __contains__(self, pair) -> bool:
-        return pair in self.pairs
+        s, t = pair
+        return t in self._image.get(s, ())
 
     def __eq__(self, other):
-        return isinstance(other, Relation) and self.pairs == other.pairs
+        return isinstance(other, Relation) and self._image == other._image
 
     def __hash__(self):
-        return hash(self.pairs)
+        return hash(tuple(self._image.items()))
 
     def __len__(self):
-        return len(self.pairs)
+        return sum(map(len, self._image.values()))
 
     def __iter__(self):
-        return iter(sorted(self.pairs))
+        return ((s, t) for s, ts in self._image.items() for t in ts)
 
     def __le__(self, other):
-        return self.pairs <= other.pairs
+        return all(pair in other for pair in self)
 
 
 def parse_relation(text: str) -> Relation:
-    """Parse the pair-per-line relation format; ``#`` starts a comment."""
+    """Parse the pair-per-line relation format; ``#`` starts a comment.
+    State names are interned."""
     pairs = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -253,7 +269,7 @@ def parse_relation(text: str) -> Relation:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected two state names, got {line!r}")
-        pairs.append((fields[0], fields[1]))
+        pairs.append((sys.intern(fields[0]), sys.intern(fields[1])))
     return Relation(pairs)
 
 
@@ -265,22 +281,31 @@ class WeightWitness:
     weights: dict
 
     def validate(self, d: Distribution, th: Distribution, r: Relation):
-        """Check the three lifting clauses exactly; raise on violation."""
-        rows = {}
-        cols = {}
+        """Check the three lifting clauses exactly; raise on violation.
+
+        Row and column sums are integers over the lcm of the weights'
+        denominators, so no ``Fraction`` is added."""
+        den = 1
         for (s, t), w in self.weights.items():
             if w <= 0:
                 raise ValueError(f"non-positive weight at ({s},{t})")
             if (s, t) not in r:
                 raise ValueError(f"weighted pair ({s},{t}) not in relation")
-            rows[s] = rows.get(s, ZERO) + w
-            cols[t] = cols.get(t, ZERO) + w
+            if den % w.denominator:
+                den = lcm(den, w.denominator)
+        rows = {}
+        cols = {}
+        for (s, t), w in self.weights.items():
+            n = w.numerator * (den // w.denominator)
+            rows[s] = rows.get(s, 0) + n
+            cols[t] = cols.get(t, 0) + n
         for side, sums, what in ((d, rows, "row"), (th, cols, "column")):
             for s in sorted(set(side.support()) | set(sums)):
-                got = sums.get(s, ZERO)
-                # got == side[s], on integers: no Fraction is built for side[s]
-                if got.numerator * side.den != side.nums.get(s, 0) * got.denominator:
-                    raise ValueError(f"{what} sum at {s} is {got}, expected {side[s]}")
+                got = sums.get(s, 0)
+                if got * side.den != side.nums.get(s, 0) * den:
+                    raise ValueError(
+                        f"{what} sum at {s} is {Fraction(got, den)}, expected {side[s]}"
+                    )
 
     def is_valid(self, d: Distribution, th: Distribution, r: Relation) -> bool:
         try:
@@ -572,32 +597,118 @@ def grid_lotteries(actions, k: int):
 # Lifting, Smyth check, constructive split
 # ---------------------------------------------------------------------------
 
+def _hall_cut(d: Distribution, th: Distribution, adj: dict) -> Optional[list]:
+    """A Hall cut refuting the lifting of ``d`` to ``th``, or None.
+
+    ``adj`` maps each state of ``d``'s support, in sorted order, to the
+    states of ``th``'s support related to it. Integer augmenting-path
+    max-flow over related pairs, with the masses scaled by
+    ``lcm(d.den, th.den)``: each left state fills its neighbours in order,
+    then sends the rest along shortest residual paths. When a left state
+    ``s`` cannot send all of its mass, the left states ``X`` reachable from
+    ``s`` in the residual graph are returned: their neighbours are full and
+    take flow from ``X`` alone, so ``d(X) > th(N(X))``. None means the flow
+    saturates.
+    """
+    scale = lcm(d.den, th.den)
+    fd, ft = scale // d.den, scale // th.den
+    room = {t: n * ft for t, n in th.nums.items()}
+    into = {t: {} for t in room}  # right state -> {left state: flow}
+    for s, ts in adj.items():
+        need = d.nums[s] * fd
+        for t in ts:
+            if room[t]:
+                a = min(need, room[t])
+                room[t] -= a
+                into[t][s] = a
+                need -= a
+                if not need:
+                    break
+        while need:
+            # Breadth-first over the residual graph: forward along any
+            # related pair, backward along a pair that carries flow.
+            via = {}  # right state -> the left state it was reached from
+            back = {s: None}  # left state -> the right state it was reached from
+            queue = [s]
+            end = None
+            for u in queue:
+                for t in adj[u]:
+                    if t not in via:
+                        via[t] = u
+                        if room[t]:
+                            end = t
+                            break
+                        for v in into[t]:
+                            if v not in back:
+                                back[v] = t
+                                queue.append(v)
+                if end is not None:
+                    break
+            if end is None:
+                return queue
+            a = min(need, room[end])
+            t = end
+            while via[t] != s:
+                u = via[t]
+                t = back[u]
+                a = min(a, into[t][u])
+            room[end] -= a
+            need -= a
+            t = end
+            while True:
+                u = via[t]
+                into[t][u] = into[t].get(u, 0) + a
+                if u == s:
+                    break
+                t = back[u]
+                if into[t][u] == a:
+                    del into[t][u]
+                else:
+                    into[t][u] -= a
+    return None
+
+
 def lift_check(d: Distribution, th: Distribution, r: Relation) -> Optional[WeightWitness]:
     """Decide whether ``d`` is lift-related to ``th`` under ``r``.
 
-    Solved as an exact transportation feasibility problem: one variable per
-    related support pair, row sums pinned to ``d``, column sums to ``th``.
+    A lifting exists exactly when the transport network from ``d`` to ``th``
+    over related pairs saturates. ``_hall_cut`` decides that on integers;
+    its cut ``X`` is checked here, ``d(X) > th(N(X))`` over ``N(X)`` read
+    from ``r``, and refutes the lifting without an LP. Otherwise the
+    witness is the vertex of an exact transportation feasibility problem:
+    one variable per related support pair, row sums pinned to ``d``, column
+    sums to ``th``. A cut that does not refute, or an infeasible LP after a
+    saturating flow, raises ``ValueError``: the two deciders disagree.
     """
-    supp_d = sorted(d.support())
-    supp_t = sorted(th.support())
-    pairs = [(s, t) for s in supp_d for t in supp_t if (s, t) in r]
-    if not pairs and supp_d:
+    adj = {s: [t for t in r.image(s) if t in th.nums] for s in sorted(d.support())}
+    cut = _hall_cut(d, th, adj)
+    if cut is not None:
+        near = {t for s in cut for t in adj[s]}
+        left = sum(d.nums[s] for s in cut)
+        right = sum(th.nums[t] for t in near)
+        if left * th.den <= right * d.den:
+            raise ValueError(
+                f"cut {sorted(cut)} does not refute the lifting: its mass "
+                f"{Fraction(left, d.den)} is not above {Fraction(right, th.den)}"
+            )
         return None
+    supp_t = sorted(th.support())
+    pairs = [(s, t) for s, ts in adj.items() for t in ts]
     lp = LinearProblem()
     lp.cols(len(pairs))  # column j is pairs[j]
     # Each row reads ``sum of its weights == mass``, over the side's ``den``.
-    rows = {s: {} for s in supp_d}
+    rows = {s: {} for s in adj}
     cols = {t: {} for t in supp_t}
     for j, (s, t) in enumerate(pairs):
         rows[s][j] = d.den
         cols[t][j] = th.den
-    for s in supp_d:
+    for s in adj:
         lp.add(rows[s], "==", d.nums[s], d.den)
     for t in supp_t:
         lp.add(cols[t], "==", th.nums[t], th.den)
     point = lp_feasible(lp)
     if point is None:
-        return None
+        raise ValueError("the flow saturates but the lifting LP is infeasible")
     weights = {pair: w for pair, w in zip(pairs, point) if w > 0}
     witness = WeightWitness(weights)
     witness.validate(d, th, r)

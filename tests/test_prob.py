@@ -1,11 +1,13 @@
 """Distributions, lifting, Smyth order and the exact LP core."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_distribution, random_relation
+from pags import prob
 from pags.prob import (
     Distribution,
     LinearProblem,
@@ -84,6 +86,27 @@ def test_relation_basics():
     assert ("s", "t") in r and ("s", "u") in r and len(r) == 2
 
 
+def test_relation_is_sorted_and_reads_images():
+    r = Relation([("b", "y"), ("a", "z"), ["a", "x"], ("a", "z")])
+    assert list(r) == [("a", "x"), ("a", "z"), ("b", "y")]
+    assert r.image("a") == ("x", "z") and r.image("b") == ("y",) and r.image("c") == ()
+    assert r.pairs == {("a", "x"), ("a", "z"), ("b", "y")} and ("b", "y") in r
+    assert ("b", "x") not in r and ("c", "y") not in r and len(r) == 3
+    assert r == Relation(r.pairs) and hash(r) == hash(Relation(r.pairs))
+    assert Relation([("a", "x")]) <= r and not r <= Relation([("a", "x")])
+    with pytest.raises(ValueError):
+        Relation([("a", "b", "c")])
+
+
+@pytest.mark.parametrize("text", ["a b\na c", "s0 t1\ns0 t2"])
+def test_parsers_intern_state_names(text):
+    left = sys.intern(text.split()[0])
+    (a1, _), (a2, _) = parse_relation(text)
+    assert a1 is a2 is left
+    d = parse_distribution(f"{left}:1/2,{text.split()[1]}:1/2")
+    assert next(iter(d.nums)) is left
+
+
 def test_lp_feasible_simple():
     lp = LinearProblem()
     x, y = lp.cols(2)
@@ -142,6 +165,69 @@ def test_lift_check_infeasible():
     d = parse_distribution("s1:1/2,s2:1/2")
     th = parse_distribution("t1:1")
     assert lift_check(d, th, r) is None
+
+
+def _unsolved(lp):
+    raise AssertionError("lift_check solved an LP to refute a lifting")
+
+
+@pytest.mark.parametrize(
+    "d, th, rel, cut",
+    [
+        # a left state related to nothing
+        ("a:1/2,b:1/2", "x:1", "a x", ["b"]),
+        # a right state related to nothing
+        ("a:1", "x:1/2,y:1/2", "a x", ["a"]),
+        # one left state holds more than its neighbours
+        ("a:2/3,b:1/3", "x:1/2,y:1/2", "a x\nb x\nb y", ["a"]),
+        # one right state needs more than its neighbours hold
+        ("a:1/2,b:1/2", "x:1/4,y:3/4", "a x\na y\nb x", ["b"]),
+        # no one-state cut: only {a, b} holds more than its neighbours
+        ("a:1/3,b:1/3,c:1/3", "x:1/3,y:1/3,z:1/3", "a x\nb x\nc x\nc y\nc z", ["a", "b"]),
+    ],
+)
+def test_lift_check_refutes_by_a_hall_cut_without_an_lp(monkeypatch, d, th, rel, cut):
+    monkeypatch.setattr("pags.prob.lp_feasible", _unsolved)
+    d, th, r = parse_distribution(d), parse_distribution(th), parse_relation(rel)
+    adj = {s: [t for t in sorted(th.support()) if (s, t) in r] for s in sorted(d.support())}
+    found = prob._hall_cut(d, th, adj)
+    assert sorted(found) == cut
+    near = {t for t in th.support() if any((s, t) in r for s in cut)}
+    assert sum(d[s] for s in cut) > sum(th[t] for t in near)
+    assert lift_check(d, th, r) is None
+
+
+def test_lift_check_solves_a_tight_lifting_once(monkeypatch):
+    """{a, b} reaches only {x, y}, with equal mass: the flow saturates and
+    the LP returns its vertex."""
+    d = parse_distribution("a:1/3,b:1/3,c:1/3")
+    th = parse_distribution("x:1/3,y:1/3,z:1/3")
+    r = parse_relation("a x\na y\nb x\nb y\nc y\nc z")
+    solved = []
+    monkeypatch.setattr("pags.prob.lp_feasible", lambda lp: solved.append(lp) or lp_feasible(lp))
+    w = lift_check(d, th, r)
+    assert len(solved) == 1
+    third = Fraction(1, 3)
+    assert w.weights == {("a", "y"): third, ("b", "x"): third, ("c", "z"): third}
+
+
+def test_lift_check_raises_when_the_flow_saturates_but_the_lp_is_infeasible(monkeypatch):
+    """The flow's yes is checked against the LP, not overruled by it."""
+    monkeypatch.setattr("pags.prob.lp_feasible", lambda lp: None)
+    d = parse_distribution("a:1/2,b:1/2")
+    th = parse_distribution("x:1/2,y:1/2")
+    with pytest.raises(ValueError, match="flow saturates but the lifting LP is infeasible"):
+        lift_check(d, th, parse_relation("a x\nb y"))
+
+
+def test_lift_check_raises_on_a_cut_that_does_not_refute(monkeypatch):
+    """The cut is checked, not trusted: d(a) = th(N(a)) = 1/2 refutes nothing."""
+    monkeypatch.setattr("pags.prob._hall_cut", lambda d, th, adj: ["a"])
+    monkeypatch.setattr("pags.prob.lp_feasible", _unsolved)
+    d = parse_distribution("a:1/2,b:1/2")
+    th = parse_distribution("x:1/2,y:1/2")
+    with pytest.raises(ValueError, match=r"cut \['a'\] does not refute the lifting"):
+        lift_check(d, th, parse_relation("a x\nb x\nb y"))
 
 
 def test_weight_witness_rejects_wrong_marginals():

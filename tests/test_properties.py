@@ -14,12 +14,13 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 from conftest import random_model, random_relation
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pags import load_fixture_model
+from pags import load_fixture_model, prob
 from pags.formula import (
     FALSE,
     TRUE,
@@ -176,19 +177,91 @@ def distributions(states, weight=st.integers(0, 4)):
 
 LEFT = ["s0", "s1", "s2", "s3"]
 RIGHT = ["t0", "t1", "t2", "t3"]
+RELATIONS = st.sets(st.tuples(st.sampled_from(LEFT), st.sampled_from(RIGHT)))
+
+
+@st.composite
+def refuted_lifts(draw):
+    """A lifting with a Hall violation built in: the states ``x`` reach only
+    ``nx`` and hold more mass than it."""
+    x = draw(st.sets(st.sampled_from(LEFT), min_size=1))
+    nx = draw(st.sets(st.sampled_from(RIGHT), max_size=3))
+    r = Relation((s, t) for s, t in draw(RELATIONS) if s not in x or t in nx)
+
+    def masses(states, heavy):
+        w = [draw(st.integers(1, 4) if s in heavy else st.integers(0, 2)) for s in states]
+        assume(any(w))
+        return Distribution({s: Fraction(n, sum(w)) for s, n in zip(states, w)})
+
+    d = masses(LEFT, x)
+    th = masses(RIGHT, set(RIGHT) - nx)
+    assume(sum(d[s] for s in x) > sum(th[t] for t in nx))
+    return d, th, r
+
+
+@st.composite
+def coupled_lifts(draw):
+    """A lifting built from a coupling, plus related pairs that a flow
+    filling neighbours in order can take first and must then undo."""
+    plan = draw(st.dictionaries(st.tuples(st.sampled_from(LEFT), st.sampled_from(RIGHT)),
+                                st.integers(1, 4), min_size=1))
+    total = sum(plan.values())
+    d, th = {}, {}
+    for (s, t), n in plan.items():
+        d[s] = d.get(s, 0) + Fraction(n, total)
+        th[t] = th.get(t, 0) + Fraction(n, total)
+    return Distribution(d), Distribution(th), Relation(set(plan) | draw(RELATIONS))
+
+
+def _lift_lp(d, th, r):
+    """The lifting LP alone, one column per related support pair, solved
+    whatever the answer: the positive weights, or None."""
+    supp_d = sorted(d.support())
+    supp_t = sorted(th.support())
+    pairs = [(s, t) for s in supp_d for t in supp_t if (s, t) in r]
+    lp = LinearProblem()
+    lp.cols(len(pairs))
+    rows = {s: {} for s in supp_d}
+    cols = {t: {} for t in supp_t}
+    for j, (s, t) in enumerate(pairs):
+        rows[s][j] = d.den
+        cols[t][j] = th.den
+    for s in supp_d:
+        lp.add(rows[s], "==", d.nums[s], d.den)
+    for t in supp_t:
+        lp.add(cols[t], "==", th.nums[t], th.den)
+    point = lp_feasible(lp)
+    return None if point is None else {p: w for p, w in zip(pairs, point) if w > 0}
 
 
 @SETTINGS
 @given(
-    distributions(LEFT),
-    distributions(RIGHT),
-    st.sets(st.tuples(st.sampled_from(LEFT), st.sampled_from(RIGHT))).map(Relation),
+    st.one_of(
+        st.tuples(distributions(LEFT), distributions(RIGHT), RELATIONS.map(Relation)),
+        refuted_lifts(),
+        coupled_lifts(),
+    )
 )
-def test_lift_check_agrees_with_max_flow(d, th, r):
-    witness = lift_check(d, th, r)
+def test_lift_check_agrees_with_max_flow(instance):
+    """A Hall cut is found exactly when brute_lift's max-flow says no; each
+    cut holds more mass than its neighbours; an LP is solved only for a
+    lifting; lift_check answers as brute_lift does, and its witness is valid
+    and is the vertex of the plain lifting LP."""
+    d, th, r = instance
+    adj = {s: [t for t in sorted(th.support()) if (s, t) in r] for s in sorted(d.support())}
+    cut = prob._hall_cut(d, th, adj)
+    assert (cut is None) == brute_lift(d, th, r)
+    if cut is not None:
+        near = {t for t in th.support() if any((s, t) in r for s in cut)}
+        assert sum(d[s] for s in cut) > sum(th[t] for t in near)
+    solved = []
+    with mock.patch("pags.prob.lp_feasible", lambda lp: solved.append(lp) or lp_feasible(lp)):
+        witness = lift_check(d, th, r)
+    assert len(solved) == (cut is None)
     assert (witness is not None) == brute_lift(d, th, r)
     if witness is not None:
         witness.validate(d, th, r)
+    assert (witness.weights if witness is not None else None) == _lift_lp(d, th, r)
 
 
 @st.composite
