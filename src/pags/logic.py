@@ -738,9 +738,11 @@ def enforce_check(g, d: Distribution, body, opts: EvalOptions = None) -> EvalRes
 class CharFormulaBuilder:
     """Characteristic formulas; equal subterms are one interned node.
 
-    The level-(n+1) formula conjoins, over every player-1 grid lottery, the
-    enforceable interpolation of the level-n formulas of the per-response
-    successor distributions.
+    The level-(n+1) formula conjoins the state's labels (its level-0
+    formula) and, over every player-1 grid lottery, the enforceable
+    interpolation of the level-n formulas of the per-response successor
+    distributions. Pinning the labels at every level makes one player-1
+    strategy match them all, rather than one strategy per level.
     """
 
     def __init__(self, g, k: int):
@@ -767,7 +769,7 @@ class CharFormulaBuilder:
                     self.dist(self._succ[s, i, j], n - 1) for j in range(len(g.acts2))
                 )
                 conjuncts.append(Enforce(Mix(comps)))
-            phi = And(tuple(conjuncts))
+            phi = And((self.state(s, 0), *conjuncts))
         self._state_memo[key] = phi
         return phi
 

@@ -317,37 +317,22 @@ def pa_simulation(g: GameStructure, strat: QuantStrategy) -> SimReport:
 
 
 def a_simulation(g: GameStructure) -> Relation:
-    """Greatest alternating simulation of a deterministic game.
+    """Greatest alternating simulation of a deterministic game, which is its
+    PA-simulation under the pure strategy.
 
-    Pure-action quantifiers over curried successor sets: (s,t) survives iff
-    for every action a at s some action a' at t makes each response
-    successor of t related from some response successor of s.
+    Alternating simulation keeps (s, t) iff for each action a at s some a'
+    at t has: for all b some b2 with (succ(s, a, b2), succ(t, a', b)) in r.
+    The pure step LP for a accepts the same pairs. If a lottery x at t
+    passes it, then under each b every successor of t under an a' in x's
+    support carries mass, so the lifting relates it to a successor of s
+    under a: each such a' meets the condition. Conversely, a pure a' that
+    meets it is a feasible x (lam on the b2 found, weight 1 on that pair).
+    Both start from ``initial_relation`` and refine monotonically, so the
+    greatest fixpoints agree.
     """
     if not g.is_deterministic():
         raise ModelError("model is probabilistic")
-
-    def target(s, a1, a2):
-        return g.step(s, a1, a2).support()[0]
-
-    r = set(initial_relation(g).pairs)
-    changed = True
-    while changed:
-        changed = False
-        for s, t in sorted(r):
-            ok = all(
-                any(
-                    all(
-                        any((target(s, a, b2), target(t, ap, b)) in r for b2 in g.acts2)
-                        for b in g.acts2
-                    )
-                    for ap in g.acts1
-                )
-                for a in g.acts1
-            )
-            if not ok:
-                r.discard((s, t))
-                changed = True
-    return Relation(r)
+    return pa_simulation(g, QuantStrategy.pure()).relation
 
 
 def _smt_rat(x: Fraction) -> str:

@@ -28,7 +28,10 @@ def random_relation(rng: random.Random, left, right, density=0.5) -> Relation:
     )
 
 
-def random_model(rng: random.Random, n_states=3, n_acts1=2, n_acts2=2, n_props=2) -> GameStructure:
+def random_model(rng: random.Random, n_states=3, n_acts1=2, n_acts2=2, n_props=2,
+                 point_rows=False) -> GameStructure:
+    """Random model; with ``point_rows`` every row is a point distribution,
+    so the model is deterministic."""
     states = [f"q{i}" for i in range(n_states)]
     acts1 = [f"a{i}" for i in range(n_acts1)]
     acts2 = [f"b{i}" for i in range(n_acts2)]
@@ -40,7 +43,8 @@ def random_model(rng: random.Random, n_states=3, n_acts1=2, n_acts2=2, n_props=2
     for s in states:
         for a1 in acts1:
             for a2 in acts2:
-                table[(s, a1, a2)] = random_distribution(rng, states, max_den=6)
+                table[(s, a1, a2)] = (Distribution.point(rng.choice(states)) if point_rows
+                                      else random_distribution(rng, states, max_den=6))
     return GameStructure("rand", states, states[0], props, labels, acts1, acts2, table)
 
 

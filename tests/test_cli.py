@@ -156,6 +156,12 @@ def test_preorder_exit_codes():
         "--depth", "1", "--grid", "1",
     ])
     assert code == 1
+    for depth in ("2", "3"):
+        code, out, _ = invoke([
+            "preorder", "--model", str(fixture_path("split_levels.pgs")), "--from", "s",
+            "--to", "t", "--depth", depth, "--grid", "2",
+        ])
+        assert code == 2 and "verdict: unknown" in out, depth
 
 
 def test_oracle_subcommands():

@@ -76,6 +76,16 @@ GOLDEN = [
         id="eval-rps-enforce-mixed",
     ),
     pytest.param(
+        # The root rows read mass over d's denominator; the same rows scaled
+        # by 5 give another phase-1 objective, and Bland's rule another split.
+        ["eval", "--json", "--model", F["rps.pgs"], "--dist", "s0:1/5,s1:2/5,s2:2/5",
+         "--formula", "sum{1/2: true, 1/2: !win1}"],
+        0,
+        '{"bound": 0, "certified": true, "mode": "eval", "result": "holds", '
+        '"witness": {"exact": true, "split": [["1/2", "s0:1/5,s1:4/5"], ["1/2", "s0:1/5,s2:4/5"]]}}\n',
+        id="eval-rps-flat-root-rows",
+    ),
+    pytest.param(
         ["eval", "--json", "--model", F["rps.pgs"], "--dist", "s0:1/2,s1:1/4,s2:1/4",
          "--formula", "<1> sum{1/6: win1, 5/6: true}", "--grid", "3"],
         0,

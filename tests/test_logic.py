@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pags import load_fixture_model
 from pags.formula import (
     FALSE,
     TRUE,
@@ -39,6 +40,7 @@ from pags.logic import (
 )
 from pags.model import parse_model
 from pags.prob import Distribution, lp_feasible, parse_distribution
+from pags.sim import QuantStrategy, pa_simulation
 
 
 # -- grammar -----------------------------------------------------------------
@@ -435,6 +437,18 @@ def test_logic_preorder_detects_label_mismatch(rps):
 def test_logic_preorder_accepts_duplicate(dup):
     r = logic_preorder(dup, "u", "u2", 1, 2)
     assert r.verdict == "holds"
+
+
+def test_characteristic_formulas_pin_the_labels_at_every_level():
+    """At t, action a matches s's depth-1 labels and action b its depth-2
+    labels, but no one strategy matches both, and simulation removes
+    (s, t). Formulas that pin the labels at level 0 only let each level be
+    met by its own strategy, and hold there at depths 2 and 3."""
+    g = load_fixture_model("split_levels.pgs")
+    assert ("s", "t") not in pa_simulation(g, QuantStrategy.grid(2)).relation
+    assert logic_preorder(g, "s", "t", 1, 2).verdict == "holds"
+    for n in (2, 3):
+        assert logic_preorder(g, "s", "t", n, 2).verdict == "unknown", n
 
 
 def test_equal_subformulas_are_evaluated_once(rps):

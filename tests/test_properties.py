@@ -1,5 +1,6 @@
 """Property tests: the exact LP core, lifting, simulation (its copy
-strategy for reflexive pairs against the step LP), the flat
+strategy for reflexive pairs against the step LP; alternating simulation
+against the oracle; the logic preorder inside its approximant), the flat
 formula encoder, the strategy modality's successors and the bounded
 evaluator's certified verdicts against their oracles, the integer
 distribution sum against a plain ``Fraction`` sum, the interned formula
@@ -17,7 +18,7 @@ from math import lcm
 from unittest import mock
 
 from conftest import random_model, random_relation
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pags import load_fixture_model, prob
@@ -49,6 +50,7 @@ from pags.logic import (
     _joint,
     _unknown,
     evaluate,
+    logic_preorder,
 )
 from pags.model import GameStructure
 from pags.oracle import OracleBudgetError, brute_eval, brute_lift, brute_sim
@@ -73,6 +75,7 @@ from pags.sim import (
     QuantStrategy,
     SimReport,
     _StepData,
+    a_simulation,
     exists_pi2_check,
     initial_relation,
     pa_simulation,
@@ -347,6 +350,42 @@ def test_copy_strategy_matches_solving_every_reflexive_pair(g):
                     right = step_mixed_state(g, s, pi, sigma)
                     coupling = WeightWitness({(u, u): left[u] for u in left.support()})
                     coupling.validate(left, right, rep.relation)
+
+
+@st.composite
+def deterministic_games(draw):
+    """A seeded model with point rows: 2-4 states, 1-3 actions per player
+    and one proposition, so that many pairs start label-equal."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_model(rng, n_states=rng.randint(2, 4), n_acts1=rng.randint(1, 3),
+                        n_acts2=rng.randint(1, 3), n_props=1, point_rows=True)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(deterministic_games())
+def test_a_simulation_matches_brute_sim_on_deterministic_models(g):
+    """Alternating simulation, computed as the pure strategy's PA-simulation,
+    against the oracle's pure-grid enumeration of lotteries and responses."""
+    assert a_simulation(g) == brute_sim(g, 1)
+
+
+@settings(SETTINGS, max_examples=14)
+@given(st.integers(0, 2**32))
+@example(53)
+def test_preorder_holds_lie_in_the_depth_n_approximant(seed):
+    """A `holds` of the depth-2 logic preorder at grid k = 1 puts the pair in
+    the 2-round grid(1) approximant, on seeded 3-state models with two
+    player-1 actions. At seed 53, characteristic formulas that pin the
+    labels at level 0 only hold at (q0, q2), outside the approximant."""
+    g = random_model(random.Random(seed), n_states=3, n_acts1=2)
+    strat = QuantStrategy.grid(1)
+    r = initial_relation(g)
+    for _ in range(2):
+        r = refine_once(g, r, strat)[0]
+    for s in g.states:
+        for t in g.states:
+            if logic_preorder(g, s, t, 2, 1).verdict == HOLDS:
+                assert (s, t) in r, (s, t)
 
 
 def _fraction_step_lp(g, s, t, lottery, r):
