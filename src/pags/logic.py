@@ -266,10 +266,10 @@ class _FlatChecker:
         lp = LinearProblem()
         root = dict(zip(states, lp.cols(len(states))))
         if d is None:
-            lp.add(dict.fromkeys(root.values(), 1), "==", 1)
+            lp.add(dict.fromkeys(root.values(), 1), 1)
         else:
             for s, j in root.items():
-                lp.add({j: d.den}, "==", d.nums[s], d.den)
+                lp.add({j: d.den}, d.nums[s], d.den)
         rows = len(lp.constraints)
         components = self._emit(lp, variant, root)
         if components is None:
@@ -312,14 +312,14 @@ class _FlatChecker:
         for s, j in cols.items():
             coeffs = {comp[s]: 1 for comp in components if s in comp}
             coeffs[j] = -1
-            lp.add(coeffs, "==", 0)
+            lp.add(coeffs, 0)
         if isinstance(phi, ProbSum):
             # Pinned weights: each component total is its share of the node
             # total, as integers over the weight's denominator.
             for (w, _), comp in zip(phi.parts, components):
                 coeffs = dict.fromkeys(comp.values(), w.denominator)
                 coeffs.update(dict.fromkeys(cols.values(), -w.numerator))
-                lp.add(coeffs, "==", 0, w.denominator)
+                lp.add(coeffs, 0, w.denominator)
         elif not all(self.sat(item) for item in items):
             # Free weights; every component denotation must be nonempty so
             # that zero-mass components still have a satisfying distribution.

@@ -3,10 +3,10 @@
 A ``Distribution`` holds positive integer numerators over one reduced common
 denominator, and weighted sums of distributions (successors included) are
 built on those integers alone; ``d[s]`` and ``entries`` read the masses as
-``fractions.Fraction``. An LP row is held as integers over one row
-denominator, cleared once when the row is added, and the simplex works on
-integers alone. Every other number is a ``Fraction``. Feasibility questions are
-decided exactly, never with tolerances.
+``fractions.Fraction``. An LP row is an equality given as integers over
+one row denominator, and the simplex works on integers alone. Every other
+number is a ``Fraction``. Feasibility questions are decided exactly, never
+with tolerances.
 """
 
 from __future__ import annotations
@@ -320,21 +320,24 @@ class WeightWitness:
 # ---------------------------------------------------------------------------
 
 class LinearProblem:
-    """A pure feasibility problem over nonnegative rational variables.
+    """A feasibility problem ``A x == b``, ``x >= 0``, in standard form.
 
     Columns are the integers ``0 .. n_vars() - 1``, handed out in blocks by
-    ``cols``. Constraint ``i`` is held as integers over one positive row
-    denominator: ``constraints[i]`` is ``(coeffs, sense, rhs)``, with
-    ``coeffs`` a ``{column: int}`` dict without zeros, ``sense`` one of
-    ``<=``, ``>=`` or ``==`` and ``rhs`` an ``int``, and ``dens[i]`` is the
-    denominator, so the row reads ``coeffs/den (sense) rhs/den``. The
-    rational row is kept exactly as given, never rescaled: the phase-1
-    objective of ``lp_feasible`` sums the rational rows.
+    ``cols``. Row ``i`` is held as integers over one positive row
+    denominator: ``constraints[i]`` is ``(coeffs, "==", rhs)``, with
+    ``coeffs`` a ``{column: int}`` dict without zeros and ``rhs`` an
+    ``int >= 0``, and ``dens[i]`` is the denominator, so the row reads
+    ``coeffs/den == rhs/den``. The rational row is kept exactly as given,
+    never rescaled: the phase-1 objective of ``lp_feasible`` sums the
+    rational rows. Lifting, the simulation step and the flat checker all
+    build transport-style rows of this kind, so there are no slack columns
+    or sign flips; and as phase 1 alone fixes every original column's
+    value, there is no drive-out either (see ``lp_feasible``).
     """
 
     def __init__(self):
         self.names = range(0)  # the columns so far
-        self.constraints = []  # (coeffs: {column: int}, sense, rhs: int) over dens[i]
+        self.constraints = []  # (coeffs: {column: int}, "==", rhs: int) over dens[i]
         self.dens = []
 
     def cols(self, k: int) -> range:
@@ -343,36 +346,24 @@ class LinearProblem:
         self.names = range(n + k)
         return range(n, n + k)
 
-    def add(self, coeffs: dict, sense: str, rhs, den: int = 1) -> None:
-        """Add the row ``coeffs/den (sense) rhs/den``, for a positive ``int``
-        ``den``. Coefficients and ``rhs`` may be any rationals (``int``,
-        ``Fraction``, ``"n/d"``); when one is not an ``int``, the row and
-        ``den`` are multiplied once by the lcm of their denominators, which
-        keeps the rational row. Zero coefficients are dropped."""
-        if sense not in ("<=", ">=", "=="):
-            raise ValueError(f"bad sense {sense!r}")
+    def add(self, coeffs: dict, rhs: int, den: int = 1) -> None:
+        """Add the row ``coeffs/den == rhs/den``: ``int`` coefficients over
+        handed-out columns, an ``int`` ``rhs >= 0`` and a positive ``int``
+        ``den``; anything else raises ``ValueError``. Zero coefficients are
+        dropped."""
         if type(den) is not int or den < 1:
             raise ValueError(f"row denominator must be a positive int, got {den!r}")
+        if type(rhs) is not int or rhs < 0:
+            raise ValueError(f"right-hand side must be an int >= 0, got {rhs!r}")
         row = {}
-        ints = type(rhs) is int
         for j, c in coeffs.items():
             if j not in self.names:
                 raise ValueError(f"unknown column {j!r}")
             if type(c) is not int:
-                ints = False
+                raise ValueError(f"coefficient of column {j} must be an int, got {c!r}")
             if c:
                 row[j] = c
-        if not ints:
-            rhs = Fraction(rhs)
-            row = {j: Fraction(c) for j, c in row.items()}
-            scale = rhs.denominator
-            for c in row.values():
-                if scale % c.denominator:
-                    scale = lcm(scale, c.denominator)
-            row = {j: c.numerator * (scale // c.denominator) for j, c in row.items() if c}
-            rhs = rhs.numerator * (scale // rhs.denominator)
-            den *= scale
-        self.constraints.append((row, sense, rhs))
+        self.constraints.append((row, "==", rhs))
         self.dens.append(den)
 
     def n_vars(self) -> int:
@@ -409,44 +400,41 @@ def lp_feasible(p: LinearProblem) -> Optional[list]:
     """Exact feasibility of ``p``; returns a satisfying point, one
     ``Fraction`` per column, or None.
 
-    Phase-1 simplex on the standard form with Bland's (lowest-index)
-    pivoting, which cannot cycle. Deterministic for a fixed problem.
+    Phase-1 simplex with Bland's (lowest-index) pivoting, which cannot
+    cycle, started from one artificial column per row. Deterministic for a
+    fixed problem.
 
     Fraction-free and sparse: each tableau row is held as a dict of nonzero
     Python ``int``s that is some positive multiple of the rational row, with
-    the right-hand side under key ``total``; a basic variable's value is the
+    the right-hand side under key ``n``; a basic variable's value is the
     row's rhs over its own coefficient there. Rows start from the integer
-    rows of ``p`` (their slack gets ``den``, the row's denominator), negated
-    when the rhs is negative; the phase-1 objective, the sum of the rational
-    rows ``row/den``, is summed over the lcm of the denominators. Both are
+    rows of ``p``; the phase-1 objective, the sum of the rational rows
+    ``row/den``, is summed over the lcm of the denominators. Both are
     reduced by their gcd. (Starting from another multiple of a rational row
     would change the objective, and so the pivot path.) The artificial
-    column of row ``i`` (basis label ``total + i``) is never read, so it is
-    not stored. A pivot rescales and updates only the rows with a nonzero in
-    the pivot column, then divides each by its gcd. Ratios compare by cross
-    multiplication, since a row's scale cancels in ``rhs/a``. Entering,
-    leaving and drive-out choices are those of the dense rational tableau,
-    so the pivot sequence and the returned vertex are too. No ``Fraction``
-    is built before the returned point.
+    column of row ``i`` (basis label ``n + i``) is never read, so it is not
+    stored. A pivot rescales and updates only the rows with a nonzero in
+    the pivot column, then divides each by its gcd; every pivot entry is
+    positive, so rows stay positive multiples. Ratios compare by cross
+    multiplication, since a row's scale cancels in ``rhs/a``. Entering and
+    leaving choices are those of the dense rational tableau, so the pivot
+    sequence and the returned vertex are too. No ``Fraction`` is built
+    before the returned point.
+
+    There is no drive-out of artificial columns after phase 1. When the
+    objective reaches 0, an artificial column still basic sits in a row
+    whose rhs is 0. Pivoting it out would scale the other rows' rhs with
+    their coefficients, so no value of a basic original column moves; the
+    entering column would be basic at 0, the value a nonbasic column
+    reads; and the artificial column's own value is never read.
     """
     n = p.n_vars()
-    total = n + sum(1 for _, sense, _ in p.constraints if sense != "==")
     rows = []
     common = 1  # lcm of the row denominators
-    slack = n
-    for (coeffs, sense, rhs), den in zip(p.constraints, p.dens):
-        if rhs < 0:
-            row = {j: -c for j, c in coeffs.items()}
-            f = -den
-            rhs = -rhs
-        else:
-            row = dict(coeffs)
-            f = den
-        if sense != "==":
-            row[slack] = f if sense == "<=" else -f
-            slack += 1
+    for (coeffs, _, rhs), den in zip(p.constraints, p.dens):
+        row = dict(coeffs)
         if rhs:
-            row[total] = rhs
+            row[n] = rhs
         rows.append(row)
         if common % den:
             common = lcm(common, den)
@@ -458,25 +446,12 @@ def lp_feasible(p: LinearProblem) -> Optional[list]:
             obj[j] = obj.get(j, 0) + f * v
     obj = _reduce({j: v for j, v in obj.items() if v})
     rows = [_reduce(row) for row in rows]
-    basis = list(range(total, total + len(rows)))
-
-    def pivot(pr: int, pc: int) -> None:
-        nonlocal obj
-        prow = rows[pr]
-        if prow[pc] < 0:  # drive-out pivots may be negative; keep rows positive multiples
-            prow = rows[pr] = {j: -v for j, v in prow.items()}
-        a = prow[pc]
-        for i, row in enumerate(rows):
-            if i != pr and pc in row:
-                rows[i] = _eliminate(row, prow, a, row[pc])
-        if pc in obj:
-            obj = _eliminate(obj, prow, a, obj[pc])
-        basis[pr] = pc
+    basis = list(range(n, n + len(rows)))
 
     while True:
         # Bland: entering = lowest index with positive reduced cost,
-        # excluding artificial columns.
-        pc = min((j for j, v in obj.items() if v > 0 and j < total), default=-1)
+        # excluding the right-hand side.
+        pc = min((j for j, v in obj.items() if v > 0 and j < n), default=-1)
         if pc < 0:
             break
         # Ratio test, Bland tie-break on basis index.
@@ -484,7 +459,7 @@ def lp_feasible(p: LinearProblem) -> Optional[list]:
         for i, row in enumerate(rows):
             a = row.get(pc, 0)
             if a > 0:
-                b = row.get(total, 0)
+                b = row.get(n, 0)
                 cur, best = b * best_a, best_b * a  # b/a against best_b/best_a
                 if pr < 0 or cur < best or (cur == best and basis[i] < basis[pr]):
                     pr, best_a, best_b = i, a, b
@@ -492,20 +467,17 @@ def lp_feasible(p: LinearProblem) -> Optional[list]:
             # Unbounded in phase 1 cannot happen (objective bounded below by 0),
             # but guard anyway.
             return None
-        pivot(pr, pc)
+        prow = rows[pr]
+        for i, row in enumerate(rows):
+            if i != pr and pc in row:
+                rows[i] = _eliminate(row, prow, best_a, row[pc])
+        if pc in obj:
+            obj = _eliminate(obj, prow, best_a, obj[pc])
+        basis[pr] = pc
 
-    if total in obj:
+    if n in obj:
         return None
-    # Drive any artificial variables still in the basis out (degenerate rows).
-    for i, b in enumerate(basis):
-        if b >= total:
-            if total in rows[i]:
-                return None
-            pc = min((j for j in rows[i] if j < total), default=-1)
-            if pc >= 0:
-                pivot(i, pc)
-
-    values = {b: Fraction(rows[i].get(total, 0), rows[i][b]) for i, b in enumerate(basis) if b < n}
+    values = {b: Fraction(rows[i].get(n, 0), rows[i][b]) for i, b in enumerate(basis) if b < n}
     return [values.get(j, ZERO) for j in p.names]
 
 
@@ -703,9 +675,9 @@ def lift_check(d: Distribution, th: Distribution, r: Relation) -> Optional[Weigh
         rows[s][j] = d.den
         cols[t][j] = th.den
     for s in adj:
-        lp.add(rows[s], "==", d.nums[s], d.den)
+        lp.add(rows[s], d.nums[s], d.den)
     for t in supp_t:
-        lp.add(cols[t], "==", th.nums[t], th.den)
+        lp.add(cols[t], th.nums[t], th.den)
     point = lp_feasible(lp)
     if point is None:
         raise ValueError("the flow saturates but the lifting LP is infeasible")

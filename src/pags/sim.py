@@ -165,10 +165,10 @@ def _solve_step(g: GameStructure, left_states, left_rows, per_b, related):
     # sum_u w[u, v] == sum_a x_a * theta_t(a, b)[v], and for each left state
     # u sum_v w[u, v] == sum_b2 lam_b2 * theta_s(lottery, b2)[u].
     lp = LinearProblem()
-    lp.add(dict.fromkeys(lp.cols(len(g.acts1)), 1), "==", 1)
+    lp.add(dict.fromkeys(lp.cols(len(g.acts1)), 1), 1)
     for right_states, right_rows in per_b:
         lam = lp.cols(len(g.acts2))
-        lp.add(dict.fromkeys(lam, 1), "==", 1)
+        lp.add(dict.fromkeys(lam, 1), 1)
         by_v = {v: [] for v in right_states}
         by_u = {u: [] for u in left_states}
         pairs = [(u, v) for u, v in related if v in by_v]
@@ -181,14 +181,14 @@ def _solve_step(g: GameStructure, left_states, left_rows, per_b, related):
                 return None
             coeffs = dict.fromkeys(by_v[v], den)
             coeffs.update(terms)
-            lp.add(coeffs, "==", 0, den)
+            lp.add(coeffs, 0, den)
         for u in left_states:
             den, terms = left_rows[u]
             if not by_u[u] and len(terms) == len(g.acts2):
                 return None
             coeffs = dict.fromkeys(by_u[u], den)
             coeffs.update((lam[i], c) for i, c in terms)
-            lp.add(coeffs, "==", 0, den)
+            lp.add(coeffs, 0, den)
     sol = lp_feasible(lp)
     if sol is None:
         return None

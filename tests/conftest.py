@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from pags import load_fixture_model
 from pags.model import GameStructure
-from pags.prob import Distribution, Relation
+from pags.prob import Distribution, LinearProblem, Relation
 
 
 def random_distribution(rng: random.Random, states, max_den=12) -> Distribution:
@@ -46,6 +47,29 @@ def random_model(rng: random.Random, n_states=3, n_acts1=2, n_acts2=2, n_props=2
                 table[(s, a1, a2)] = (Distribution.point(rng.choice(states)) if point_rows
                                       else random_distribution(rng, states, max_den=6))
     return GameStructure("rand", states, states[0], props, labels, acts1, acts2, table)
+
+
+def standard_form(n: int, rows) -> LinearProblem:
+    """The ``LinearProblem`` of rational mixed-sense rows ``(coeffs, sense,
+    rhs)`` over columns ``0 .. n - 1``: one slack column per inequality,
+    after the original columns and in row order, with +1 for ``<=`` and -1
+    for ``>=``; a row with a negative rhs negated; each row cleared over
+    its least denominator. The first ``n`` values of a point solve the
+    rows."""
+    lp = LinearProblem()
+    lp.cols(n)
+    slacks = iter(lp.cols(sum(sense != "==" for _, sense, _ in rows)))
+    for coeffs, sense, rhs in rows:
+        row = {j: Fraction(c) for j, c in coeffs.items()}
+        if sense != "==":
+            row[next(slacks)] = Fraction(1 if sense == "<=" else -1)
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            row = {j: -c for j, c in row.items()}
+            rhs = -rhs
+        den = lcm(rhs.denominator, *(c.denominator for c in row.values()))
+        lp.add({j: int(c * den) for j, c in row.items()}, int(rhs * den), den)
+    return lp
 
 
 @pytest.fixture

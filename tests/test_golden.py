@@ -4,17 +4,22 @@ Witnesses are the vertices the simplex stops at, so a change to the LP
 kernel's pivot order shows here even when the verdicts stay the same. Most
 fixture LPs have a single feasible point; the ``mix`` witness and the two
 LPs pinned after the CLI runs do not, and they change under another
-entering or leaving rule or another phase-1 objective.
+entering or leaving rule or another phase-1 objective. Those two are
+rational rows with mixed senses and signed right-hand sides, brought into
+the standard form the LP core reads (integer equality rows, rhs >= 0) by
+conftest's ``standard_form``; their pinned values are the first columns of
+the point, before the slacks.
 """
 
 import io
 from fractions import Fraction as Q
 
 import pytest
+from conftest import standard_form
 
 from pags import fixture_path, load_fixture_model
 from pags.cli import run
-from pags.prob import LinearProblem, format_rational, grid_lotteries, lp_feasible
+from pags.prob import format_rational, grid_lotteries, lp_feasible
 from pags.sim import QuantStrategy, exists_pi2_check, initial_relation, pa_simulation
 
 F = {name: str(fixture_path(name)) for name in
@@ -125,11 +130,8 @@ def test_lp_vertex_is_pinned():
         ({1: Q(1, 3), 2: Q(-2), 3: Q(2, 3)}, ">=", Q(1, 2)),
         ({1: Q(-1), 2: Q(4, 3), 3: Q(1), 5: Q(-1)}, ">=", 0),
     ]
-    lp = LinearProblem()
-    lp.cols(6)
-    for coeffs, sense, rhs in rows:
-        lp.add(coeffs, sense, rhs)
-    assert lp_feasible(lp) == [Q(3, 11), 0, 0, Q(18, 11), 0, Q(18, 11)]
+    point = lp_feasible(standard_form(6, rows))
+    assert point[:6] == [Q(3, 11), 0, 0, Q(18, 11), 0, Q(18, 11)]
 
 
 def test_lp_vertex_with_negative_right_hand_sides_is_pinned():
@@ -145,11 +147,8 @@ def test_lp_vertex_with_negative_right_hand_sides_is_pinned():
         ({2: Q(-2, 3), 3: Q(2), 4: Q(-2)}, ">=", 0),
         ({2: Q(3, 5), 3: Q(-3), 4: Q(1, 5)}, "<=", 1),
     ]
-    lp = LinearProblem()
-    lp.cols(5)
-    for coeffs, sense, rhs in rows:
-        lp.add(coeffs, sense, rhs)
-    assert lp_feasible(lp) == [Q(215, 2196), Q(121, 244), Q(113, 122), Q(113, 366), 0]
+    point = lp_feasible(standard_form(5, rows))
+    assert point[:5] == [Q(215, 2196), Q(121, 244), Q(113, 122), Q(113, 366), 0]
 
 
 # Every simulation witness of three fixture runs: per surviving pair, each

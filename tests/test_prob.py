@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_distribution, random_relation
+from conftest import random_distribution, random_relation, standard_form
 from pags import prob
 from pags.prob import (
     Distribution,
@@ -108,20 +108,14 @@ def test_parsers_intern_state_names(text):
 
 
 def test_lp_feasible_simple():
-    lp = LinearProblem()
-    x, y = lp.cols(2)
-    lp.add({x: 1, y: 1}, "==", 1)
-    lp.add({x: 1}, ">=", Fraction(1, 3))
+    lp = standard_form(2, [({0: 1, 1: 1}, "==", 1), ({0: 1}, ">=", Fraction(1, 3))])
     sol = lp_feasible(lp)
     assert sol is not None
-    assert sol[x] + sol[y] == 1 and sol[x] >= Fraction(1, 3)
+    assert sol[0] + sol[1] == 1 and sol[0] >= Fraction(1, 3)
 
 
 def test_lp_infeasible():
-    lp = LinearProblem()
-    (x,) = lp.cols(1)
-    lp.add({x: 1}, "<=", 1)
-    lp.add({x: 1}, ">=", 2)
+    lp = standard_form(1, [({0: 1}, "<=", 1), ({0: 1}, ">=", 2)])
     assert lp_feasible(lp) is None
 
 
@@ -129,9 +123,39 @@ def test_lp_rejects_a_column_it_did_not_hand_out():
     lp = LinearProblem()
     lp.cols(2)
     with pytest.raises(ValueError, match="unknown column 2"):
-        lp.add({2: 1}, "==", 1)
+        lp.add({2: 1}, 1)
     with pytest.raises(ValueError, match="unknown column 'x'"):
-        lp.add({"x": 1}, "==", 1)
+        lp.add({"x": 1}, 1)
+
+
+@pytest.mark.parametrize(
+    "coeffs,rhs,den,message",
+    [
+        ({0: Fraction(1, 2)}, 1, 1, "coefficient of column 0 must be an int"),
+        ({0: 1}, Fraction(1, 2), 1, "right-hand side must be an int >= 0"),
+        ({0: 1}, -1, 1, "right-hand side must be an int >= 0"),
+        ({0: 1}, 1, 0, "row denominator must be a positive int"),
+    ],
+)
+def test_lp_takes_only_integer_equality_rows(coeffs, rhs, den, message):
+    """A row is ``int`` coefficients, an ``int`` rhs >= 0 and a positive
+    ``int`` denominator; there is no rational input and no sign flip."""
+    lp = LinearProblem()
+    lp.cols(2)
+    with pytest.raises(ValueError, match=message):
+        lp.add(coeffs, rhs, den)
+    assert lp.constraints == [] and lp.dens == []
+
+
+def test_lp_degenerate_row_keeps_its_artificial_column():
+    """Phase 1 ends with the artificial column of ``2·x1 == 2`` basic at 0
+    in a row that reads ``-x0 == 0``; it stays there, and the point is the
+    one a drive-out pivot on ``x0`` would give."""
+    lp = LinearProblem()
+    lp.cols(3)
+    lp.add({1: 2}, 2)
+    lp.add({0: 1, 1: 2}, 2)
+    assert lp_feasible(lp) == [0, 1, 0]
 
 
 def test_compositions_order_and_count():

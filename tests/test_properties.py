@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from unittest import mock
 
-from conftest import random_model, random_relation
+from conftest import random_model, random_relation, standard_form
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -113,16 +113,15 @@ def linear_problems(draw):
 @SETTINGS
 @given(linear_problems())
 def test_lp_point_satisfies_every_constraint(problem):
+    """The standard form of the rows is solved; its first ``n`` values
+    satisfy the original mixed-sense rational rows."""
     n, rows, planted = problem
-    lp = LinearProblem()
-    lp.cols(n)
-    for coeffs, sense, rhs in rows:
-        lp.add(coeffs, sense, rhs)
+    lp = standard_form(n, rows)
     sol = lp_feasible(lp)
     if sol is None:
         assert not planted
         return
-    assert len(sol) == n
+    assert len(sol) == lp.n_vars()
     assert all(type(v) is Fraction and v >= 0 for v in sol)
     for coeffs, sense, rhs in rows:
         lhs = sum((c * sol[j] for j, c in coeffs.items()), Fraction(0))
@@ -130,45 +129,29 @@ def test_lp_point_satisfies_every_constraint(problem):
 
 
 @st.composite
-def retyped_problems(draw):
-    """An LP from ``linear_problems``, and the same LP with every coefficient
-    and right-hand side given as an ``int`` (when integral), a ``Fraction``
-    or an ``"n/d"`` string; some rows gain an explicit zero coefficient."""
+def rescaled_problems(draw):
+    """The standard form of an LP from ``linear_problems``, some rows with
+    an explicit zero coefficient, and a factor per row."""
     n, rows, _ = draw(linear_problems())
-
-    def retype(v):
-        forms = [v, f"{v.numerator}/{v.denominator}"] + ([int(v)] if v.denominator == 1 else [])
-        return draw(st.sampled_from(forms))
-
-    exact, mixed, ints = [], [], []
+    padded = []
     for coeffs, sense, rhs in rows:
         if draw(st.booleans()):
             coeffs = {**coeffs, draw(st.integers(0, n - 1)): Fraction(0)}
-        exact.append((coeffs, sense, rhs))
-        mixed.append(({j: retype(c) for j, c in coeffs.items()}, sense, retype(rhs)))
-        den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        den *= draw(st.integers(1, 3))
-        as_int = {j: int(c * den) for j, c in coeffs.items()}
-        ints.append((as_int, sense, int(rhs * den), den))
-    return n, exact, mixed, ints
+        padded.append((coeffs, sense, rhs))
+    return standard_form(n, padded), [draw(st.integers(1, 3)) for _ in rows]
 
 
 @settings(SETTINGS, max_examples=100)
-@given(retyped_problems())
+@given(rescaled_problems())
 def test_lp_point_does_not_depend_on_coefficient_types(problem):
-    """The same rational rows give the same point (or None) whether they are
-    entered as ``Fraction``s, as mixed ``int``/``Fraction``/``"n/d"``
-    values, or as integers over a row denominator (not always the least
-    one)."""
-    n, exact, mixed, ints = problem
-    points = []
-    for rows in (exact, mixed, ints):
-        lp = LinearProblem()
-        lp.cols(n)
-        for row in rows:
-            lp.add(*row)
-        points.append(lp_feasible(lp))
-    assert points[0] == points[1] == points[2]
+    """The same rational rows give the same point (or None) as integers
+    over their least denominator and over a multiple of it."""
+    lp, factors = problem
+    scaled = LinearProblem()
+    scaled.cols(lp.n_vars())
+    for (coeffs, _, rhs), den, k in zip(lp.constraints, lp.dens, factors):
+        scaled.add({j: k * c for j, c in coeffs.items()}, k * rhs, k * den)
+    assert lp_feasible(lp) == lp_feasible(scaled)
 
 
 def distributions(states, weight=st.integers(0, 4)):
@@ -230,9 +213,9 @@ def _lift_lp(d, th, r):
         rows[s][j] = d.den
         cols[t][j] = th.den
     for s in supp_d:
-        lp.add(rows[s], "==", d.nums[s], d.den)
+        lp.add(rows[s], d.nums[s], d.den)
     for t in supp_t:
-        lp.add(cols[t], "==", th.nums[t], th.den)
+        lp.add(cols[t], th.nums[t], th.den)
     point = lp_feasible(lp)
     return None if point is None else {p: w for p, w in zip(pairs, point) if w > 0}
 
@@ -304,6 +287,8 @@ def test_simulation_nests_and_matches_fresh_rounds(g):
     assert brute_sim(g, 2) <= grid2
     for rep in reports:
         assert rep == _fresh_fixpoint(g, rep.strategy)
+        r = rep.relation
+        assert all((s, u) in r for s, t in r for u in r.image(t))  # transitive
 
 
 def _lp_fixpoint(g, strat):
@@ -390,8 +375,9 @@ def test_preorder_holds_lie_in_the_depth_n_approximant(seed):
 
 def _fraction_step_lp(g, s, t, lottery, r):
     """A reference step LP: the rows of ``exists_pi2_check``'s LP with their
-    ``Fraction`` masses entered as given, one solve per call, no memo and no
-    refutation. Returns the MixedAction at ``t``, or None."""
+    ``Fraction`` masses as given, cleared by conftest's ``standard_form``,
+    one solve per call, no memo and no refutation. Returns the MixedAction
+    at ``t``, or None."""
 
     def marginal_rows(dists):
         states = sorted(set().union(*[d.support() for d in dists]))
@@ -402,26 +388,27 @@ def _fraction_step_lp(g, s, t, lottery, r):
     per_b = [marginal_rows([g.step(t, a, b) for a in g.acts1]) for b in g.acts2]
     support = sorted(set().union(*[v for v, _ in per_b]))
     related = [(u, v) for u in left_states for v in support if (u, v) in r]
-    lp = LinearProblem()
-    lp.add(dict.fromkeys(lp.cols(len(g.acts1)), 1), "==", 1)
+    n = len(g.acts1)
+    rows = [(dict.fromkeys(range(n), 1), "==", 1)]
     for right_states, right_rows in per_b:
-        lam = lp.cols(len(g.acts2))
-        lp.add(dict.fromkeys(lam, 1), "==", 1)
+        lam = range(n, n + len(g.acts2))
+        rows.append((dict.fromkeys(lam, 1), "==", 1))
         by_v = {v: [] for v in right_states}
         by_u = {u: [] for u in left_states}
         pairs = [(u, v) for u, v in related if v in by_v]
-        for w, (u, v) in zip(lp.cols(len(pairs)), pairs):
+        n = lam.stop + len(pairs)
+        for w, (u, v) in zip(range(lam.stop, n), pairs):
             by_v[v].append(w)
             by_u[u].append(w)
         for v in right_states:
             coeffs = dict.fromkeys(by_v[v], 1)
             coeffs.update(right_rows[v])
-            lp.add(coeffs, "==", 0)
+            rows.append((coeffs, "==", 0))
         for u in left_states:
             coeffs = dict.fromkeys(by_u[u], 1)
             coeffs.update((lam[i], c) for i, c in left_rows[u])
-            lp.add(coeffs, "==", 0)
-    sol = lp_feasible(lp)
+            rows.append((coeffs, "==", 0))
+    sol = lp_feasible(standard_form(n, rows))
     if sol is None:
         return None
     return MixedAction({t: {a: sol[j] for j, a in enumerate(g.acts1) if sol[j] > 0}}, 1)
