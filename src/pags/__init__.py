@@ -37,6 +37,7 @@ from .sim import (
     a_simulation,
     exists_pi2_check,
     export_smt,
+    export_smt_scripts,
     initial_relation,
     pa_simulation,
     refine_once,
@@ -64,6 +65,7 @@ __all__ = [
     "evaluate",
     "exists_pi2_check",
     "export_smt",
+    "export_smt_scripts",
     "fixture_path",
     "fixture_text",
     "format_formula",

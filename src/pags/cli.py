@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 from .formula import FormulaError, Mu, Nu, format_formula, parse_formula
 from .logic import (
@@ -34,7 +35,7 @@ from .prob import (
     parse_distribution,
     parse_relation,
 )
-from .sim import QuantStrategy, a_simulation, pa_simulation
+from .sim import QuantStrategy, a_simulation, export_smt_scripts, pa_simulation
 
 
 class UsageError(Exception):
@@ -97,8 +98,6 @@ def _strategy(text):
             return QuantStrategy.grid(int(text[5:]))
         except ValueError as e:
             raise UsageError(f"bad grid size: {e}") from None
-    if text.startswith("smt="):
-        return QuantStrategy.smt_export(text[4:])
     raise UsageError(f"bad mode {text!r}, expected pure|grid=K|smt=DIR")
 
 
@@ -157,31 +156,38 @@ def _cmd_lift(args, g, out):
 
 
 def _cmd_sim(args, g, out):
-    strat = _strategy(args.mode)
+    smt_dir = args.mode[4:] if args.mode.startswith("smt=") else None
+    deferred = smt_dir is not None
+    strat = None if deferred else _strategy(args.mode)
     if args.pair is not None:
         if "," not in args.pair:
             raise UsageError("--pair expects 's,t'")
         s, t = (_state(g, part.strip()) for part in args.pair.split(",", 1))
-    try:
+    if deferred:  # one script per label-equal pair, reported as one undecided round
+        try:
+            relation = export_smt_scripts(g, smt_dir)
+        except OSError as e:
+            raise UsageError(f"cannot write SMT scripts: {e}") from None
+        iterations, witnesses, mode = 1, {}, args.mode
+    else:
         report = pa_simulation(g, strat)
-    except OSError as e:
-        raise UsageError(f"cannot write SMT scripts: {e}") from None
-    pairs = _pairs(report.relation)
-    deferred = strat.kind == "smt"
+        relation, iterations, witnesses = report.relation, report.iterations, report.witnesses
+        mode = strat.describe()
+    pairs = _pairs(relation)
     if args.pair is None:
-        tail = [f"iterations: {report.iterations}"]
+        tail = [f"iterations: {iterations}"]
         if args.trace:
-            for (s, t), entries in sorted(report.witnesses.items()):
+            for (s, t), entries in sorted(witnesses.items()):
                 tail.append(f"witness ({s}, {t}): {len(entries)} lotteries matched")
-        return _listing(out, args, pairs, strat.describe(), report.iterations, deferred, tail)
+        return _listing(out, args, pairs, mode, iterations, deferred, tail)
     if deferred:
         result, code = "deferred", 2
-    elif (s, t) in report.relation:
+    elif (s, t) in relation:
         result, code = "related", 0
     else:
         result, code = "unrelated", 1
-    lines = [f"{result}: ({s}, {t})", f"iterations: {report.iterations}"]
-    _emit(out, args, result, not deferred, pairs, report.iterations, strat.describe(), lines)
+    lines = [f"{result}: ({s}, {t})", f"iterations: {iterations}"]
+    _emit(out, args, result, not deferred, pairs, iterations, mode, lines)
     return code
 
 
@@ -196,9 +202,10 @@ def _cmd_eval(args, g, out, engine, mode):
         unfold_bound=args.unfold,
         pi1_grid=args.grid,
         split_denominator=args.split_denom,
-        certify=args.certify,
     )
     res = engine(g, d, phi, opts)
+    if not args.certify:
+        res = replace(res, certified=False)
     notes = []
     if res.verdict == HOLDS and res.witness is not None:
         notes.append("witness: " + _render_witness(res.witness))

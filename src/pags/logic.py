@@ -14,7 +14,7 @@ exact semantics; `unknown` means the bounded search was exhausted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -73,7 +73,6 @@ class EvalOptions:
     unfold_bound: int = 4
     pi1_grid: int = 2
     split_denominator: int = 6
-    certify: bool = True
 
     def __post_init__(self):
         if self.unfold_bound < 0:
@@ -712,12 +711,9 @@ def evaluate(g, d: Distribution, phi, opts: EvalOptions = None) -> EvalResult:
     if phi.free:
         raise FormulaError("formula must be closed")
     try:
-        result = Evaluator(g, opts).eval(d, phi)
+        return Evaluator(g, opts).eval(d, phi)
     except RecursionError:
         raise FormulaError("formula is nested too deeply") from None
-    if not opts.certify and result.certified:
-        return replace(result, certified=False)
-    return result
 
 
 def split_check(g, d: Distribution, parts, opts: EvalOptions = None) -> EvalResult:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import replace
 from fractions import Fraction
 
 from .formula import (
@@ -176,8 +175,7 @@ def brute_eval(g, d: Distribution, phi, opts: EvalOptions = None, budget: int = 
     Splits, interpolation weights and the player-1 lottery all range over
     the grids in ``opts``; universal responses range over pure actions.
     `holds` answers are certified only on the literal/boolean fragment,
-    everything else is verdict-only; ``opts.certify`` off drops every
-    certificate, as in ``evaluate``.
+    everything else is verdict-only.
     """
     opts = opts or EvalOptions()
     counter = [0]
@@ -296,5 +294,4 @@ def brute_eval(g, d: Distribution, phi, opts: EvalOptions = None, budget: int = 
             return EvalResult(UNKNOWN, False, bound_used=opts.unfold_bound)
         raise TypeError(f"not a formula node: {psi!r}")
 
-    res = ev(d, phi)
-    return res if opts.certify else replace(res, certified=False)
+    return ev(d, phi)

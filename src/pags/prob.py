@@ -463,10 +463,8 @@ def lp_feasible(p: LinearProblem) -> Optional[list]:
                 cur, best = b * best_a, best_b * a  # b/a against best_b/best_a
                 if pr < 0 or cur < best or (cur == best and basis[i] < basis[pr]):
                     pr, best_a, best_b = i, a, b
-        if pr < 0:
-            # Unbounded in phase 1 cannot happen (objective bounded below by 0),
-            # but guard anyway.
-            return None
+        if pr < 0:  # unreachable (phase 1 is bounded below by 0); never read as infeasible
+            raise RuntimeError("phase 1 of the simplex is unbounded")
         prow = rows[pr]
         for i, row in enumerate(rows):
             if i != pr and pc in row:

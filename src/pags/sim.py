@@ -5,8 +5,9 @@ The existential side of the step condition (find a player-1 mixed action at
 the simulating state whose successor set Smyth-dominates) is decided exactly
 by one rational LP per candidate lottery of the universal side. The universal
 side ranges over an infinite simplex, so it is resolved by a strategy: pure
-lotteries only, a rational grid, or export of the exact condition to SMT-LIB
-for an external solver.
+lotteries only, or a rational grid. ``export_smt_scripts`` instead writes the
+exact condition of each label-equal pair as SMT-LIB for an external solver,
+and decides nothing.
 """
 
 from __future__ import annotations
@@ -29,24 +30,23 @@ from .prob import (
 
 PURE = "pure"
 GRID = "grid"
-SMT_EXPORT = "smt"
 
 
 @dataclass(frozen=True)
 class QuantStrategy:
-    """Resolution of the universal mixed-action quantifier."""
+    """Resolution of the universal mixed-action quantifier: the grid-``k``
+    lotteries over player-1 actions, ``k = 1`` (each action alone) for pure."""
 
     kind: str
     k: int = 1
-    directory: str = ""
 
     def __post_init__(self):
-        if self.kind not in (PURE, GRID, SMT_EXPORT):
+        if self.kind not in (PURE, GRID):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if self.kind == PURE and self.k != 1:
+            raise ValueError(f"pure strategy takes k = 1, got {self.k}")
         if self.kind == GRID and self.k < 1:
             raise ValueError("grid size must be at least 1")
-        if self.kind == SMT_EXPORT and not self.directory:
-            raise ValueError("smt export needs a target directory")
 
     @classmethod
     def pure(cls) -> "QuantStrategy":
@@ -56,16 +56,8 @@ class QuantStrategy:
     def grid(cls, k: int) -> "QuantStrategy":
         return cls(GRID, k=k)
 
-    @classmethod
-    def smt_export(cls, directory: str) -> "QuantStrategy":
-        return cls(SMT_EXPORT, directory=directory)
-
     def describe(self) -> str:
-        if self.kind == GRID:
-            return f"grid={self.k}"
-        if self.kind == SMT_EXPORT:
-            return f"smt={self.directory}"
-        return "pure"
+        return f"grid={self.k}" if self.kind == GRID else "pure"
 
 
 @dataclass(frozen=True)
@@ -75,15 +67,12 @@ class SimReport:
     ``witnesses`` maps each surviving pair to one (lottery, response) entry
     per tested universal lottery: a step-LP vertex for a pair of distinct
     states, the lottery itself (the copy strategy) for a pair ``(s, s)``.
-    ``deferred`` lists pairs whose condition was exported rather than
-    decided.
     """
 
     relation: Relation
     iterations: int
     strategy: QuantStrategy
     witnesses: dict
-    deferred: tuple = ()
 
 
 def initial_relation(g: GameStructure) -> Relation:
@@ -233,18 +222,11 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     return None if lottery is None else MixedAction({t: lottery}, 1)
 
 
-def _file_part(name: str) -> str:
-    """Percent-encode a state name, ``_`` included, so ``s_t`` file names of
-    distinct pairs differ."""
-    return quote(name, safe="").replace("_", "%5F")
-
-
 def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     """One approximant step against the frozen relation ``r``.
 
     Returns (relation, witnesses). A pair survives iff every tested
-    universal lottery has an exact existential response; under SMT export
-    nothing is decided, scripts are written and every pair survives.
+    universal lottery has an exact existential response.
     ``data`` carries step LPs and copy entries across ``pa_simulation`` rounds.
 
     If ``r`` holds every ``(u, u)``, as it does in ``pa_simulation``, each
@@ -253,13 +235,6 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     ``b`` and ``w[(u, u)] = theta_s(p, b)[u]``, which meets every row of
     the step LP. Otherwise every pair goes through ``exists_pi2_check``.
     """
-    if strat.kind == SMT_EXPORT:
-        os.makedirs(strat.directory, exist_ok=True)
-        for s, t in r:
-            path = os.path.join(strat.directory, f"{_file_part(s)}_{_file_part(t)}.smt2")
-            with open(path, "w") as fh:
-                fh.write(export_smt(g, s, t, r))
-        return r, {}
     lotteries = grid_lotteries(g.acts1, strat.k)  # k = 1 for pure: each action alone
     if data is None:
         data = _StepData(g)
@@ -296,10 +271,9 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
 def pa_simulation(g: GameStructure, strat: QuantStrategy) -> SimReport:
     """Iterate refinement from the label-equal relation to its fixpoint.
 
-    ``refine_once`` keeps only pairs of ``r`` (under SMT export it returns
-    ``r`` itself), so every round either returns ``r`` and ends the loop or
-    removes at least one pair of a relation that starts with at most |S|^2:
-    the loop ends within |S|^2 + 1 rounds. With pure or grid strategies the
+    ``refine_once`` keeps only pairs of ``r``, so every round either returns
+    ``r`` and ends the loop or removes at least one pair of a relation that
+    starts with at most |S|^2: the loop ends within |S|^2 + 1 rounds. The
     result over-approximates the simulation (coarser universal test sets
     remove fewer pairs).
     """
@@ -312,8 +286,7 @@ def pa_simulation(g: GameStructure, strat: QuantStrategy) -> SimReport:
         if nxt == r:
             break
         r = nxt
-    deferred = tuple(r) if strat.kind == SMT_EXPORT else ()
-    return SimReport(r, iterations, strat, witnesses, deferred)
+    return SimReport(r, iterations, strat, witnesses)
 
 
 def a_simulation(g: GameStructure) -> Relation:
@@ -416,3 +389,25 @@ def export_smt(g: GameStructure, s, t, r: Relation) -> str:
         "(check-sat)",
     ]
     return "\n".join(lines) + "\n"
+
+
+def _file_part(name: str) -> str:
+    """Percent-encode a state name, ``_`` included, so ``s_t`` file names of
+    distinct pairs differ."""
+    return quote(name, safe="").replace("_", "%5F")
+
+
+def export_smt_scripts(g: GameStructure, directory: str) -> Relation:
+    """Write ``export_smt`` of each pair of ``initial_relation(g)`` to
+    ``directory/<s>_<t>.smt2``, creating the directory, and return that
+    relation. Nothing is decided: each script states one pair's exact step
+    condition for an external solver."""
+    if not directory:
+        raise ValueError("smt export needs a target directory")
+    r = initial_relation(g)
+    os.makedirs(directory, exist_ok=True)
+    for s, t in r:
+        path = os.path.join(directory, f"{_file_part(s)}_{_file_part(t)}.smt2")
+        with open(path, "w") as fh:
+            fh.write(export_smt(g, s, t, r))
+    return r

@@ -1,4 +1,5 @@
-"""Shared test helpers: fixture access and seeded random generators."""
+"""Shared test helpers: fixture access, seeded random generators and a small
+reachability model."""
 
 import random
 from fractions import Fraction
@@ -9,6 +10,23 @@ import pytest
 from pags import load_fixture_model
 from pags.model import GameStructure
 from pags.prob import Distribution, LinearProblem, Relation
+
+
+# s can step to the labelled goal; t and u, label-equal to s, never can.
+REACH = """model reach
+states: s t u goal    init: s
+props: g
+label goal: g
+actions1: stay go
+actions2: b
+trans s (stay,b): s=1
+trans s (go,b): goal=1
+trans t (stay,b): t=1
+trans t (go,b): t=1
+trans u (stay,b): u=1
+trans u (go,b): t=1
+absorb goal
+"""
 
 
 def random_distribution(rng: random.Random, states, max_den=12) -> Distribution:

@@ -12,7 +12,10 @@ import pytest
 import pags
 from pags import fixture_path
 from pags.cli import run
-from pags.logic import ENFORCE_BUDGET, SPLIT_BUDGET
+from pags.formula import parse_formula
+from pags.logic import ENFORCE_BUDGET, SPLIT_BUDGET, evaluate
+from pags.oracle import brute_eval
+from pags.prob import parse_distribution
 
 RPS = str(fixture_path("rps.pgs"))
 HOST = str(fixture_path("lifthost.pgs"))
@@ -310,6 +313,16 @@ def test_oracle_eval_honours_no_certify():
         assert code == 0 and json.loads(out)["certified"] is True
         code, out, _ = invoke(prefix + argv + ["--no-certify"])
         assert code == 0 and json.loads(out)["certified"] is False
+
+
+def test_no_certify_masks_the_printed_report(rps):
+    """`--no-certify` clears the printed flag; the engines still certify."""
+    argv = ["--model", RPS, "--dist", "s1:1", "--formula", "win1", "--no-certify"]
+    assert invoke(["eval"] + argv) == (
+        0, 'verdict: holds\ncertified: false\nwitness: {"exact": true}\n', "")
+    assert invoke(["oracle", "eval"] + argv) == (0, "verdict: holds\ncertified: false\n", "")
+    d, phi = parse_distribution("s1:1"), parse_formula("win1")
+    assert evaluate(rps, d, phi).certified and brute_eval(rps, d, phi).certified
 
 
 def test_closed_stdout_is_one_error_line():

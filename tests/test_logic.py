@@ -338,12 +338,6 @@ def test_nu_fails_certified(halving):
     assert r.verdict == "fails" and r.certified
 
 
-def test_certify_flag_masks(rps):
-    d = parse_distribution("s1:1")
-    r = evaluate(rps, d, parse_formula("win1"), EvalOptions(certify=False))
-    assert r.verdict == "holds" and not r.certified
-
-
 def test_open_formula_rejected(rps):
     from pags.logic import evaluate as ev
     with pytest.raises(FormulaError):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from unittest import mock
 
-from conftest import random_model, random_relation, standard_form
+from conftest import REACH, random_model, random_relation, standard_form
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -52,7 +52,7 @@ from pags.logic import (
     evaluate,
     logic_preorder,
 )
-from pags.model import GameStructure
+from pags.model import GameStructure, parse_model
 from pags.oracle import OracleBudgetError, brute_eval, brute_lift, brute_sim
 from pags.prob import (
     Distribution,
@@ -662,10 +662,13 @@ def eval_instances(draw):
 
 @settings(SETTINGS, max_examples=100)
 @given(eval_instances())
+@example((parse_model(REACH), Distribution.point("s"), parse_formula("<1> g")))
 def test_certified_fails_are_never_contradicted_by_brute_eval(instance):
     """Beyond the flat fragment (`<1>`, fixpoints): every `fails` inside the
     evaluator is certified, and no certified `fails` stands where the
-    oracle's own grid search finds that the formula holds."""
+    oracle's own grid search finds that the formula holds. In the example,
+    player 1's first lottery (`stay`) misses the goal and `go` reaches it:
+    a `<1>` that took one failing lottery for a refutation would fail."""
     g, d, phi = instance
     result = evaluate(g, d, phi, BOUNDED)
     if result.verdict != "fails":

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import REACH
 
 from pags import fixture_text
 from pags.model import ModelError, parse_model
@@ -15,6 +16,7 @@ from pags.sim import (
     a_simulation,
     exists_pi2_check,
     export_smt,
+    export_smt_scripts,
     initial_relation,
     pa_simulation,
     refine_once,
@@ -153,10 +155,13 @@ def test_pa_simulation_records_witnesses(dup):
     assert entry and all(pi2.owner == 1 for _, pi2 in entry)
 
 
-def test_smt_export_strategy_defers(tmp_path, rps):
-    rep = pa_simulation(rps, QuantStrategy.smt_export(str(tmp_path)))
-    assert rep.deferred == tuple(rep.relation)
-    assert (tmp_path / "s0_s0.smt2").exists()
+def test_export_smt_scripts_writes_one_script_per_initial_pair(tmp_path, rps):
+    directory = tmp_path / "smt"  # created by the export
+    r = export_smt_scripts(rps, str(directory))
+    assert r == initial_relation(rps)
+    assert sorted(f.name for f in directory.iterdir()) == [
+        "s0_s0.smt2", "s1_s1.smt2", "s2_s2.smt2"]
+    assert (directory / "s1_s1.smt2").read_text() == export_smt(rps, "s1", "s1", r)
 
 
 def test_export_smt_variable_count(rps):
@@ -181,23 +186,6 @@ def test_a_simulation_single(single):
     assert a_simulation(single) == Relation([("s0", "s0")])
 
 
-# s can step to the labelled goal; t and u, label-equal to s, never can.
-REACH = """model reach
-states: s t u goal    init: s
-props: g
-label goal: g
-actions1: stay go
-actions2: b
-trans s (stay,b): s=1
-trans s (go,b): goal=1
-trans t (stay,b): t=1
-trans t (go,b): t=1
-trans u (stay,b): u=1
-trans u (go,b): t=1
-absorb goal
-"""
-
-
 def test_a_simulation_removes_pairs_that_cannot_follow():
     g = parse_model(REACH)
     rel = a_simulation(g)
@@ -209,11 +197,16 @@ def test_a_simulation_removes_pairs_that_cannot_follow():
     assert pa_simulation(g, QuantStrategy.pure()).relation == rel == brute_sim(g, 1)
 
 
-def test_strategy_validation():
+def test_strategy_validation(rps):
     with pytest.raises(ValueError):
         QuantStrategy.grid(0)
-    with pytest.raises(ValueError):
-        QuantStrategy.smt_export("")
+    for k in (3, 0):
+        with pytest.raises(ValueError, match="pure strategy takes k = 1"):
+            QuantStrategy("pure", k=k)
+    with pytest.raises(ValueError, match="unknown strategy kind"):
+        QuantStrategy("smt")
+    with pytest.raises(ValueError, match="smt export needs a target directory"):
+        export_smt_scripts(rps, "")
 
 
 def _unlabeled_absorbing(states, acts2):
@@ -233,8 +226,8 @@ def test_export_smt_symbols_distinct_when_names_contain_underscores():
 
 def test_smt_export_file_names_distinct_when_names_contain_underscores(tmp_path):
     g = _unlabeled_absorbing("a a_a", "b")
-    rep = pa_simulation(g, QuantStrategy.smt_export(str(tmp_path)))
-    assert len(list(tmp_path.iterdir())) == len(rep.deferred) == 4
+    r = export_smt_scripts(g, str(tmp_path))
+    assert len(list(tmp_path.iterdir())) == len(r) == 4
 
 
 # Under response x every action at t puts mass on g1, which no successor of
