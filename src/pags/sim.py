@@ -3,11 +3,19 @@ probabilistic alternating simulation via approximant refinement.
 
 The existential side of the step condition (find a player-1 mixed action at
 the simulating state whose successor set Smyth-dominates) is decided exactly
-by one rational LP per candidate lottery of the universal side. The universal
-side ranges over an infinite simplex, so it is resolved by a strategy: pure
-lotteries only, or a rational grid. ``export_smt_scripts`` instead writes the
-exact condition of each label-equal pair as SMT-LIB for an external solver,
-and decides nothing.
+for each candidate lottery of the universal side. The universal side ranges
+over an infinite simplex, so it is resolved by a strategy: pure lotteries
+only, or a rational grid.
+
+A decision round settles each condition against the frozen relation by the
+cheapest exact test: the copy strategy for a pair ``(s, s)``, an integer
+max-flow for a pure answer at ``t`` with one pure response at ``s`` per
+``b`` (which also refutes when every successor is a point), and the
+rational step LP only where the flow is inconclusive. Witnesses are the
+step LP's vertices against the final relation, solved once the rounds
+reach their fixpoint. ``export_smt_scripts`` instead writes the exact
+condition of each label-equal pair as SMT-LIB for an external solver, and
+decides nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ from .prob import (
     LinearProblem,
     MixedAction,
     Relation,
-    combine_dists,
+    _hall_cut,
+    combine_ints,
+    format_rational,
     grid_lotteries,
     lp_feasible,
 )
@@ -99,29 +109,43 @@ def _marginal_rows(dists):
     return states, rows
 
 
+def _integer_lottery(lottery) -> tuple:
+    """``(den, weights)``: the positive ``Fraction`` masses of ``lottery`` as
+    integers over their least common denominator, sorted by action."""
+    den = 1
+    for p in lottery.values():
+        if den % p.denominator:
+            den = lcm(den, p.denominator)
+    weights = sorted((a, p.numerator * (den // p.denominator)) for a, p in lottery.items())
+    return den, tuple(weights)
+
+
 class _StepData:
-    """Step-LP inputs that depend on the model alone, the answers of the
-    step LPs solved so far and the copy entries, for one ``pa_simulation`` call.
+    """Step-LP inputs that depend on the model alone, the step-condition
+    answers so far and the copy entries, for one ``pa_simulation`` call.
 
     Each side of the step LP is kept with its successors: the left with the
     successors of ``s`` under the lottery, one per response, and the right
     with the successors of ``t``, one per action pair. ``Distribution``
     equality compares them by value, so states with equal rows, such as
-    mirror copies, share their LPs.
+    mirror copies, share their answers.
     """
 
     def __init__(self, g: GameStructure):
         self.g = g
-        self.left = {}  # (s, lottery) -> (successors, states, rows)
+        self.left = {}  # (s, den, weights) -> (successors, states, rows)
         self.right = {}  # t -> (successors, support over all b, [(states, rows)] per b)
         self.solved = {}  # (right successors, left successors, related pairs) -> lottery at t or None
+        self.decided = {}  # the same keys -> whether the step condition holds
         self.copies = {}  # grid k -> s -> the copy-strategy witness entry of (s, s)
 
     def left_side(self, s, lottery):
-        key = (s, tuple(sorted(lottery.items())))
+        """The left side under ``lottery``, an ``_integer_lottery`` pair."""
+        key = (s, *lottery)
         if key not in self.left:
+            den, weights = lottery
             succ = tuple(
-                combine_dists((p, self.g.step(s, a, b2)) for a, p in lottery.items())
+                combine_ints([(c, self.g.step(s, a, b2)) for a, c in weights], den)
                 for b2 in self.g.acts2
             )
             self.left[key] = (succ, *_marginal_rows(succ))
@@ -135,6 +159,22 @@ class _StepData:
             support = sorted(set().union(*[v for v, _ in per_b]))
             self.right[t] = (succ, support, per_b)
         return self.right[t]
+
+    def condition(self, s, t, lottery, r):
+        """The step condition of ``(s, t)`` under ``lottery`` against ``r``:
+        its memo key ``(right successors, left successors, related pairs)``,
+        with ``r`` restricted to (left support x right support), and the
+        inputs of ``_solve_step``."""
+        left, left_states, left_rows = self.left_side(s, lottery)
+        right, support, per_b = self.right_side(t)
+        related = tuple((u, v) for u in left_states for v in support if (u, v) in r)
+        return (right, left, related), (left_states, left_rows, per_b, related)
+
+    def solve(self, key, inputs):
+        """The step LP's lottery at ``t`` for ``key``, solved once."""
+        if key not in self.solved:
+            self.solved[key] = _solve_step(self.g, *inputs)
+        return self.solved[key]
 
 
 def _solve_step(g: GameStructure, left_states, left_rows, per_b, related):
@@ -184,6 +224,56 @@ def _solve_step(g: GameStructure, left_states, left_rows, per_b, related):
     return {a: sol[j] for j, a in enumerate(g.acts1) if sol[j] > 0}
 
 
+def _lifts(d, th, r: Relation) -> bool:
+    """Whether ``d`` is lift-related to ``th`` under ``r``: the integer
+    max-flow of ``lift_check``, without its witness LP. Onto a point, the
+    flow saturates iff every left state is related to it."""
+    if len(th.nums) == 1:
+        (v,) = th.nums
+        return all((u, v) in r for u in d.nums)
+    adj = {u: [v for v in r.image(u) if v in th.nums] for u in sorted(d.nums)}
+    return _hall_cut(d, th, adj) is None
+
+
+def _flow_verdict(left, right, r: Relation):
+    """The step condition decided by integer max-flow, where that is exact.
+
+    ``left`` holds the successors of ``s`` under the lottery, one per
+    response ``b2``, and ``right`` the successors of ``t``, one row per
+    ``b`` with one entry per action ``a``. True when some ``a`` has, under
+    each ``b``, a ``b2`` whose left successor lifts onto ``step(t, a, b)``
+    over ``r``: ``x = a``, ``lam = b2`` and ``w`` the flow are a feasible
+    point of the step LP.
+
+    False when there is no such ``a`` and every successor on both sides is
+    a point. Then the flow test is exact: a feasible ``x`` puts mass on
+    some ``a``, so under each ``b`` the point ``step(t, a, b)`` gets mass,
+    which ``w`` draws from some left state ``u`` related to it; ``u`` gets
+    its mass from a ``b2`` with ``lam_b2 > 0``, whose successor is the point
+    ``u`` and so lifts onto ``step(t, a, b)``. None otherwise: a mixed
+    ``x`` or ``lam`` may succeed where every pure choice fails.
+    """
+    for successors in zip(*right):  # the successors of t under one a, per b
+        if all(any(_lifts(d, th, r) for d in left) for th in successors):
+            return True
+    if all(d.is_point() for d in left) and all(th.is_point() for row in right for th in row):
+        return False
+    return None
+
+
+def _holds(s, t, lottery, r: Relation, data: _StepData) -> bool:
+    """Whether the step condition of ``(s, t)`` under ``lottery`` holds
+    against ``r``: by the flow where it decides, else by the step LP."""
+    key, inputs = data.condition(s, t, lottery, r)
+    hit = data.decided.get(key)
+    if hit is None:
+        hit = _flow_verdict(key[1], key[0], r)
+        if hit is None:
+            hit = data.solve(key, inputs) is not None
+        data.decided[key] = hit
+    return hit
+
+
 def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     """Exact search for a player-1 lottery at ``t`` matching ``pi1_at_s``.
 
@@ -211,82 +301,112 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
         raise ValueError("lottery does not sum to 1")
     if data is None:
         data = _StepData(g)
-    left, left_states, left_rows = data.left_side(s, pi1_at_s)
-    right, support, per_b = data.right_side(t)
-    related = tuple((u, v) for u in left_states for v in support if (u, v) in r)
-    key = (right, left, related)
-    if key in data.solved:
-        lottery = data.solved[key]
-    else:
-        lottery = data.solved[key] = _solve_step(g, left_states, left_rows, per_b, related)
+    lottery = data.solve(*data.condition(s, t, _integer_lottery(pi1_at_s), r))
     return None if lottery is None else MixedAction({t: lottery}, 1)
+
+
+def _decide_round(g: GameStructure, r: Relation, lotteries, data: _StepData) -> Relation:
+    """The pairs of ``r`` whose step condition holds against the frozen ``r``
+    for each of ``lotteries`` (``_integer_lottery`` pairs).
+
+    If ``r`` holds every ``(u, u)``, as it does in ``pa_simulation``, each
+    ``(s, s)`` is kept by the copy strategy: answer a lottery ``p`` with
+    ``x = p``, and for each response ``b`` put ``lam`` on ``b`` and
+    ``w[(u, u)] = theta_s(p, b)[u]``, which meets every row of the step LP.
+    Every other condition goes to ``_holds``.
+    """
+    copy = all((u, u) in r for u in g.states)
+    return Relation(
+        (s, t) for s, t in r
+        if (copy and s == t) or all(_holds(s, t, lot, r, data) for lot in lotteries)
+    )
+
+
+def _witnesses(g: GameStructure, kept: Relation, r: Relation, k: int, data: _StepData) -> dict:
+    """One (lottery, response) entry per grid-``k`` lottery for each pair
+    of ``kept``, which a decision round against ``r`` kept: the copy entry
+    for ``(s, s)`` when ``r`` holds the diagonal, else the step LP's vertex
+    against ``r``. A step LP that refutes a kept pair raises ``ValueError``:
+    the flow and the LP disagree."""
+    lotteries = grid_lotteries(g.acts1, k)  # k = 1 for pure: each action alone
+    copy = all((u, u) in r for u in g.states)
+    if copy and k not in data.copies:
+        # Every (s, s) is in r, so every state's entry is built, with each
+        # grid lottery checked once.
+        per_lot = [MixedAction.at_each(g.states, lot, 1) for lot in lotteries]
+        data.copies[k] = {
+            s: [(dict(lot), actions[i]) for lot, actions in zip(lotteries, per_lot)]
+            for i, s in enumerate(g.states)
+        }
+    witnesses = {}
+    for s, t in kept:
+        if copy and s == t:
+            witnesses[(s, t)] = data.copies[k][s]
+            continue
+        entry = []
+        for lot in lotteries:
+            pi2 = exists_pi2_check(g, s, t, lot, r, data)
+            if pi2 is None:
+                shown = ",".join(f"{a}:{format_rational(p)}" for a, p in lot.items())
+                raise ValueError(
+                    f"the step LP refutes ({s}, {t}) under the lottery {shown}, "
+                    "which the decision round kept"
+                )
+            entry.append((dict(lot), pi2))
+        witnesses[(s, t)] = entry
+    return witnesses
 
 
 def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     """One approximant step against the frozen relation ``r``.
 
-    Returns (relation, witnesses). A pair survives iff every tested
-    universal lottery has an exact existential response.
-    ``data`` carries step LPs and copy entries across ``pa_simulation`` rounds.
-
-    If ``r`` holds every ``(u, u)``, as it does in ``pa_simulation``, each
-    ``(s, s)`` survives without an LP, by the copy strategy: answer a
-    lottery ``p`` with ``x = p``, and for each response ``b`` put ``lam`` on
-    ``b`` and ``w[(u, u)] = theta_s(p, b)[u]``, which meets every row of
-    the step LP. Otherwise every pair goes through ``exists_pi2_check``.
+    Returns (relation, witnesses): one decision round (``_decide_round``),
+    where a pair survives iff every tested universal lottery has an exact
+    existential response, and the witnesses of the pairs it keeps, step-LP
+    vertices against ``r`` (copies for ``(s, s)`` when ``r`` holds the
+    diagonal). ``data`` carries answers and copy entries across rounds.
     """
-    lotteries = grid_lotteries(g.acts1, strat.k)  # k = 1 for pure: each action alone
     if data is None:
         data = _StepData(g)
-    copy = all((u, u) in r for u in g.states)
-    if copy and strat.k not in data.copies:
-        # Every (s, s) is in r, so every state's entry is built, with each
-        # grid lottery checked once.
-        per_lot = [MixedAction.at_each(g.states, lot, 1) for lot in lotteries]
-        data.copies[strat.k] = {
-            s: [(dict(lot), actions[i]) for lot, actions in zip(lotteries, per_lot)]
-            for i, s in enumerate(g.states)
-        }
-    kept = []
-    witnesses = {}
-    for s, t in r:
-        if copy and s == t:
-            kept.append((s, t))
-            witnesses[(s, t)] = data.copies[strat.k][s]
-            continue
-        entry = []
-        ok = True
-        for lot in lotteries:
-            pi2 = exists_pi2_check(g, s, t, lot, r, data)
-            if pi2 is None:
-                ok = False
-                break
-            entry.append((dict(lot), pi2))
-        if ok:
-            kept.append((s, t))
-            witnesses[(s, t)] = entry
-    return Relation(kept), witnesses
+    lotteries = [_integer_lottery(lot) for lot in grid_lotteries(g.acts1, strat.k)]
+    kept = _decide_round(g, r, lotteries, data)
+    return kept, _witnesses(g, kept, r, strat.k, data)
+
+
+def _fixpoint(g: GameStructure, strat: QuantStrategy, data: _StepData):
+    """Decision rounds from the label-equal relation to their fixpoint:
+    the relation and the number of rounds.
+
+    ``_decide_round`` keeps only pairs of ``r``, so every round either
+    returns ``r`` and ends the loop or removes at least one pair of a
+    relation that starts with at most |S|^2: the loop ends within
+    |S|^2 + 1 rounds.
+    """
+    lotteries = [_integer_lottery(lot) for lot in grid_lotteries(g.acts1, strat.k)]
+    r = initial_relation(g)
+    iterations = 0
+    while True:
+        nxt = _decide_round(g, r, lotteries, data)
+        iterations += 1
+        if nxt == r:
+            return r, iterations
+        r = nxt
 
 
 def pa_simulation(g: GameStructure, strat: QuantStrategy) -> SimReport:
     """Iterate refinement from the label-equal relation to its fixpoint.
 
-    ``refine_once`` keeps only pairs of ``r``, so every round either returns
-    ``r`` and ends the loop or removes at least one pair of a relation that
-    starts with at most |S|^2: the loop ends within |S|^2 + 1 rounds. The
-    result over-approximates the simulation (coarser universal test sets
-    remove fewer pairs).
+    Decision rounds (``_decide_round``) run to the fixpoint; they solve a
+    step LP only where the flow test leaves a condition open. The witnesses
+    are then taken once, for the final relation against itself: the step
+    LP's vertex for each pair of distinct states and tested lottery, as in
+    the round that found the fixpoint, and the copy entry for ``(s, s)``.
+    The result over-approximates the simulation (coarser universal test
+    sets remove fewer pairs).
     """
-    r = initial_relation(g)
     data = _StepData(g)
-    iterations = 0
-    while True:
-        nxt, witnesses = refine_once(g, r, strat, data)
-        iterations += 1
-        if nxt == r:
-            break
-        r = nxt
-    return SimReport(r, iterations, strat, witnesses)
+    r, iterations = _fixpoint(g, strat, data)
+    return SimReport(r, iterations, strat, _witnesses(g, r, r, strat.k, data))
 
 
 def a_simulation(g: GameStructure) -> Relation:
@@ -302,10 +422,14 @@ def a_simulation(g: GameStructure) -> Relation:
     meets it is a feasible x (lam on the b2 found, weight 1 on that pair).
     Both start from ``initial_relation`` and refine monotonically, so the
     greatest fixpoints agree.
+
+    Every successor is a point and every tested lottery is pure, so the
+    flow test of ``_flow_verdict`` decides each condition exactly and the
+    decision rounds solve no LP; no witnesses are built.
     """
     if not g.is_deterministic():
         raise ModelError("model is probabilistic")
-    return pa_simulation(g, QuantStrategy.pure()).relation
+    return _fixpoint(g, QuantStrategy.pure(), _StepData(g))[0]
 
 
 def _smt_rat(x: Fraction) -> str:

@@ -1,14 +1,15 @@
-"""Property tests: the exact LP core, lifting, simulation (its copy
-strategy for reflexive pairs against the step LP; alternating simulation
-against the oracle; the logic preorder inside its approximant), the flat
-formula encoder, the strategy modality's successors and the bounded
-evaluator's certified verdicts against their oracles, the integer
-distribution sum against a plain ``Fraction`` sum, the interned formula
-nodes against plain recursion, the evaluator's successor cache against
-rebuilding every successor, its `<1>`, which evaluates one choice per class
-of a blind player's choices, against scanning every choice, its `&` and
-`|`, which stop at their deciding child, against evaluating every child, and
-its results against their distribution's entry order."""
+"""Property tests: the exact LP core, lifting, simulation (its copy strategy
+for reflexive pairs and its flow decision against the step LP;
+alternating simulation against the oracle, with no LP; the logic preorder
+inside its approximant), the flat formula encoder, the strategy
+modality's successors and the bounded evaluator's certified verdicts
+against their oracles, the integer distribution sum against a plain
+``Fraction`` sum, the interned formula nodes against plain recursion, the
+evaluator's successor cache against rebuilding every successor, its
+`<1>`, which evaluates one choice per class of a blind player's choices,
+against scanning every choice, its `&` and `|`, which stop at their
+deciding child, against evaluating every child, and its results against
+their distribution's entry order."""
 
 import itertools
 import random
@@ -75,6 +76,8 @@ from pags.sim import (
     QuantStrategy,
     SimReport,
     _StepData,
+    _flow_verdict,
+    _integer_lottery,
     a_simulation,
     exists_pi2_check,
     initial_relation,
@@ -350,8 +353,41 @@ def deterministic_games(draw):
 @given(deterministic_games())
 def test_a_simulation_matches_brute_sim_on_deterministic_models(g):
     """Alternating simulation, computed as the pure strategy's PA-simulation,
-    against the oracle's pure-grid enumeration of lotteries and responses."""
-    assert a_simulation(g) == brute_sim(g, 1)
+    against the oracle's pure-grid enumeration of lotteries and responses.
+    Every successor is a point, so the flow decides each condition and no
+    LP is solved."""
+    with mock.patch("pags.sim.lp_feasible", side_effect=AssertionError("an LP was solved")):
+        relation = a_simulation(g)
+    assert relation == brute_sim(g, 1)
+
+
+def test_flow_verdict_agrees_with_the_step_lp():
+    """On seeded models, probabilistic and deterministic, under the pure
+    and grid-2 strategies and at every round's relation: a condition the
+    flow certifies has a feasible step LP, and one it refutes (every
+    successor a point) has none. Both verdicts occur."""
+    seen = {True: 0, False: 0}
+    for seed in range(24):
+        rng = random.Random(seed)
+        g = random_model(rng, n_states=rng.choice([3, 4]), n_props=1, point_rows=seed % 2 == 1)
+        for k in (1, 2):
+            lotteries = grid_lotteries(g.acts1, k)
+            r = initial_relation(g)
+            while True:
+                data = _StepData(g)
+                for s, t in r:
+                    for lot in lotteries:
+                        key, _ = data.condition(s, t, _integer_lottery(lot), r)
+                        verdict = _flow_verdict(key[1], key[0], r)
+                        if verdict is not None:
+                            seen[verdict] += 1
+                            pi2 = exists_pi2_check(g, s, t, lot, r)
+                            assert (pi2 is not None) == verdict, (seed, k, s, t, lot)
+                nxt = refine_once(g, r, QuantStrategy.grid(k), data)[0]
+                if nxt == r:
+                    break
+                r = nxt
+    assert min(seen.values()) > 0, seen
 
 
 @settings(SETTINGS, max_examples=14)

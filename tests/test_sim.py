@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import REACH
 
-from pags import fixture_text
+from pags import fixture_text, sim
 from pags.model import ModelError, parse_model
 from pags.oracle import brute_sim
 from pags.prob import Relation, lp_feasible
@@ -153,6 +153,27 @@ def test_pa_simulation_records_witnesses(dup):
     rep = pa_simulation(dup, QuantStrategy.grid(2))
     entry = rep.witnesses[("u", "u2")]
     assert entry and all(pi2.owner == 1 for _, pi2 in entry)
+
+
+def test_witness_pass_raises_when_the_step_lp_refutes_a_kept_pair(monkeypatch):
+    """The witnesses are solved after the decision rounds; a step LP that
+    refutes a pair those rounds kept is an error, never a dropped pair.
+    REACH is deterministic, so its rounds decide by the flow alone, and the
+    LP answers None only once the witness pass has begun."""
+    g = parse_model(REACH)
+    real_solve, real_witnesses = sim._solve_step, sim._witnesses
+    final = []
+
+    def witnesses(*args):
+        final.append(True)
+        return real_witnesses(*args)
+
+    monkeypatch.setattr(sim, "_witnesses", witnesses)
+    monkeypatch.setattr(sim, "_solve_step", lambda *args: None if final else real_solve(*args))
+    with pytest.raises(ValueError, match=r"^the step LP refutes \(t, s\) under the lottery "
+                                         r"stay:1, which the decision round kept$"):
+        pa_simulation(g, QuantStrategy.pure())
+    assert final == [True]
 
 
 def test_export_smt_scripts_writes_one_script_per_initial_pair(tmp_path, rps):
