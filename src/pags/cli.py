@@ -163,12 +163,12 @@ def _cmd_sim(args, g, out):
         if "," not in args.pair:
             raise UsageError("--pair expects 's,t'")
         s, t = (_state(g, part.strip()) for part in args.pair.split(",", 1))
-    if deferred:  # one script per label-equal pair, reported as one undecided round
+    if deferred:  # one script per label-equal pair: the zeroth approximant, no round decided
         try:
             relation = export_smt_scripts(g, smt_dir)
         except OSError as e:
             raise UsageError(f"cannot write SMT scripts: {e}") from None
-        iterations, witnesses, mode = 1, {}, args.mode
+        iterations, witnesses, mode = 0, {}, args.mode
     else:
         report = pa_simulation(g, strat)
         relation, iterations, witnesses = report.relation, report.iterations, report.witnesses

@@ -148,6 +148,19 @@ def _blindness(g, s):
     )
 
 
+def _first_vertices(blind2, n_act):
+    """The first pure-response vertex of each class, 0 wherever player 2 is
+    blind (``blind2``, per support state), in full order, each with its rank
+    in the full order over all ``n_act`` responses per state."""
+    vertices = []
+    for sigma in itertools.product(*[(0,) if b2 else range(n_act) for b2 in blind2]):
+        rank = 0
+        for j in sigma:
+            rank = rank * n_act + j
+        vertices.append((rank, sigma))
+    return vertices
+
+
 class _SuccessorTable(_Memo):
     """One-step successors of single states: entry (s, i, j) is the
     successor of ``s`` under the i-th player-1 grid lottery and the j-th
@@ -343,9 +356,12 @@ class Evaluator:
         self._pool = None
         self._succ = _SuccessorTable(g, opts.pi1_grid)
         self._successors = {}  # (d, table entries in model order) -> successor
-        # state -> (player 1, player 2) blind; a closure over g, not a bound
-        # method, so that no cycle holds the Evaluator past its last use.
-        self._blind = _Memo(lambda s: _blindness(g, s))
+        # state -> (player 1, player 2) blind, and support states in model
+        # order -> `_first_vertices`; closures, not bound methods, so that no
+        # cycle holds the Evaluator past its last use.
+        blind = self._blind = _Memo(lambda s: _blindness(g, s))
+        n_act = len(g.acts2)
+        self._vertices = _Memo(lambda states: _first_vertices([blind[s][1] for s in states], n_act))
         self._built = 0  # successor requests made by _enforce, repeats included
         self._tried = 0  # per-state split candidates tried by _split_grid
 
@@ -602,33 +618,29 @@ class Evaluator:
         A combo or vertex that differs from an earlier one only at states
         where its player is blind (``_blindness``) makes the same successor
         keys, and so the same results, as the first of its class, which has
-        a 0 there; only firsts are evaluated. The product of per-state
-        representative lists yields each combo's first in full order, and a
-        first seen before was rejected: it is charged what its scan
-        requested. Skipped vertices are charged at their rank in the full
-        order, so ``ENFORCE_BUDGET`` counts the full scan's requests."""
+        a 0 there; only firsts are scanned, so the work is proportional to
+        the class representatives. The budget still counts the full scan's
+        requests. A skipped vertex is charged at its rank in the full order.
+        At a player-1-blind state the full order scans a block (lottery 0
+        there, every choice after it) and repeats it ``n_lot - 1`` times, to
+        the same requests and rejections; the repeats are charged in one
+        lump right after the block, where the full scan makes them, with no
+        evaluation in between."""
         g = self.g
         states = sorted(d.support(), key=self._order.get)
         lotteries = self._succ.lotteries
-        n_lot, n_act = len(lotteries), len(g.acts2)
-        blind = [self._blind[s] for s in states]
-        full = n_act ** len(states)
-        # The first vertex of each class, with its rank in the full order.
-        vertices = list(enumerate(itertools.product(range(n_act), repeat=len(states))))
-        mask = [b2 for _, b2 in blind]
-        if any(mask):
-            vertices = [v for v in vertices if not any(itertools.compress(v[1], mask))]
+        n_lot = len(lotteries)
+        blind1 = [self._blind[s][0] for s in states]
+        full = len(g.acts2) ** len(states)
+        vertices = self._vertices[tuple(states)]
         safe = body.convex
         # With a single player-1 action the candidate space is a point, so a
         # failing vertex refutes the modality; scan past unknown vertices for
         # one instead of stopping at the first that does not hold.
         refutable = len(g.acts1) == 1
-        costs = {}  # rejected representative -> requests its full scan made
-        for combo in itertools.product(*[[0] * n_lot if b1 else range(n_lot) for b1, _ in blind]):
-            cost = costs.get(combo)
-            if cost is not None:
-                self._charge(cost)
-                continue
+        spent = 0  # requests of the full scan charged so far
+        start = [0] * len(states)  # spent when each state's current block began
+        for combo in itertools.product(*[(0,) if b1 else range(n_lot) for b1 in blind1]):
             results = []
             rejected = False
             done = 0  # requests of this combo's full scan charged so far
@@ -663,7 +675,19 @@ class Evaluator:
                     "vertices": full,
                 }
                 return _holds(witness, safe and certified, bound)
-            costs[combo] = done
+            spent += done
+            # Charge the repeats of the blind blocks this combo ends,
+            # innermost first: a block ends when every later state is at its
+            # last lottery. The scan then moves to the next lottery at state
+            # k, and the blocks from k on start anew.
+            for k in reversed(range(len(states))):
+                if blind1[k]:
+                    lump = (n_lot - 1) * (spent - start[k])
+                    self._charge(lump)
+                    spent += lump
+                elif combo[k] < n_lot - 1:
+                    start[k:] = [spent] * (len(states) - k)
+                    break
         return _unknown()
 
     # -- fixpoints ----------------------------------------------------------

@@ -410,7 +410,7 @@ _UNKNOWN = "verdict: unknown\ncertified: false\n"
      "error: bad mode 'foo', expected pure|grid=K|smt=DIR\n"),
     (["sim", "--model", RPS, "--pair", "s0"], 3, "", "error: --pair expects 's,t'\n"),
     (["sim", "--model", RPS, "--pair", "s0,s0", "--mode", "smt={tmp}/smt"], 2,
-     "deferred: (s0, s0)\niterations: 1\n", ""),
+     "deferred: (s0, s0)\niterations: 0\n", ""),
     (_EVAL + ["--formula", "nu X. draw & <1> X", "--unfold", "1"], 2,
      _UNKNOWN + "ν not refuted at bound 1\n", ""),
     (_EVAL + ["--formula", "<1> win1"], 2, _UNKNOWN + "unknown at bound 4\n", ""),

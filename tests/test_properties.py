@@ -7,9 +7,10 @@ against their oracles, the integer distribution sum against a plain
 ``Fraction`` sum, the interned formula nodes against plain recursion, the
 evaluator's successor cache against rebuilding every successor, its
 `<1>`, which evaluates one choice per class of a blind player's choices,
-against scanning every choice, its `&` and `|`, which stop at their
-deciding child, against evaluating every child, and its results against
-their distribution's entry order."""
+against scanning every choice, also where its budget trips, its `&` and
+`|`, which stop at their deciding child, against evaluating every child,
+its results against their distribution's entry order, and the model text
+round trip."""
 
 import itertools
 import random
@@ -44,8 +45,10 @@ from pags.formula import (
 from pags.logic import (
     FAILS,
     HOLDS,
+    EvalBudgetError,
     EvalOptions,
     Evaluator,
+    _blindness,
     _fails,
     _holds,
     _joint,
@@ -53,7 +56,7 @@ from pags.logic import (
     evaluate,
     logic_preorder,
 )
-from pags.model import GameStructure, parse_model
+from pags.model import GameStructure, parse_model, serialize_model
 from pags.oracle import OracleBudgetError, brute_eval, brute_lift, brute_sim
 from pags.prob import (
     Distribution,
@@ -911,6 +914,80 @@ def test_enforce_classes_match_the_full_scan(instance):
     assert [(_ordered(k[0]), k[1], r) for (k, r) in ev._memo.items()] == [
         (_ordered(k[0]), k[1], r) for (k, r) in full._memo.items()
     ]
+
+
+# Player 1 is blind at q1 alone, which lies between the free q0 and q2.
+BLIND_MIDDLE = """model blind_middle
+states: q0 q1 q2 t    init: q0
+props: p
+label t: p
+actions1: a b
+actions2: x y
+trans q0 (a,x): t=1
+trans q0 (a,y): q1=1
+trans q0 (b,x): q2=1
+trans q0 (b,y): t=1
+trans q1 (a,x): t=1
+trans q1 (b,x): t=1
+trans q1 (a,y): q0=1
+trans q1 (b,y): q0=1
+trans q2 (a,x): q0=1
+trans q2 (a,y): t=1
+trans q2 (b,x): t=1
+trans q2 (b,y): q1=1
+absorb t
+"""
+
+
+def _outcome(ev, d, phi):
+    """The result and request count of ``ev`` at ``d``, or the budget
+    message it raised; then the successors built and the memo, in order."""
+    try:
+        outcome = (repr(ev.eval(d, phi)), ev._built)
+    except EvalBudgetError as e:
+        outcome = str(e)
+    successors = [(_ordered(k[0]), k[1]) for k in ev._successors]
+    memo = [(_ordered(k[0]), k[1], r) for (k, r) in ev._memo.items()]
+    return outcome, successors, memo
+
+
+@settings(SETTINGS, max_examples=100)
+@given(blind_instances(), st.integers(0, 1000))
+@example(
+    (
+        parse_model(BLIND_MIDDLE),
+        parse_distribution("q0:1/3,q1:1/3,q2:1/3"),
+        Enforce(Prop("p")),
+        EvalOptions(pi1_grid=1),
+    ),
+    400,
+)
+def test_enforce_budget_trips_where_the_full_scan_trips(instance, permille):
+    """Under a budget anywhere from 0 to the full scan's request count, the
+    class scan raises the full scan's message with the same successors and
+    memo, or returns its result at the same request count. In the example
+    the full scan makes 10 requests; the repeats of q1's block are charged
+    in one lump of 3 between the scanned combos (a, a, b) and (b, a, a),
+    and the budget of 4 trips inside it."""
+    g, d, phi, opts = instance
+    reference = _FullScanEvaluator(g, opts)
+    reference.eval(d, phi)
+    budget = reference._built * permille // 1000
+    with mock.patch("pags.logic.ENFORCE_BUDGET", budget):
+        ours = _outcome(Evaluator(g, opts), d, phi)
+        theirs = _outcome(_FullScanEvaluator(g, opts), d, phi)
+    assert ours == theirs
+
+
+@settings(SETTINGS, max_examples=100)
+@given(blind_games())
+def test_models_round_trip_with_their_blindness(g):
+    """Serializing and reparsing gives an equal model, and each player stays
+    blind where it was, also where a repeated row lists its entries in
+    another order."""
+    h = parse_model(serialize_model(g))
+    assert h == g
+    assert [_blindness(h, s) for s in h.states] == [_blindness(g, s) for s in g.states]
 
 
 class _EagerEvaluator(Evaluator):
