@@ -12,8 +12,9 @@ cheapest exact test: the copy strategy for a pair ``(s, s)``, an integer
 max-flow for a pure answer at ``t`` with one pure response at ``s`` per
 ``b`` (which also refutes when every successor is a point), and the
 rational step LP only where the flow is inconclusive. Witnesses are the
-step LP's vertices against the final relation, solved once the rounds
-reach their fixpoint. ``export_smt_scripts`` instead writes the exact
+step LP's vertices against the final relation; ``pa_simulation`` returns
+at the fixpoint, and they are solved on first read of
+``SimReport.witnesses``. ``export_smt_scripts`` instead writes the exact
 condition of each label-equal pair as SMT-LIB for an external solver, and
 decides nothing.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from urllib.parse import quote
 
@@ -70,19 +72,47 @@ class QuantStrategy:
         return f"grid={self.k}" if self.kind == GRID else "pure"
 
 
-@dataclass(frozen=True)
 class SimReport:
     """Outcome of the approximant iteration.
 
     ``witnesses`` maps each surviving pair to one (lottery, response) entry
     per tested universal lottery: a step-LP vertex for a pair of distinct
     states, the lottery itself (the copy strategy) for a pair ``(s, s)``.
+    A report built from ``data``, the ``_StepData`` of the run that found
+    ``relation``, solves its witnesses on first read, once, and then drops
+    ``data``. Reports are equal when their relations, rounds, strategies
+    and witnesses are, so comparing two reads the witnesses of both.
     """
 
-    relation: Relation
-    iterations: int
-    strategy: QuantStrategy
-    witnesses: dict
+    def __init__(self, relation: Relation, iterations: int, strategy: QuantStrategy,
+                 witnesses: dict | None = None, *, data: _StepData | None = None):
+        self.relation = relation
+        self.iterations = iterations
+        self.strategy = strategy
+        if data is None:
+            self.witnesses = witnesses
+        else:
+            self._data = data
+
+    @cached_property
+    def witnesses(self) -> dict:
+        """The final relation's witnesses against itself (``_witnesses``).
+        A step LP that refutes a kept pair raises ``ValueError`` here; the
+        step data is dropped only once the witnesses are built."""
+        data = self._data
+        witnesses = _witnesses(data.g, self.relation, self.relation, self.strategy.k, data)
+        del self._data
+        return witnesses
+
+    def __eq__(self, other):
+        if not isinstance(other, SimReport):
+            return NotImplemented
+        return ((self.relation, self.iterations, self.strategy, self.witnesses)
+                == (other.relation, other.iterations, other.strategy, other.witnesses))
+
+    def __repr__(self):
+        return (f"SimReport(relation={self.relation!r}, iterations={self.iterations}, "
+                f"strategy={self.strategy!r})")
 
 
 def initial_relation(g: GameStructure) -> Relation:
@@ -397,16 +427,17 @@ def pa_simulation(g: GameStructure, strat: QuantStrategy) -> SimReport:
     """Iterate refinement from the label-equal relation to its fixpoint.
 
     Decision rounds (``_decide_round``) run to the fixpoint; they solve a
-    step LP only where the flow test leaves a condition open. The witnesses
-    are then taken once, for the final relation against itself: the step
-    LP's vertex for each pair of distinct states and tested lottery, as in
-    the round that found the fixpoint, and the copy entry for ``(s, s)``.
-    The result over-approximates the simulation (coarser universal test
-    sets remove fewer pairs).
+    step LP only where the flow test leaves a condition open, and the report
+    is returned there. Its witnesses are solved on first read, once, for
+    the final relation against itself: the step LP's vertex for each pair
+    of distinct states and tested lottery, as in the round that found the
+    fixpoint, and the copy entry for ``(s, s)``; the rounds' memo spares
+    the LPs they solved. The result over-approximates the simulation
+    (coarser universal test sets remove fewer pairs).
     """
     data = _StepData(g)
     r, iterations = _fixpoint(g, strat, data)
-    return SimReport(r, iterations, strat, _witnesses(g, r, r, strat.k, data))
+    return SimReport(r, iterations, strat, data=data)
 
 
 def a_simulation(g: GameStructure) -> Relation:

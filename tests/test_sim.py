@@ -1,6 +1,8 @@
 """Alternating and probabilistic alternating simulation."""
 
+import gc
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from pags.oracle import brute_sim
 from pags.prob import Relation, lp_feasible
 from pags.sim import (
     QuantStrategy,
+    SimReport,
     _StepData,
     a_simulation,
     exists_pi2_check,
@@ -156,10 +159,11 @@ def test_pa_simulation_records_witnesses(dup):
 
 
 def test_witness_pass_raises_when_the_step_lp_refutes_a_kept_pair(monkeypatch):
-    """The witnesses are solved after the decision rounds; a step LP that
-    refutes a pair those rounds kept is an error, never a dropped pair.
-    REACH is deterministic, so its rounds decide by the flow alone, and the
-    LP answers None only once the witness pass has begun."""
+    """The witnesses are solved on first read, after the decision rounds; a
+    step LP that refutes a pair those rounds kept is an error at that read,
+    never a dropped pair. REACH is deterministic, so its rounds decide by
+    the flow alone, and the LP answers None only once the witness pass has
+    begun."""
     g = parse_model(REACH)
     real_solve, real_witnesses = sim._solve_step, sim._witnesses
     final = []
@@ -170,9 +174,11 @@ def test_witness_pass_raises_when_the_step_lp_refutes_a_kept_pair(monkeypatch):
 
     monkeypatch.setattr(sim, "_witnesses", witnesses)
     monkeypatch.setattr(sim, "_solve_step", lambda *args: None if final else real_solve(*args))
+    rep = pa_simulation(g, QuantStrategy.pure())
+    assert final == [] and rep.relation == a_simulation(g)
     with pytest.raises(ValueError, match=r"^the step LP refutes \(t, s\) under the lottery "
                                          r"stay:1, which the decision round kept$"):
-        pa_simulation(g, QuantStrategy.pure())
+        rep.witnesses
     assert final == [True]
 
 
@@ -314,9 +320,51 @@ def test_mirror_states_share_their_step_lps(dup, monkeypatch):
     for g in (dup, parse_model(reordered)):
         solves.clear()
         rep = pa_simulation(g, QuantStrategy.grid(2))
-        assert len(solves) == 3
         forward, backward = rep.witnesses[("u", "u2")], rep.witnesses[("u2", "u")]
+        assert len(solves) == 3
         assert [lot for lot, _ in forward] == [lot for lot, _ in backward]
         assert [pi.at("u2") for _, pi in forward] == [pi.at("u") for _, pi in backward]
         assert all(set(pi.choice) == {"u2"} for _, pi in forward)
         assert all(set(pi.choice) == {"u"} for _, pi in backward)
+
+
+def test_witnesses_are_solved_on_first_read_and_free_the_step_data(dup, monkeypatch):
+    """``pa_simulation`` returns at the fixpoint of its decision rounds,
+    which solve one step LP on dup at grid 2. The first read of the
+    witnesses solves the other two, and a second read solves none and
+    returns the same dict. No reference cycle holds the step data: it is
+    freed without the cyclic collector after the read, and with a report
+    that is never read."""
+    solves = []
+
+    def counted(lp):
+        solves.append(lp)
+        return lp_feasible(lp)
+
+    monkeypatch.setattr("pags.sim.lp_feasible", counted)
+    gc.disable()
+    try:
+        rep = pa_simulation(dup, QuantStrategy.grid(2))
+        assert len(solves) == 1
+        data = weakref.ref(rep._data)
+        witnesses = rep.witnesses
+        assert len(solves) == 3 and data() is None
+        assert rep.witnesses is witnesses and len(solves) == 3
+        unread = pa_simulation(dup, QuantStrategy.grid(2))
+        data = weakref.ref(unread._data)
+        del unread
+        assert data() is None
+    finally:
+        gc.enable()
+
+
+def test_reports_are_equal_only_with_equal_witnesses(dup):
+    """Equality reads the witnesses of unread reports and compares them with
+    the relation, rounds and strategy."""
+    strat = QuantStrategy.grid(2)
+    rep = pa_simulation(dup, strat)
+    assert rep == pa_simulation(dup, strat)
+    witnesses = dict(rep.witnesses)
+    assert rep == SimReport(rep.relation, rep.iterations, strat, witnesses)
+    witnesses[("u", "u2")] = witnesses[("u", "u2")][:1]
+    assert rep != SimReport(rep.relation, rep.iterations, strat, witnesses)
