@@ -47,14 +47,11 @@ HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown"
 
-# Successor requests one Evaluator may make for the strategy modality,
-# counted as the scan over every lottery and response would make them. A
-# request for a successor already built is a cache hit but still counts, and
-# so does a choice `_enforce` skips because a blind player's choices all give
-# the same successors, so the limit bounds the candidate scan, not the
-# distinct successors or the work. Each nested `<1>` multiplies the count, so
-# deep nesting stops here with a clear error; the fixture and benchmark
-# queries stay below 25,000.
+# `step` calls one Evaluator may make for the strategy modality, a cache hit
+# included, so the limit bounds the scan's work, not the distinct successors.
+# Each nested `<1>` multiplies the count, so deep nesting stops here with a
+# clear error. A test query that completes makes at most 13,302 calls
+# (`<1>^10 win1` on rps), a benchmark query at most 382.
 ENFORCE_BUDGET = 250_000
 
 # Per-state split fractions one Evaluator may try for `sum` and `mix`, whose
@@ -106,8 +103,8 @@ def _holds(witness, certified=True, bound=0):
 
 def _fails(counterexample, bound=0):
     """Always certified: flat, `<1>` and fixpoint `fails` by construction, `&`
-    on its failing child's and `|` only when every child fails; `evaluate`
-    strips certification at the top when asked."""
+    on its failing child's and `|` only when every child fails; `pags eval
+    --no-certify` clears the flag on the result it prints."""
     return EvalResult(FAILS, True, counterexample=counterexample, bound_used=bound)
 
 
@@ -146,19 +143,6 @@ def _blindness(g, s):
         all(row == rows[0] for row in rows),
         all(row.count(row[0]) == len(row) for row in rows),
     )
-
-
-def _first_vertices(blind2, n_act):
-    """The first pure-response vertex of each class, 0 wherever player 2 is
-    blind (``blind2``, per support state), in full order, each with its rank
-    in the full order over all ``n_act`` responses per state."""
-    vertices = []
-    for sigma in itertools.product(*[(0,) if b2 else range(n_act) for b2 in blind2]):
-        rank = 0
-        for j in sigma:
-            rank = rank * n_act + j
-        vertices.append((rank, sigma))
-    return vertices
 
 
 class _SuccessorTable(_Memo):
@@ -356,13 +340,10 @@ class Evaluator:
         self._pool = None
         self._succ = _SuccessorTable(g, opts.pi1_grid)
         self._successors = {}  # (d, table entries in model order) -> successor
-        # state -> (player 1, player 2) blind, and support states in model
-        # order -> `_first_vertices`; closures, not bound methods, so that no
-        # cycle holds the Evaluator past its last use.
-        blind = self._blind = _Memo(lambda s: _blindness(g, s))
-        n_act = len(g.acts2)
-        self._vertices = _Memo(lambda states: _first_vertices([blind[s][1] for s in states], n_act))
-        self._built = 0  # successor requests made by _enforce, repeats included
+        # state -> (player 1, player 2) blind; a closure, not a bound method,
+        # so that no cycle holds the Evaluator past its last use.
+        self._blind = _Memo(lambda s: _blindness(g, s))
+        self._built = 0  # `step` calls, cache hits included
         self._tried = 0  # per-state split candidates tried by _split_grid
 
     # -- public dispatch ----------------------------------------------------
@@ -579,17 +560,6 @@ class Evaluator:
 
     # -- strategy modality -----------------------------------------------------
 
-    def _charge(self, n: int) -> None:
-        """Count ``n`` successor requests against ``ENFORCE_BUDGET``. A lump
-        that crosses it is reported as the request one at a time would
-        report it: the first over the budget."""
-        self._built += n
-        if self._built > ENFORCE_BUDGET:
-            raise EvalBudgetError(
-                f"<1> built {ENFORCE_BUDGET + 1} successor distributions, "
-                f"over the budget of {ENFORCE_BUDGET}"
-            )
-
     def step(self, d, states, lots, acts) -> Distribution:
         """The one-step successor of ``d`` when each ``states[k]`` plays the
         ``lots[k]``-th grid lottery against the ``acts[k]``-th player-2
@@ -598,10 +568,14 @@ class Evaluator:
 
         The successor is keyed on ``d`` and its table entries in that order,
         by value: it is built on the first request for its key, and every
-        later request returns that same object. Each request counts against
-        ``ENFORCE_BUDGET``, a repeated one included; `_enforce` charges the
-        requests it skips itself."""
-        self._charge(1)
+        later request returns that same object. Each call counts one against
+        ``ENFORCE_BUDGET``, a cache hit included."""
+        self._built += 1
+        if self._built > ENFORCE_BUDGET:
+            raise EvalBudgetError(
+                f"<1> built {self._built} successor distributions, "
+                f"over the budget of {ENFORCE_BUDGET}"
+            )
         entries = tuple([self._succ[key] for key in zip(states, lots, acts)])
         hit = self._successors.get((d, entries))
         if hit is None:
@@ -618,36 +592,24 @@ class Evaluator:
         A combo or vertex that differs from an earlier one only at states
         where its player is blind (``_blindness``) makes the same successor
         keys, and so the same results, as the first of its class, which has
-        a 0 there; only firsts are scanned, so the work is proportional to
-        the class representatives. The budget still counts the full scan's
-        requests. A skipped vertex is charged at its rank in the full order.
-        At a player-1-blind state the full order scans a block (lottery 0
-        there, every choice after it) and repeats it ``n_lot - 1`` times, to
-        the same requests and rejections; the repeats are charged in one
-        lump right after the block, where the full scan makes them, with no
-        evaluation in between."""
+        a 0 there; only firsts are scanned, in the full scan's order. The
+        witness's ``vertices`` counts every response the scan covers, the
+        skipped members of a class included."""
         g = self.g
         states = sorted(d.support(), key=self._order.get)
         lotteries = self._succ.lotteries
-        n_lot = len(lotteries)
-        blind1 = [self._blind[s][0] for s in states]
-        full = len(g.acts2) ** len(states)
-        vertices = self._vertices[tuple(states)]
+        blind = [self._blind[s] for s in states]
+        combos = itertools.product(*[(0,) if b1 else range(len(lotteries)) for b1, _ in blind])
+        vertices = list(itertools.product(*[(0,) if b2 else range(len(g.acts2)) for _, b2 in blind]))
         safe = body.convex
         # With a single player-1 action the candidate space is a point, so a
         # failing vertex refutes the modality; scan past unknown vertices for
         # one instead of stopping at the first that does not hold.
         refutable = len(g.acts1) == 1
-        spent = 0  # requests of the full scan charged so far
-        start = [0] * len(states)  # spent when each state's current block began
-        for combo in itertools.product(*[(0,) if b1 else range(n_lot) for b1 in blind1]):
+        for combo in combos:
             results = []
             rejected = False
-            done = 0  # requests of this combo's full scan charged so far
-            for rank, sigma in vertices:
-                if rank > done:
-                    self._charge(rank - done)
-                done = rank + 1
+            for sigma in vertices:
                 theta = self.step(d, states, combo, sigma)
                 r = self.eval(theta, body)
                 results.append(r)
@@ -662,9 +624,6 @@ class Evaluator:
                     rejected = True
                     if not refutable:
                         break
-            if refutable or not rejected:  # every vertex was scanned
-                self._charge(full - done)
-                done = full
             if not rejected:
                 certified, bound = _joint(results)
                 witness = {
@@ -672,22 +631,9 @@ class Evaluator:
                         s: {a: format_rational(p) for a, p in lotteries[i].items()}
                         for s, i in zip(states, combo)
                     },
-                    "vertices": full,
+                    "vertices": len(g.acts2) ** len(states),
                 }
                 return _holds(witness, safe and certified, bound)
-            spent += done
-            # Charge the repeats of the blind blocks this combo ends,
-            # innermost first: a block ends when every later state is at its
-            # last lottery. The scan then moves to the next lottery at state
-            # k, and the blocks from k on start anew.
-            for k in reversed(range(len(states))):
-                if blind1[k]:
-                    lump = (n_lot - 1) * (spent - start[k])
-                    self._charge(lump)
-                    spent += lump
-                elif combo[k] < n_lot - 1:
-                    start[k:] = [spent] * (len(states) - k)
-                    break
         return _unknown()
 
     # -- fixpoints ----------------------------------------------------------

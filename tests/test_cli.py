@@ -354,12 +354,12 @@ def test_oracle_grid_and_scale_below_one_are_usage_errors():
 
 
 def test_nested_enforce_hits_the_evaluation_budget():
-    """Ten nested `<1>` on rps exceed the successor budget: exit 3 with the
-    count and the limit, well within the timeout."""
+    """Sixteen nested `<1>` on rps exceed the successor budget: exit 3 with
+    the count and the limit, well within the timeout."""
     env = dict(os.environ, PYTHONPATH=str(Path(pags.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "pags", "eval", "--model", RPS, "--dist", "s0:1",
-         "--formula", "<1> " * 10 + "win1"],
+         "--formula", "<1> " * 16 + "win1"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 3 and proc.stdout == ""
@@ -391,6 +391,7 @@ def test_fine_split_grid_hits_the_split_budget():
 _LIFT = ["lift", "--model", HOST, "--delta", "s1:1", "--theta", "t1:1"]
 _EVAL = ["eval", "--model", RPS, "--dist", "s0:1"]
 _UNKNOWN = "verdict: unknown\ncertified: false\n"
+_NESTED = "<1> " * 10 + "win1"  # 13,302 `step` calls when evaluated at s0:1
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [
@@ -419,6 +420,7 @@ _UNKNOWN = "verdict: unknown\ncertified: false\n"
     (["preorder", "--model", RPS, "--from", "zz", "--to", "s0", "--depth", "1"], 3, "",
      "error: unknown state 'zz'\n"),
     (["sim", "--model", RPS, "--pair", ""], 3, "", "error: --pair expects 's,t'\n"),
+    (_EVAL + ["--formula", _NESTED], 2, _UNKNOWN + "unknown at bound 4\n", ""),
 ])
 def test_pinned_paths(tmp_path, argv, code, stdout, stderr):
     """Exit code and exact output of paths no other test executes."""
@@ -428,10 +430,10 @@ def test_pinned_paths(tmp_path, argv, code, stdout, stderr):
     assert got == (code, stdout, stderr.replace("{tmp}", tmp))
 
 
-_NESTED = "<1> " * 10 + "win1"  # over ENFORCE_BUDGET when evaluated at s0:1
+_SMALL_BUDGET = 10_000  # below them, so that evaluating _NESTED exits 3
 _BUDGET = (
-    f"error: <1> built {ENFORCE_BUDGET + 1} successor distributions, "
-    f"over the budget of {ENFORCE_BUDGET}\n"
+    f"error: <1> built {_SMALL_BUDGET + 1} successor distributions, "
+    f"over the budget of {_SMALL_BUDGET}\n"
 )
 
 
@@ -451,5 +453,6 @@ _BUDGET = (
     (f"{_NESTED} & win1", 3, "", _BUDGET),
     (f"(mu Z. {_NESTED} | Z) & win1", 3, "", _BUDGET),
 ])
-def test_budgets_are_charged_only_for_evaluated_items(formula, code, stdout, stderr):
+def test_budgets_are_charged_only_for_evaluated_items(monkeypatch, formula, code, stdout, stderr):
+    monkeypatch.setattr("pags.logic.ENFORCE_BUDGET", _SMALL_BUDGET)
     assert invoke(_EVAL + ["--formula", formula]) == (code, stdout, stderr)

@@ -484,14 +484,14 @@ def test_each_distinct_successor_is_built_once_per_evaluator():
     assert ev._built == 4
 
 
-def test_blind_choices_are_charged_as_the_full_scan_requests_them(rps):
+def test_blind_choices_are_charged_once_per_class(rps):
     """rps's goal states absorb whatever either player does, so `<1>` there
-    evaluates one lottery and one response, but still counts every request
-    of the scan over all lotteries and all responses."""
+    evaluates one lottery and one response, and is charged for that one
+    request alone."""
     d = Distribution.point("s0")
     cases = [
-        ("<1> <1> <1> <1> <1> <1> <1> <1> win1", 4, 106_139, 1_659),
-        ("mu Z. win1 | <1> Z", 5, 8_734, 202),
+        ("<1> <1> <1> <1> <1> <1> <1> <1> win1", 4, 3_309, 1_659),
+        ("mu Z. win1 | <1> Z", 5, 382, 202),
     ]
     for text, bound, built, successors in cases:
         ev = Evaluator(rps, EvalOptions(unfold_bound=bound))
@@ -513,7 +513,7 @@ def test_a_blind_player_reports_every_vertex(rps):
 def test_equal_rows_in_another_entry_order_leave_a_player_blind():
     """Player 1 changes only the entry order of ``s``'s successor, which
     changes nothing, so player 1 is blind there as player 2 is: one lottery
-    and one response are scanned, and both lotteries are charged."""
+    and one response are scanned and charged."""
     g = parse_model(
         "model reorder\n"
         "states: s t1 t2    init: s\n"
@@ -530,7 +530,7 @@ def test_equal_rows_in_another_entry_order_leave_a_player_blind():
     ev = Evaluator(g, EvalOptions(pi1_grid=1))  # lotteries: a, b
     assert ev.eval(Distribution.point("s"), parse_formula("<1> p")).verdict == "unknown"
     assert ev._blind["s"] == (True, True)
-    assert (ev._built, len(ev._successors)) == (2, 1)
+    assert (ev._built, len(ev._successors)) == (1, 1)
 
 
 def test_formula_nodes_are_interned_and_immutable():
