@@ -31,6 +31,7 @@ from .model import ModelError, parse_model
 from .oracle import OracleBudgetError, brute_eval, brute_lift, brute_sim
 from .prob import (
     format_rational,
+    grid_lotteries,
     lift_check,
     parse_distribution,
     parse_relation,
@@ -168,17 +169,16 @@ def _cmd_sim(args, g, out):
             relation = export_smt_scripts(g, smt_dir)
         except OSError as e:
             raise UsageError(f"cannot write SMT scripts: {e}") from None
-        iterations, witnesses, mode = 0, {}, args.mode
+        iterations, mode = 0, args.mode
     else:
         report = pa_simulation(g, strat)
-        relation, iterations, witnesses = report.relation, report.iterations, report.witnesses
-        mode = strat.describe()
+        relation, iterations, mode = report.relation, report.iterations, strat.describe()
     pairs = _pairs(relation)
     if args.pair is None:
         tail = [f"iterations: {iterations}"]
-        if args.trace:
-            for (s, t), entries in sorted(witnesses.items()):
-                tail.append(f"witness ({s}, {t}): {len(entries)} lotteries matched")
+        if args.trace and not deferred:  # each kept pair met every tested lottery
+            n = len(grid_lotteries(g.acts1, strat.k))
+            tail += [f"witness ({s}, {t}): {n} lotteries matched" for s, t in relation]
         return _listing(out, args, pairs, mode, iterations, deferred, tail)
     if deferred:
         result, code = "deferred", 2

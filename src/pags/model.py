@@ -236,7 +236,10 @@ def parse_model(text: str) -> GameStructure:
                 raise ModelError(
                     f"row ({st},{a1},{a2}) sums to {format_rational(total)}", lineno
                 )
-            rows[(st, a1, a2)] = Distribution(entries)
+            try:
+                rows[(st, a1, a2)] = Distribution(entries)
+            except ValueError as e:  # a negative entry in a row that sums to 1
+                raise ModelError(str(e), lineno) from None
         elif word == "absorb":
             if states is None or acts1 is None or acts2 is None:
                 raise ModelError("absorb before states/actions declarations", lineno)

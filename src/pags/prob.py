@@ -180,22 +180,6 @@ class MixedAction:
         self.owner = owner
 
     @classmethod
-    def at_each(cls, states, lot, owner: int) -> list:
-        """``MixedAction({s: lot}, owner)`` for each of ``states``, in order,
-        with ``lot`` checked once, at the first state."""
-        if not states:
-            return []
-        first = cls({states[0]: lot}, owner)
-        kept = first.choice[states[0]]
-        actions = [first]
-        for s in states[1:]:
-            action = object.__new__(cls)
-            action.choice = {s: dict(kept)}
-            action.owner = owner
-            actions.append(action)
-        return actions
-
-    @classmethod
     def pure(cls, states: Iterable[str], action: str, owner: int) -> "MixedAction":
         return cls({s: {action: ONE} for s in states}, owner)
 

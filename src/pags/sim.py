@@ -14,7 +14,8 @@ max-flow for a pure answer at ``t`` with one pure response at ``s`` per
 rational step LP only where the flow is inconclusive. Witnesses are the
 step LP's vertices against the final relation; ``pa_simulation`` returns
 at the fixpoint, and they are solved on first read of
-``SimReport.witnesses``. ``export_smt_scripts`` instead writes the exact
+``SimReport.witnesses``, which ``pags sim`` never does: its trace counts
+the tested lotteries. ``export_smt_scripts`` instead writes the exact
 condition of each label-equal pair as SMT-LIB for an external solver, and
 decides nothing.
 """
@@ -80,8 +81,9 @@ class SimReport:
     states, the lottery itself (the copy strategy) for a pair ``(s, s)``.
     A report built from ``data``, the ``_StepData`` of the run that found
     ``relation``, solves its witnesses on first read, once, and then drops
-    ``data``. Reports are equal when their relations, rounds, strategies
-    and witnesses are, so comparing two reads the witnesses of both.
+    ``data``; a report that is never read solves none. Reports are equal
+    when their relations, rounds, strategies and witnesses are, so
+    comparing two reads the witnesses of both.
     """
 
     def __init__(self, relation: Relation, iterations: int, strategy: QuantStrategy,
@@ -151,8 +153,8 @@ def _integer_lottery(lottery) -> tuple:
 
 
 class _StepData:
-    """Step-LP inputs that depend on the model alone, the step-condition
-    answers so far and the copy entries, for one ``pa_simulation`` call.
+    """Step-LP inputs that depend on the model alone and the step-condition
+    answers so far, for one ``pa_simulation`` call.
 
     Each side of the step LP is kept with its successors: the left with the
     successors of ``s`` under the lottery, one per response, and the right
@@ -167,7 +169,6 @@ class _StepData:
         self.right = {}  # t -> (successors, support over all b, [(states, rows)] per b)
         self.solved = {}  # (right successors, left successors, related pairs) -> lottery at t or None
         self.decided = {}  # the same keys -> whether the step condition holds
-        self.copies = {}  # grid k -> s -> the copy-strategy witness entry of (s, s)
 
     def left_side(self, s, lottery):
         """The left side under ``lottery``, an ``_integer_lottery`` pair."""
@@ -311,7 +312,8 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     Smyth-dominated by the successor set of ``s``, in the lifted relation.
     Every pure response at ``t`` is covered by a convex combination of the
     responses at ``s`` plus a lifting witness, all in one LP. Returns the
-    lottery as a MixedAction, or None.
+    lottery as a MixedAction, or None. A ``pi1_at_s`` with a negative entry
+    or a sum other than 1 raises ``ValueError`` before any LP.
 
     The LP's rows are built as integers straight from the successors'
     ``nums`` and ``den``, and an LP with a row that no point can meet is
@@ -327,6 +329,9 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     MixedAction, not the same object.
     """
     pi1_at_s = {a: Fraction(p) for a, p in pi1_at_s.items() if Fraction(p) != 0}
+    for a, p in pi1_at_s.items():
+        if p < 0:
+            raise ValueError(f"negative probability {format_rational(p)} for action {a}")
     if sum(pi1_at_s.values(), Fraction(0)) != 1:
         raise ValueError("lottery does not sum to 1")
     if data is None:
@@ -355,23 +360,15 @@ def _decide_round(g: GameStructure, r: Relation, lotteries, data: _StepData) -> 
 def _witnesses(g: GameStructure, kept: Relation, r: Relation, k: int, data: _StepData) -> dict:
     """One (lottery, response) entry per grid-``k`` lottery for each pair
     of ``kept``, which a decision round against ``r`` kept: the copy entry
-    for ``(s, s)`` when ``r`` holds the diagonal, else the step LP's vertex
-    against ``r``. A step LP that refutes a kept pair raises ``ValueError``:
-    the flow and the LP disagree."""
+    for ``(s, s)`` when ``r`` holds the diagonal, built for that pair, else
+    the step LP's vertex against ``r``. A step LP that refutes a kept pair
+    raises ``ValueError``: the flow and the LP disagree."""
     lotteries = grid_lotteries(g.acts1, k)  # k = 1 for pure: each action alone
     copy = all((u, u) in r for u in g.states)
-    if copy and k not in data.copies:
-        # Every (s, s) is in r, so every state's entry is built, with each
-        # grid lottery checked once.
-        per_lot = [MixedAction.at_each(g.states, lot, 1) for lot in lotteries]
-        data.copies[k] = {
-            s: [(dict(lot), actions[i]) for lot, actions in zip(lotteries, per_lot)]
-            for i, s in enumerate(g.states)
-        }
     witnesses = {}
     for s, t in kept:
         if copy and s == t:
-            witnesses[(s, t)] = data.copies[k][s]
+            witnesses[(s, t)] = [(dict(lot), MixedAction({s: lot}, 1)) for lot in lotteries]
             continue
         entry = []
         for lot in lotteries:
@@ -394,7 +391,7 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     where a pair survives iff every tested universal lottery has an exact
     existential response, and the witnesses of the pairs it keeps, step-LP
     vertices against ``r`` (copies for ``(s, s)`` when ``r`` holds the
-    diagonal). ``data`` carries answers and copy entries across rounds.
+    diagonal). ``data`` carries answers across rounds.
     """
     if data is None:
         data = _StepData(g)

@@ -277,6 +277,27 @@ def test_zero_denominator_is_usage_error(tmp_path):
     assert code == 3 and out == "" and "zero denominator" in err
 
 
+def test_sim_trace_counts_lotteries_without_solving_witnesses(monkeypatch):
+    """``--trace`` prints one line per kept pair from the grid size alone:
+    the witness pass never runs, and on lifthost no step LP is solved."""
+    def refuse(*args):
+        raise AssertionError("witnesses solved")
+
+    real, solves = pags.sim.lp_feasible, []
+
+    def counted(lp):
+        solves.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(pags.sim, "_witnesses", refuse)
+    monkeypatch.setattr(pags.sim, "lp_feasible", counted)
+    for model, mode in ((DUP, "grid=2"), (RPS, "grid=3"), (HOST, "pure")):
+        solves.clear()
+        code, out, err = invoke(["sim", "--model", model, "--mode", mode, "--trace"])
+        assert code == 0 and err == "" and "lotteries matched" in out
+    assert solves == []  # on lifthost, the last model
+
+
 def test_duplicate_action_model_is_usage_error(tmp_path):
     model = tmp_path / "m.pgs"
     model.write_text("model m\nstates: s  init: s\nprops:\nactions1: a a\nactions2: b\nabsorb s\n")

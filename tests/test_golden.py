@@ -23,7 +23,7 @@ from pags.prob import format_rational, grid_lotteries, lp_feasible
 from pags.sim import QuantStrategy, exists_pi2_check, initial_relation, pa_simulation
 
 F = {name: str(fixture_path(name)) for name in
-     ("lifthost.pgs", "lifthost.rel", "dup.pgs", "rps.pgs", "single.pgs")}
+     ("lifthost.pgs", "lifthost.rel", "dup.pgs", "rps.pgs", "single.pgs", "split_levels.pgs")}
 
 GOLDEN = [
     pytest.param(
@@ -47,6 +47,61 @@ GOLDEN = [
         '{"bound": 1, "certified": true, "mode": "grid=3", "result": "related", '
         '"witness": ["s0 s0", "s1 s1", "s2 s2"]}\n',
         id="sim-rps-grid3",
+    ),
+    pytest.param(
+        ["sim", "--model", F["dup.pgs"], "--mode", "grid=2", "--trace"],
+        0,
+        'relation (6 pairs):\n  u u\n  u u2\n  u2 u\n  u2 u2\n  x x\n  y y\n'
+        'iterations: 1\nwitness (u, u): 3 lotteries matched\n'
+        'witness (u, u2): 3 lotteries matched\nwitness (u2, u): 3 lotteries matched\n'
+        'witness (u2, u2): 3 lotteries matched\nwitness (x, x): 3 lotteries matched\n'
+        'witness (y, y): 3 lotteries matched\n',
+        id="sim-dup-grid2-trace-text",
+    ),
+    pytest.param(
+        ["sim", "--model", F["rps.pgs"], "--mode", "grid=3", "--trace"],
+        0,
+        'relation (3 pairs):\n  s0 s0\n  s1 s1\n  s2 s2\niterations: 1\n'
+        'witness (s0, s0): 10 lotteries matched\n'
+        'witness (s1, s1): 10 lotteries matched\n'
+        'witness (s2, s2): 10 lotteries matched\n',
+        id="sim-rps-grid3-trace-text",
+    ),
+    pytest.param(
+        ["sim", "--model", F["lifthost.pgs"], "--mode", "pure", "--trace"],
+        0,
+        'relation (25 pairs):\n  s1 s1\n  s1 s2\n  s1 t1\n  s1 t2\n  s1 t3\n  s2 s1\n'
+        '  s2 s2\n  s2 t1\n  s2 t2\n  s2 t3\n  t1 s1\n  t1 s2\n  t1 t1\n  t1 t2\n'
+        '  t1 t3\n  t2 s1\n  t2 s2\n  t2 t1\n  t2 t2\n  t2 t3\n  t3 s1\n  t3 s2\n'
+        '  t3 t1\n  t3 t2\n  t3 t3\niterations: 1\n'
+        'witness (s1, s1): 1 lotteries matched\nwitness (s1, s2): 1 lotteries matched\n'
+        'witness (s1, t1): 1 lotteries matched\nwitness (s1, t2): 1 lotteries matched\n'
+        'witness (s1, t3): 1 lotteries matched\nwitness (s2, s1): 1 lotteries matched\n'
+        'witness (s2, s2): 1 lotteries matched\nwitness (s2, t1): 1 lotteries matched\n'
+        'witness (s2, t2): 1 lotteries matched\nwitness (s2, t3): 1 lotteries matched\n'
+        'witness (t1, s1): 1 lotteries matched\nwitness (t1, s2): 1 lotteries matched\n'
+        'witness (t1, t1): 1 lotteries matched\nwitness (t1, t2): 1 lotteries matched\n'
+        'witness (t1, t3): 1 lotteries matched\nwitness (t2, s1): 1 lotteries matched\n'
+        'witness (t2, s2): 1 lotteries matched\nwitness (t2, t1): 1 lotteries matched\n'
+        'witness (t2, t2): 1 lotteries matched\nwitness (t2, t3): 1 lotteries matched\n'
+        'witness (t3, s1): 1 lotteries matched\nwitness (t3, s2): 1 lotteries matched\n'
+        'witness (t3, t1): 1 lotteries matched\nwitness (t3, t2): 1 lotteries matched\n'
+        'witness (t3, t3): 1 lotteries matched\n',
+        id="sim-lifthost-pure-trace-text",
+    ),
+    pytest.param(
+        # The rounds cut 27 label-equal pairs to 11; only the kept ones are traced.
+        ["sim", "--model", F["split_levels.pgs"], "--mode", "grid=2", "--trace"],
+        0,
+        'relation (11 pairs):\n  s s\n  s1 s1\n  t t\n  u u\n  v t\n  v v\n  v x\n'
+        '  x t\n  x v\n  x x\n  y y\niterations: 3\n'
+        'witness (s, s): 3 lotteries matched\nwitness (s1, s1): 3 lotteries matched\n'
+        'witness (t, t): 3 lotteries matched\nwitness (u, u): 3 lotteries matched\n'
+        'witness (v, t): 3 lotteries matched\nwitness (v, v): 3 lotteries matched\n'
+        'witness (v, x): 3 lotteries matched\nwitness (x, t): 3 lotteries matched\n'
+        'witness (x, v): 3 lotteries matched\nwitness (x, x): 3 lotteries matched\n'
+        'witness (y, y): 3 lotteries matched\n',
+        id="sim-split_levels-grid2-trace-text",
     ),
     pytest.param(
         ["preorder", "--json", "--model", F["dup.pgs"], "--from", "u", "--to", "u2",

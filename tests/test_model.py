@@ -149,6 +149,8 @@ def _edit(old, new):
                  "line 9: bad entry 's1:1', expected state=rat", id="entry-no-equals"),
     pytest.param(_edit("(a,y): s1=1", "(a,y): s1=1/2 s1=1/2"),
                  "line 9: duplicate target 's1' in row", id="target-twice"),
+    pytest.param(_edit("s0=1/2 s1=1/2", "s0=3/2 s1=-1/2"),
+                 "line 8: negative mass -1/2 at s1", id="negative-entry"),
     pytest.param(_edit("props: p", "absorb s1\nprops: p"),
                  "line 4: absorb before states/actions declarations", id="absorb-too-early"),
     pytest.param(MINIMAL + "trans s1 (a,y): s0=1\n",

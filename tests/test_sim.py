@@ -79,6 +79,34 @@ def test_exists_pi2_fails_on_asymmetry():
     assert exists_pi2_check(g, "s", "t", {"a": Fraction(1)}, r) is None
 
 
+BLIND = """
+model blind
+states: s t    init: s
+props: p
+label t: p
+actions1: a b
+actions2: c
+trans s (a,c): s=1/2 t=1/2
+trans s (b,c): s=1/2 t=1/2
+absorb t
+"""
+
+
+def test_exists_pi2_rejects_negative_probabilities(rps):
+    """A signed lottery that sums to 1 is no lottery. Where player 1 is
+    blind its successors are still a distribution, and on rps they are
+    not; both are refused before any LP, with the action named."""
+    g = parse_model(BLIND)
+    with pytest.raises(ValueError, match=r"^negative probability -1/2 for action a$"):
+        exists_pi2_check(g, "s", "s", {"a": Fraction(-1, 2), "b": Fraction(3, 2)},
+                         initial_relation(g))
+    with pytest.raises(ValueError, match=r"^negative probability -1/2 for action r$"):
+        exists_pi2_check(rps, "s0", "s0", {"r": Fraction(-1, 2), "p": Fraction(3, 2)},
+                         initial_relation(rps))
+    with pytest.raises(ValueError, match=r"^lottery does not sum to 1$"):
+        exists_pi2_check(g, "s", "s", {"a": Fraction(1, 2)}, initial_relation(g))
+
+
 def test_refine_once_monotone(rps, dup):
     for g in (rps, dup):
         r = initial_relation(g)
@@ -112,15 +140,15 @@ def test_refine_once_copies_reflexive_pairs_only_with_the_whole_diagonal(rps):
     assert [pi.choice for _, pi in witnesses[("s2", "s2")]] == [{"s2": {"r": 1}}] * 3
 
 
-def test_copy_entries_are_built_once_per_step_data(rps):
-    """Rounds that share their step data share each (s, s) copy entry; a
+def test_copy_entries_are_equal_across_rounds_that_share_step_data(rps):
+    """Rounds that share their step data give equal (s, s) copy entries; a
     finer grid gets an entry of its own."""
     data = _StepData(rps)
     r = Relation.identity(rps.states)
     rounds = [refine_once(rps, r, strat, data)[1]
               for strat in (QuantStrategy.pure(), QuantStrategy.pure(), QuantStrategy.grid(2))]
     first, again, grid = (w[("s0", "s0")] for w in rounds)
-    assert again is first and len(first) == 3
+    assert again == first and len(first) == 3
     assert [lot for lot, _ in grid] == [pi.at("s0") for _, pi in grid] and len(grid) == 6
 
 
