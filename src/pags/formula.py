@@ -32,9 +32,11 @@ class Formula:
     that node (held in a weak table), so ``==`` is identity and hashing is
     O(1). When first built, a node derives from its children ``children``,
     ``flat`` (no ``<1>``, variable or fixpoint: the fragment with an exact LP
-    decision), ``convex`` (literals, conjunction and both summations only: a
-    syntactic certificate that the denotation is convex) and ``free`` (its
-    free variable names); no field is set again."""
+    decision), ``convex`` (literals, conjunction, both summations and
+    ``<1>`` only: a syntactic certificate that the denotation is convex;
+    ``<1>`` keeps it, since mixing the winning lotteries of two
+    distributions, weighted by their mass at each state, wins for their
+    mix) and ``free`` (its free variable names); no field is set again."""
 
     __slots__ = ("children", "flat", "convex", "free", "__weakref__")
     _table = weakref.WeakValueDictionary()
@@ -141,7 +143,7 @@ class ProbSum(Formula):
 
 class Enforce(Formula):
     __slots__ = _fields = ("body",)
-    _flat = _convex = False
+    _flat = False
 
     def _children(self):
         return (self.body,)

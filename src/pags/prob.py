@@ -669,6 +669,17 @@ def lift_check(d: Distribution, th: Distribution, r: Relation) -> Optional[Weigh
     return witness
 
 
+def lifts(d: Distribution, th: Distribution, r: Relation) -> bool:
+    """Whether ``d`` is lift-related to ``th`` under ``r``: the integer
+    max-flow of ``lift_check``, without its witness LP. Onto a point, the
+    flow saturates iff every left state is related to it."""
+    if len(th.nums) == 1:
+        (v,) = th.nums
+        return all((u, v) in r for u in d.nums)
+    adj = {u: [v for v in r.image(u) if v in th.nums] for u in sorted(d.nums)}
+    return _hall_cut(d, th, adj) is None
+
+
 def smyth_check(p, q, r: Relation):
     """Smyth-order check of the lifted relation.
 

@@ -7,11 +7,13 @@ for each candidate lottery of the universal side. The universal side ranges
 over an infinite simplex, so it is resolved by a strategy: pure lotteries
 only, or a rational grid.
 
-A decision round settles each condition against the frozen relation by the
+A step condition is its key: the successors of ``t``, those of ``s``
+under the lottery, and the relation restricted to their supports. A
+decision round settles each condition against the frozen relation by the
 cheapest exact test: the copy strategy for a pair ``(s, s)``, an integer
 max-flow for a pure answer at ``t`` with one pure response at ``s`` per
-``b`` (which also refutes when every successor is a point), and the
-rational step LP only where the flow is inconclusive. Witnesses are the
+``b`` (which also refutes when every successor is a point), and else the
+rational step LP, built from the key and memoized on it. Witnesses are the
 step LP's vertices against the final relation; ``pa_simulation`` returns
 at the fixpoint, and they are solved on first read of
 ``SimReport.witnesses``, which ``pags sim`` never does: its trace counts
@@ -34,10 +36,10 @@ from .prob import (
     LinearProblem,
     MixedAction,
     Relation,
-    _hall_cut,
     combine_ints,
     format_rational,
     grid_lotteries,
+    lifts,
     lp_feasible,
 )
 
@@ -152,65 +154,58 @@ def _integer_lottery(lottery) -> tuple:
     return den, tuple(weights)
 
 
+def _grid_keys(g: GameStructure, k: int) -> list:
+    """The grid-``k`` lotteries over player-1 actions as ``_integer_lottery``
+    pairs, in grid order."""
+    return [_integer_lottery(lot) for lot in grid_lotteries(g.acts1, k)]
+
+
 class _StepData:
-    """Step-LP inputs that depend on the model alone and the step-condition
+    """The successors of each side of a step condition, and the step LP's
     answers so far, for one ``pa_simulation`` call.
 
-    Each side of the step LP is kept with its successors: the left with the
-    successors of ``s`` under the lottery, one per response, and the right
-    with the successors of ``t``, one per action pair. ``Distribution``
-    equality compares them by value, so states with equal rows, such as
-    mirror copies, share their answers.
+    A step condition is its key ``(right successors, left successors,
+    related pairs)``: the successors of ``t``, one row per ``b`` with one
+    entry per action, those of ``s`` under the lottery, one per response,
+    and ``r`` restricted to (left support x right support). ``Distribution``
+    equality compares successors by value, so states with equal rows, such
+    as mirror copies, share their LPs.
     """
 
     def __init__(self, g: GameStructure):
         self.g = g
-        self.left = {}  # (s, den, weights) -> (successors, states, rows)
-        self.right = {}  # t -> (successors, support over all b, [(states, rows)] per b)
-        self.solved = {}  # (right successors, left successors, related pairs) -> lottery at t or None
-        self.decided = {}  # the same keys -> whether the step condition holds
-
-    def left_side(self, s, lottery):
-        """The left side under ``lottery``, an ``_integer_lottery`` pair."""
-        key = (s, *lottery)
-        if key not in self.left:
-            den, weights = lottery
-            succ = tuple(
-                combine_ints([(c, self.g.step(s, a, b2)) for a, c in weights], den)
-                for b2 in self.g.acts2
-            )
-            self.left[key] = (succ, *_marginal_rows(succ))
-        return self.left[key]
-
-    def right_side(self, t):
-        if t not in self.right:
-            g = self.g
-            succ = tuple(tuple(g.step(t, a, b) for a in g.acts1) for b in g.acts2)
-            per_b = [_marginal_rows(row) for row in succ]
-            support = sorted(set().union(*[v for v, _ in per_b]))
-            self.right[t] = (succ, support, per_b)
-        return self.right[t]
+        self.left = {}  # (s, den, weights) -> (successors, their sorted support)
+        self.right = {}  # t -> (successors, their sorted support)
+        self.solved = {}  # key -> lottery at t or None
 
     def condition(self, s, t, lottery, r):
-        """The step condition of ``(s, t)`` under ``lottery`` against ``r``:
-        its memo key ``(right successors, left successors, related pairs)``,
-        with ``r`` restricted to (left support x right support), and the
-        inputs of ``_solve_step``."""
-        left, left_states, left_rows = self.left_side(s, lottery)
-        right, support, per_b = self.right_side(t)
-        related = tuple((u, v) for u in left_states for v in support if (u, v) in r)
-        return (right, left, related), (left_states, left_rows, per_b, related)
+        """The key of the step condition of ``(s, t)`` under ``lottery``, an
+        ``_integer_lottery`` pair, against ``r``."""
+        g = self.g
+        side = (s, *lottery)
+        if side not in self.left:
+            den, weights = lottery
+            succ = tuple(combine_ints([(c, g.step(s, a, b2)) for a, c in weights], den)
+                         for b2 in g.acts2)
+            self.left[side] = (succ, sorted(set().union(*[d.nums for d in succ])))
+        if t not in self.right:
+            succ = tuple(tuple(g.step(t, a, b) for a in g.acts1) for b in g.acts2)
+            self.right[t] = (succ, sorted(set().union(*[th.nums for row in succ for th in row])))
+        left, left_states = self.left[side]
+        right, support = self.right[t]
+        return right, left, tuple((u, v) for u in left_states for v in support if (u, v) in r)
 
-    def solve(self, key, inputs):
+    def solve(self, key):
         """The step LP's lottery at ``t`` for ``key``, solved once."""
         if key not in self.solved:
-            self.solved[key] = _solve_step(self.g, *inputs)
+            self.solved[key] = _solve_step(self.g, *key)
         return self.solved[key]
 
 
-def _solve_step(g: GameStructure, left_states, left_rows, per_b, related):
-    """The step LP's lottery at ``t`` (action -> positive probability), or
-    None when the LP is infeasible. Every row is entered as integers over
+def _solve_step(g: GameStructure, right, left, related):
+    """The step LP of the condition with key ``(right, left, related)``: its
+    lottery at ``t`` (action -> positive probability), or None when the LP
+    is infeasible. Every row is built here from the key, as integers over
     its denominator, with the rational content of the rows below.
 
     A marginal row with no ``w`` column whose terms cover a whole block
@@ -224,9 +219,11 @@ def _solve_step(g: GameStructure, left_states, left_rows, per_b, related):
     # Rows: sum x == 1; per b, sum lam == 1, then for each right state v
     # sum_u w[u, v] == sum_a x_a * theta_t(a, b)[v], and for each left state
     # u sum_v w[u, v] == sum_b2 lam_b2 * theta_s(lottery, b2)[u].
+    left_states, left_rows = _marginal_rows(left)
     lp = LinearProblem()
     lp.add(dict.fromkeys(lp.cols(len(g.acts1)), 1), 1)
-    for right_states, right_rows in per_b:
+    for row in right:
+        right_states, right_rows = _marginal_rows(row)
         lam = lp.cols(len(g.acts2))
         lp.add(dict.fromkeys(lam, 1), 1)
         by_v = {v: [] for v in right_states}
@@ -255,17 +252,6 @@ def _solve_step(g: GameStructure, left_states, left_rows, per_b, related):
     return {a: sol[j] for j, a in enumerate(g.acts1) if sol[j] > 0}
 
 
-def _lifts(d, th, r: Relation) -> bool:
-    """Whether ``d`` is lift-related to ``th`` under ``r``: the integer
-    max-flow of ``lift_check``, without its witness LP. Onto a point, the
-    flow saturates iff every left state is related to it."""
-    if len(th.nums) == 1:
-        (v,) = th.nums
-        return all((u, v) in r for u in d.nums)
-    adj = {u: [v for v in r.image(u) if v in th.nums] for u in sorted(d.nums)}
-    return _hall_cut(d, th, adj) is None
-
-
 def _flow_verdict(left, right, r: Relation):
     """The step condition decided by integer max-flow, where that is exact.
 
@@ -285,7 +271,7 @@ def _flow_verdict(left, right, r: Relation):
     ``x`` or ``lam`` may succeed where every pure choice fails.
     """
     for successors in zip(*right):  # the successors of t under one a, per b
-        if all(any(_lifts(d, th, r) for d in left) for th in successors):
+        if all(any(lifts(d, th, r) for d in left) for th in successors):
             return True
     if all(d.is_point() for d in left) and all(th.is_point() for row in right for th in row):
         return False
@@ -294,15 +280,11 @@ def _flow_verdict(left, right, r: Relation):
 
 def _holds(s, t, lottery, r: Relation, data: _StepData) -> bool:
     """Whether the step condition of ``(s, t)`` under ``lottery`` holds
-    against ``r``: by the flow where it decides, else by the step LP."""
-    key, inputs = data.condition(s, t, lottery, r)
-    hit = data.decided.get(key)
-    if hit is None:
-        hit = _flow_verdict(key[1], key[0], r)
-        if hit is None:
-            hit = data.solve(key, inputs) is not None
-        data.decided[key] = hit
-    return hit
+    against ``r``: by the flow where it decides, else by the step LP of its
+    key. The flow is run again for a repeated condition; its LP is not."""
+    key = data.condition(s, t, lottery, r)
+    verdict = _flow_verdict(key[1], key[0], r)
+    return data.solve(key) is not None if verdict is None else verdict
 
 
 def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
@@ -315,15 +297,15 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     lottery as a MixedAction, or None. A ``pi1_at_s`` with a negative entry
     or a sum other than 1 raises ``ValueError`` before any LP.
 
-    The LP's rows are built as integers straight from the successors'
-    ``nums`` and ``den``, and an LP with a row that no point can meet is
-    refuted before it is solved (see ``_solve_step``).
+    The LP is built from the condition's key (``_StepData.condition``), as
+    integers straight from the successors' ``nums`` and ``den``, and an LP
+    with a row that no point can meet is refuted before it is solved (see
+    ``_solve_step``).
 
     The LP depends on ``t`` only through its successors, on ``s`` and the
     lottery only through theirs, and on ``r`` only through ``r`` restricted
-    to (left support x right support). So within one ``pa_simulation``
-    call, which passes its ``data``, an LP whose right successors, left
-    successors and restricted relation were seen before, equal by value, is
+    to (left support x right support), which is all the key holds. So with
+    a shared ``data`` an LP whose key was seen before, equal by value, is
     not solved again. The memo keeps the lottery, and each call builds a new
     MixedAction at its own ``t``: a hit for the same ``t`` returns an equal
     MixedAction, not the same object.
@@ -336,7 +318,7 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
         raise ValueError("lottery does not sum to 1")
     if data is None:
         data = _StepData(g)
-    lottery = data.solve(*data.condition(s, t, _integer_lottery(pi1_at_s), r))
+    lottery = data.solve(data.condition(s, t, _integer_lottery(pi1_at_s), r))
     return None if lottery is None else MixedAction({t: lottery}, 1)
 
 
@@ -359,27 +341,26 @@ def _decide_round(g: GameStructure, r: Relation, lotteries, data: _StepData) -> 
 
 def _witnesses(g: GameStructure, kept: Relation, r: Relation, k: int, data: _StepData) -> dict:
     """One (lottery, response) entry per grid-``k`` lottery for each pair
-    of ``kept``, which a decision round against ``r`` kept: the copy entry
-    for ``(s, s)`` when ``r`` holds the diagonal, built for that pair, else
-    the step LP's vertex against ``r``. A step LP that refutes a kept pair
+    of ``kept``, which a decision round against ``r`` kept: the lottery
+    itself (the copy entry) for ``(s, s)`` when ``r`` holds the diagonal,
+    else the vertex of the step LP of the condition's key, read from the
+    memo when the rounds solved it. A step LP that refutes a kept pair
     raises ``ValueError``: the flow and the LP disagree."""
     lotteries = grid_lotteries(g.acts1, k)  # k = 1 for pure: each action alone
     copy = all((u, u) in r for u in g.states)
     witnesses = {}
     for s, t in kept:
-        if copy and s == t:
-            witnesses[(s, t)] = [(dict(lot), MixedAction({s: lot}, 1)) for lot in lotteries]
-            continue
         entry = []
         for lot in lotteries:
-            pi2 = exists_pi2_check(g, s, t, lot, r, data)
+            key = _integer_lottery(lot)
+            pi2 = lot if copy and s == t else data.solve(data.condition(s, t, key, r))
             if pi2 is None:
                 shown = ",".join(f"{a}:{format_rational(p)}" for a, p in lot.items())
                 raise ValueError(
                     f"the step LP refutes ({s}, {t}) under the lottery {shown}, "
                     "which the decision round kept"
                 )
-            entry.append((dict(lot), pi2))
+            entry.append((dict(lot), MixedAction({t: pi2}, 1)))
         witnesses[(s, t)] = entry
     return witnesses
 
@@ -391,12 +372,12 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     where a pair survives iff every tested universal lottery has an exact
     existential response, and the witnesses of the pairs it keeps, step-LP
     vertices against ``r`` (copies for ``(s, s)`` when ``r`` holds the
-    diagonal). ``data`` carries answers across rounds.
+    diagonal). ``data`` carries successors and step-LP answers across
+    rounds.
     """
     if data is None:
         data = _StepData(g)
-    lotteries = [_integer_lottery(lot) for lot in grid_lotteries(g.acts1, strat.k)]
-    kept = _decide_round(g, r, lotteries, data)
+    kept = _decide_round(g, r, _grid_keys(g, strat.k), data)
     return kept, _witnesses(g, kept, r, strat.k, data)
 
 
@@ -409,7 +390,7 @@ def _fixpoint(g: GameStructure, strat: QuantStrategy, data: _StepData):
     relation that starts with at most |S|^2: the loop ends within
     |S|^2 + 1 rounds.
     """
-    lotteries = [_integer_lottery(lot) for lot in grid_lotteries(g.acts1, strat.k)]
+    lotteries = _grid_keys(g, strat.k)
     r = initial_relation(g)
     iterations = 0
     while True:

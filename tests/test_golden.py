@@ -107,7 +107,7 @@ GOLDEN = [
         ["preorder", "--json", "--model", F["dup.pgs"], "--from", "u", "--to", "u2",
          "--depth", "2", "--grid", "2"],
         0,
-        '{"bound": 2, "certified": false, "mode": "preorder", "result": "holds", '
+        '{"bound": 2, "certified": true, "mode": "preorder", "result": "holds", '
         '"witness": {"conjuncts": 3}}\n',
         id="preorder-dup-u-u2",
     ),

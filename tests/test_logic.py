@@ -131,7 +131,9 @@ def test_convex_safe_fragment():
     assert convex_safe(parse_formula("a & !b"))
     assert convex_safe(parse_formula("sum{1/2: a, 1/2: mix{a, b}}"))
     assert not convex_safe(parse_formula("a | b"))
-    assert not convex_safe(parse_formula("<1> a"))
+    assert convex_safe(parse_formula("<1> a"))
+    assert convex_safe(parse_formula("<1> (a & <1> !b)"))
+    assert not convex_safe(parse_formula("<1> (a | b)"))
 
 
 def test_is_flat():

@@ -9,8 +9,9 @@ evaluator's successor cache against rebuilding every successor, its
 `<1>`, which evaluates one choice per class of a blind player's choices,
 against scanning every choice, also where its budget trips, its `&` and
 `|`, which stop at their deciding child, against evaluating every child,
-its results against their distribution's entry order, and the model text
-round trip."""
+its results against their distribution's entry order, its certified
+`<1>` over a nested `<1>` against sampled mixed responses, and the model
+text round trip."""
 
 import itertools
 import random
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from unittest import mock
 
-from conftest import REACH, random_model, random_relation, standard_form
+from conftest import REACH, random_distribution, random_model, random_relation, standard_form
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +49,7 @@ from pags.logic import (
     EvalBudgetError,
     EvalOptions,
     Evaluator,
+    _FlatChecker,
     _blindness,
     _fails,
     _holds,
@@ -380,7 +382,7 @@ def test_flow_verdict_agrees_with_the_step_lp():
                 data = _StepData(g)
                 for s, t in r:
                     for lot in lotteries:
-                        key, _ = data.condition(s, t, _integer_lottery(lot), r)
+                        key = data.condition(s, t, _integer_lottery(lot), r)
                         verdict = _flow_verdict(key[1], key[0], r)
                         if verdict is not None:
                             seen[verdict] += 1
@@ -666,7 +668,7 @@ def _reference(phi):
     if isinstance(phi, (Mu, Nu)):
         free -= {phi.var}
     flat = isinstance(phi, (And, Or, Mix, ProbSum)) and all(f for f, _, _ in refs)
-    convex = isinstance(phi, (And, Mix, ProbSum)) and all(c for _, c, _ in refs)
+    convex = isinstance(phi, (And, Mix, ProbSum, Enforce)) and all(c for _, c, _ in refs)
     return flat, convex, free
 
 
@@ -675,6 +677,83 @@ def _reference(phi):
 def test_cached_fragments_match_a_recursive_reference(phi):
     assert (phi.flat, phi.convex, phi.free) == _reference(phi)
     assert (is_flat(phi), convex_safe(phi)) == (phi.flat, phi.convex)
+
+
+def _convex_formula(rng, props, depth):
+    """A random formula over literals, `&`, `|`, `sum` and `<1>`; convex
+    unless it holds an `|`."""
+    if depth == 0 or rng.random() < 0.3:
+        p = rng.choice(props)
+        return rng.choice([Prop(p), NegProp(p)])
+    kind = rng.choice(["and", "or", "sum", "enforce", "enforce"])
+    if kind == "enforce":
+        return Enforce(_convex_formula(rng, props, depth - 1))
+    items = [_convex_formula(rng, props, depth - 1) for _ in range(2)]
+    if kind == "sum":
+        return ProbSum([(Fraction(1, 3), items[0]), (Fraction(2, 3), items[1])])
+    return (And if kind == "and" else Or)(items)
+
+
+def _mixed_response(rng, g, states, uniform):
+    """A rational player-2 lottery at each of ``states``, every action
+    weighted alike when ``uniform``."""
+    choice = {}
+    for s in states:
+        if uniform:
+            w = [1] * len(g.acts2)
+        else:
+            w = [rng.randint(0, 3) for _ in g.acts2]
+            w[rng.randrange(len(w))] += 1
+        choice[s] = {b: Fraction(x, sum(w)) for b, x in zip(g.acts2, w)}
+    return MixedAction(choice, 2)
+
+
+def _check_holds_at_samples(g, d, phi, opts, rng, flat):
+    """``phi`` holds at ``d`` in the exact semantics: the flat LP confirms
+    a flat ``phi``, each item of an `&` is checked in turn, and elsewhere
+    ``evaluate`` must not answer `fails` (a `fails` is always certified). A
+    certified `<1>` is followed to its witness's successors under the
+    uniform and two random mixed responses, where its body must hold."""
+    if phi.flat:
+        assert flat.holds(d, phi)[0], (d.format(), format_formula(phi))
+        return
+    if isinstance(phi, And):
+        for item in phi.items:
+            _check_holds_at_samples(g, d, item, opts, rng, flat)
+        return
+    r = evaluate(g, d, phi, opts)
+    assert r.verdict != FAILS, (d.format(), format_formula(phi))
+    if isinstance(phi, Enforce) and r.verdict == HOLDS and r.certified:
+        pi1 = MixedAction({s: {a: parse_rational(p) for a, p in lot.items()}
+                           for s, lot in r.witness["pi1"].items()}, 1)
+        for i in range(3):
+            pi2 = _mixed_response(rng, g, d.support(), uniform=i == 0)
+            _check_holds_at_samples(g, step_mixed_dist(g, d, pi1, pi2), phi.body, opts, rng, flat)
+
+
+def test_certified_enforce_over_a_nested_enforce_holds_against_mixed_responses():
+    """`<1>` keeps convexity, so `<1> psi` with ``psi`` convex and holding a
+    `<1>` is certified when a grid lottery wins against every pure
+    response. At each such witness, on seeded models (a third of them
+    deterministic, whose mixed successors are not points), rational mixed
+    player-2 responses are sampled: the body is never refuted there, and
+    the flat LP confirms it wherever it is flat, recursively through `&`
+    and certified `<1>`."""
+    opts = EvalOptions(pi1_grid=2)
+    certified = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_model(rng, n_states=3, n_props=2, point_rows=seed % 3 == 0)
+        d = (random_distribution(rng, g.states, max_den=4) if seed % 2
+             else Distribution.point(rng.choice(g.states)))
+        body = _convex_formula(rng, g.props, 2)
+        phi = Enforce(body if not body.flat else Enforce(body))
+        r = evaluate(g, d, phi, opts)
+        if r.verdict == HOLDS and r.certified:
+            assert phi.body.convex and not phi.body.flat
+            certified += 1
+            _check_holds_at_samples(g, d, phi, opts, rng, _FlatChecker(g))
+    assert certified >= 20, certified
 
 
 @SETTINGS

@@ -326,6 +326,21 @@ def test_step_lps_with_an_unmeetable_row_are_refuted_unsolved(monkeypatch):
         assert list(data.solved.values()) == [None]
 
 
+def test_conditions_the_flow_decides_build_no_step_lp_row(lifthost, monkeypatch):
+    """The flow decides every condition of lifthost's pure and grid-2
+    rounds, and a condition's LP rows are built from its key only when it
+    reaches the step LP, so these runs build no row and keep the same
+    relations."""
+    strategies = (QuantStrategy.pure(), QuantStrategy.grid(2))
+    expected = [pa_simulation(lifthost, strat).relation for strat in strategies]
+
+    def unbuilt(dists):
+        raise AssertionError("a step-LP row was built")
+
+    monkeypatch.setattr("pags.sim._marginal_rows", unbuilt)
+    assert [pa_simulation(lifthost, strat).relation for strat in strategies] == expected
+
+
 def test_mirror_states_share_their_step_lps(dup, monkeypatch):
     """dup's u and u2 have equal rows, so (u, u2) and (u2, u) ask the same
     three step LPs (one per grid-2 lottery) and the second pair reuses them:
