@@ -36,10 +36,11 @@ from .formula import (
 from .prob import (
     Distribution,
     LinearProblem,
+    Memo,
+    SuccessorTable,
     combine_ints,
     compositions,
     format_rational,
-    grid_lotteries,
     lp_feasible,
 )
 
@@ -121,18 +122,6 @@ def _state_order(g):
     return {s: i for i, s in enumerate(g.states)}
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)`` on lookup."""
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        value = self[key] = self._make(key)
-        return value
-
-
 def _blindness(g, s):
     """Whether player 1, and whether player 2, is blind at ``s``: the
     successor of ``s`` is the same distribution for every action of that
@@ -143,29 +132,6 @@ def _blindness(g, s):
         all(row == rows[0] for row in rows),
         all(row.count(row[0]) == len(row) for row in rows),
     )
-
-
-class _SuccessorTable(_Memo):
-    """One-step successors of single states: entry (s, i, j) is the
-    successor of ``s`` under the i-th player-1 grid lottery and the j-th
-    player-2 action, built on first lookup and then kept. Entries are
-    compared by value: equal entries of two keys may be two objects."""
-
-    def __init__(self, g, k: int):
-        self.lotteries = lotteries = grid_lotteries(g.acts1, k)
-
-        # A closure, not a bound method, so that no cycle holds the table.
-        def build(key):
-            s, i, j = key
-            b = g.acts2[j]
-            # Grid numerators over k, as combine_dists would scale them.
-            parts = [
-                (p.numerator * (k // p.denominator), g.step(s, a, b))
-                for a, p in lotteries[i].items()
-            ]
-            return combine_ints(parts, k)
-
-        super().__init__(build)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +304,11 @@ class Evaluator:
         self._memo = {}
         self._order = _state_order(g)
         self._pool = None
-        self._succ = _SuccessorTable(g, opts.pi1_grid)
+        self._succ = SuccessorTable(g, opts.pi1_grid)
         self._successors = {}  # (d, table entries in model order) -> successor
         # state -> (player 1, player 2) blind; a closure, not a bound method,
         # so that no cycle holds the Evaluator past its last use.
-        self._blind = _Memo(lambda s: _blindness(g, s))
+        self._blind = Memo(lambda s: _blindness(g, s))
         self._built = 0  # `step` calls, cache hits included
         self._tried = 0  # per-state split candidates tried by _split_grid
 
@@ -680,6 +646,8 @@ def evaluate(g, d: Distribution, phi, opts: EvalOptions = None) -> EvalResult:
     opts = opts or EvalOptions()
     if phi.free:
         raise FormulaError("formula must be closed")
+    for s in d.nums:
+        g.check_state(s)
     try:
         return Evaluator(g, opts).eval(d, phi)
     except RecursionError:
@@ -713,7 +681,7 @@ class CharFormulaBuilder:
 
     def __init__(self, g, k: int):
         self.g = g
-        self._succ = _SuccessorTable(g, k)  # rejects k < 1
+        self._succ = SuccessorTable(g, k)  # rejects k < 1
         self._order = _state_order(g)
         self._state_memo = {}
 
@@ -724,17 +692,16 @@ class CharFormulaBuilder:
         g = self.g
         if n < 0:
             raise ValueError(f"depth must be >= 0, got {n}")
+        g.check_state(s)
         if n == 0:
             pos = tuple(Prop(p) for p in g.props if p in g.labels[s])
             neg = tuple(NegProp(p) for p in g.props if p not in g.labels[s])
             phi = And(pos + neg)
         else:
-            conjuncts = []
-            for i in range(len(self._succ.lotteries)):
-                comps = tuple(
-                    self.dist(self._succ[s, i, j], n - 1) for j in range(len(g.acts2))
-                )
-                conjuncts.append(Enforce(Mix(comps)))
+            conjuncts = [
+                Enforce(Mix(tuple(self.dist(e, n - 1) for e in self._succ.row(s, i))))
+                for i in range(len(self._succ.lotteries))
+            ]
             phi = And((self.state(s, 0), *conjuncts))
         self._state_memo[key] = phi
         return phi

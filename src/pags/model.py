@@ -38,10 +38,14 @@ class GameStructure:
         if violations:
             raise ModelError("; ".join(violations))
 
-    def step(self, s, a1, a2) -> Distribution:
-        """Transition table lookup; total for declared identifiers."""
+    def check_state(self, s) -> None:
+        """Raise ``ModelError`` unless ``s`` is a state of the model."""
         if s not in self.labels:
             raise ModelError(f"unknown state {s!r}")
+
+    def step(self, s, a1, a2) -> Distribution:
+        """Transition table lookup; total for declared identifiers."""
+        self.check_state(s)
         if a1 not in self.acts1:
             raise ModelError(f"unknown player-1 action {a1!r}")
         if a2 not in self.acts2:

@@ -178,6 +178,8 @@ def brute_eval(g, d: Distribution, phi, opts: EvalOptions = None, budget: int = 
     everything else is verdict-only.
     """
     opts = opts or EvalOptions()
+    for s in d.nums:
+        g.check_state(s)
     counter = [0]
     lotteries = grid_lotteries(g.acts1, opts.pi1_grid)
     entries = {}
@@ -232,10 +234,8 @@ def brute_eval(g, d: Distribution, phi, opts: EvalOptions = None, budget: int = 
                 return EvalResult(HOLDS, True)
             if any(r.verdict == HOLDS for r in results):
                 return EvalResult(HOLDS, False)
-            if all(r.verdict == FAILS for r in results):
-                # A per-distribution disjunct scan is not complete for the
-                # union denotation, so a miss is only unknown.
-                return EvalResult(UNKNOWN, False)
+            # A per-distribution disjunct scan is not complete for the
+            # union denotation, so a miss is only unknown.
             return EvalResult(UNKNOWN, False)
         if isinstance(psi, ProbSum):
             target = [w for w, _ in psi.parts]

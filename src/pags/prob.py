@@ -547,6 +547,48 @@ def grid_lotteries(actions, k: int):
     return out
 
 
+class Memo(dict):
+    """A dict that fills a missing key with ``make(key)`` on lookup."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+class SuccessorTable(Memo):
+    """One-step successors of single states: entry (s, i, j) is the
+    successor of ``s`` under the i-th player-1 grid lottery and the j-th
+    player-2 action, built on first lookup and then kept. Entries are
+    compared by value: equal entries of two keys may be two objects. The
+    ``<1>`` scan, characteristic formulas and simulation rounds read it."""
+
+    def __init__(self, g, k: int):
+        self.lotteries = lotteries = grid_lotteries(g.acts1, k)
+        self._responses = range(len(g.acts2))
+
+        # A closure, not a bound method, so that no cycle holds the table.
+        def build(key):
+            s, i, j = key
+            b = g.acts2[j]
+            # Grid numerators over k, as combine_dists would scale them.
+            parts = [
+                (p.numerator * (k // p.denominator), g.step(s, a, b))
+                for a, p in lotteries[i].items()
+            ]
+            return combine_ints(parts, k)
+
+        super().__init__(build)
+
+    def row(self, s, i: int) -> tuple:
+        """The successors of ``s`` under the i-th lottery, one per player-2
+        action, in ``acts2`` order."""
+        return tuple([self[s, i, j] for j in self._responses])
+
+
 # ---------------------------------------------------------------------------
 # Lifting, Smyth check, constructive split
 # ---------------------------------------------------------------------------

@@ -7,19 +7,21 @@ for each candidate lottery of the universal side. The universal side ranges
 over an infinite simplex, so it is resolved by a strategy: pure lotteries
 only, or a rational grid.
 
-A step condition is its key: the successors of ``t``, those of ``s``
-under the lottery, and the relation restricted to their supports. A
-decision round settles each condition against the frozen relation by the
-cheapest exact test: the copy strategy for a pair ``(s, s)``, an integer
-max-flow for a pure answer at ``t`` with one pure response at ``s`` per
-``b`` (which also refutes when every successor is a point), and else the
-rational step LP, built from the key and memoized on it. Witnesses are the
-step LP's vertices against the final relation; ``pa_simulation`` returns
-at the fixpoint, and they are solved on first read of
-``SimReport.witnesses``, which ``pags sim`` never does: its trace counts
-the tested lotteries. ``export_smt_scripts`` instead writes the exact
-condition of each label-equal pair as SMT-LIB for an external solver, and
-decides nothing.
+A step condition is its key: the successors of ``t``, the left row (those
+of ``s`` under the lottery, one per response; for grid lottery i, row i of
+``s`` in ``prob.SuccessorTable``, whose level-n formulas the i-th ``<1>``
+conjunct of a characteristic formula mixes), and the relation restricted
+to their supports. A decision round settles each condition against the
+frozen relation by the cheapest exact test: the copy strategy for a pair
+``(s, s)``, an integer max-flow for a pure answer at ``t`` with one pure
+response at ``s`` per ``b`` (which also refutes when every successor is a
+point), and else the rational step LP, built from the key and memoized on
+it. Witnesses are the step LP's vertices against the final relation;
+``pa_simulation`` returns at the fixpoint, and they are solved on first
+read of ``SimReport.witnesses``, which ``pags sim`` never does: its trace
+counts the tested lotteries. ``export_smt_scripts`` instead writes the
+exact condition of each label-equal pair as SMT-LIB for an external
+solver, and decides nothing.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from .prob import (
     LinearProblem,
     MixedAction,
     Relation,
-    combine_ints,
+    Memo,
+    SuccessorTable,
+    combine_dists,
     format_rational,
-    grid_lotteries,
     lifts,
     lp_feasible,
 )
@@ -143,56 +146,34 @@ def _marginal_rows(dists):
     return states, rows
 
 
-def _integer_lottery(lottery) -> tuple:
-    """``(den, weights)``: the positive ``Fraction`` masses of ``lottery`` as
-    integers over their least common denominator, sorted by action."""
-    den = 1
-    for p in lottery.values():
-        if den % p.denominator:
-            den = lcm(den, p.denominator)
-    weights = sorted((a, p.numerator * (den // p.denominator)) for a, p in lottery.items())
-    return den, tuple(weights)
-
-
-def _grid_keys(g: GameStructure, k: int) -> list:
-    """The grid-``k`` lotteries over player-1 actions as ``_integer_lottery``
-    pairs, in grid order."""
-    return [_integer_lottery(lot) for lot in grid_lotteries(g.acts1, k)]
-
-
 class _StepData:
     """The successors of each side of a step condition, and the step LP's
     answers so far, for one ``pa_simulation`` call.
 
-    A step condition is its key ``(right successors, left successors,
-    related pairs)``: the successors of ``t``, one row per ``b`` with one
-    entry per action, those of ``s`` under the lottery, one per response,
-    and ``r`` restricted to (left support x right support). ``Distribution``
+    A step condition is its key ``(right successors, left row, related
+    pairs)``: the successors of ``t``, one row per ``b`` with one entry per
+    action, those of ``s`` under the lottery, one per response (the rounds
+    read row i from ``tables[k]``, the grid-``k`` ``SuccessorTable``), and
+    ``r`` restricted to (left support x right support). ``Distribution``
     equality compares successors by value, so states with equal rows, such
     as mirror copies, share their LPs.
     """
 
     def __init__(self, g: GameStructure):
         self.g = g
-        self.left = {}  # (s, den, weights) -> (successors, their sorted support)
+        self.tables = Memo(lambda k: SuccessorTable(g, k))  # k -> grid-k table
         self.right = {}  # t -> (successors, their sorted support)
         self.solved = {}  # key -> lottery at t or None
 
-    def condition(self, s, t, lottery, r):
-        """The key of the step condition of ``(s, t)`` under ``lottery``, an
-        ``_integer_lottery`` pair, against ``r``."""
-        g = self.g
-        side = (s, *lottery)
-        if side not in self.left:
-            den, weights = lottery
-            succ = tuple(combine_ints([(c, g.step(s, a, b2)) for a, c in weights], den)
-                         for b2 in g.acts2)
-            self.left[side] = (succ, sorted(set().union(*[d.nums for d in succ])))
+    def condition(self, left, t, r):
+        """The key of the step condition of the left row ``left`` against
+        ``t`` and ``r``."""
         if t not in self.right:
+            g = self.g
             succ = tuple(tuple(g.step(t, a, b) for a in g.acts1) for b in g.acts2)
             self.right[t] = (succ, sorted(set().union(*[th.nums for row in succ for th in row])))
-        left, left_states = self.left[side]
         right, support = self.right[t]
+        left_states = sorted(set().union(*[d.nums for d in left]))
         return right, left, tuple((u, v) for u in left_states for v in support if (u, v) in r)
 
     def solve(self, key):
@@ -278,12 +259,12 @@ def _flow_verdict(left, right, r: Relation):
     return None
 
 
-def _holds(s, t, lottery, r: Relation, data: _StepData) -> bool:
-    """Whether the step condition of ``(s, t)`` under ``lottery`` holds
+def _holds(left, t, r: Relation, data: _StepData) -> bool:
+    """Whether the step condition of the left row ``left`` and ``t`` holds
     against ``r``: by the flow where it decides, else by the step LP of its
     key. The flow is run again for a repeated condition; its LP is not."""
-    key = data.condition(s, t, lottery, r)
-    verdict = _flow_verdict(key[1], key[0], r)
+    key = data.condition(left, t, r)
+    verdict = _flow_verdict(left, key[0], r)
     return data.solve(key) is not None if verdict is None else verdict
 
 
@@ -297,10 +278,11 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     lottery as a MixedAction, or None. A ``pi1_at_s`` with a negative entry
     or a sum other than 1 raises ``ValueError`` before any LP.
 
-    The LP is built from the condition's key (``_StepData.condition``), as
-    integers straight from the successors' ``nums`` and ``den``, and an LP
-    with a row that no point can meet is refuted before it is solved (see
-    ``_solve_step``).
+    The left row is summed with ``combine_dists``, equal by value to the
+    ``SuccessorTable`` row of a grid lottery. The LP is built from the
+    condition's key (``_StepData.condition``), as integers straight from the
+    successors' ``nums`` and ``den``, and an LP with a row that no point
+    can meet is refuted before it is solved (see ``_solve_step``).
 
     The LP depends on ``t`` only through its successors, on ``s`` and the
     lottery only through theirs, and on ``r`` only through ``r`` restricted
@@ -318,13 +300,15 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
         raise ValueError("lottery does not sum to 1")
     if data is None:
         data = _StepData(g)
-    lottery = data.solve(data.condition(s, t, _integer_lottery(pi1_at_s), r))
+    left = tuple(combine_dists((p, g.step(s, a, b)) for a, p in pi1_at_s.items())
+                 for b in g.acts2)
+    lottery = data.solve(data.condition(left, t, r))
     return None if lottery is None else MixedAction({t: lottery}, 1)
 
 
-def _decide_round(g: GameStructure, r: Relation, lotteries, data: _StepData) -> Relation:
+def _decide_round(g: GameStructure, r: Relation, k: int, data: _StepData) -> Relation:
     """The pairs of ``r`` whose step condition holds against the frozen ``r``
-    for each of ``lotteries`` (``_integer_lottery`` pairs).
+    for each grid-``k`` lottery i, whose left row is ``data.tables[k].row(s, i)``.
 
     If ``r`` holds every ``(u, u)``, as it does in ``pa_simulation``, each
     ``(s, s)`` is kept by the copy strategy: answer a lottery ``p`` with
@@ -332,10 +316,12 @@ def _decide_round(g: GameStructure, r: Relation, lotteries, data: _StepData) -> 
     ``w[(u, u)] = theta_s(p, b)[u]``, which meets every row of the step LP.
     Every other condition goes to ``_holds``.
     """
+    table = data.tables[k]
+    lotteries = range(len(table.lotteries))
     copy = all((u, u) in r for u in g.states)
     return Relation(
         (s, t) for s, t in r
-        if (copy and s == t) or all(_holds(s, t, lot, r, data) for lot in lotteries)
+        if (copy and s == t) or all(_holds(table.row(s, i), t, r, data) for i in lotteries)
     )
 
 
@@ -346,14 +332,13 @@ def _witnesses(g: GameStructure, kept: Relation, r: Relation, k: int, data: _Ste
     else the vertex of the step LP of the condition's key, read from the
     memo when the rounds solved it. A step LP that refutes a kept pair
     raises ``ValueError``: the flow and the LP disagree."""
-    lotteries = grid_lotteries(g.acts1, k)  # k = 1 for pure: each action alone
+    table = data.tables[k]  # k = 1 for pure: each action alone
     copy = all((u, u) in r for u in g.states)
     witnesses = {}
     for s, t in kept:
         entry = []
-        for lot in lotteries:
-            key = _integer_lottery(lot)
-            pi2 = lot if copy and s == t else data.solve(data.condition(s, t, key, r))
+        for i, lot in enumerate(table.lotteries):
+            pi2 = lot if copy and s == t else data.solve(data.condition(table.row(s, i), t, r))
             if pi2 is None:
                 shown = ",".join(f"{a}:{format_rational(p)}" for a, p in lot.items())
                 raise ValueError(
@@ -377,7 +362,7 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     """
     if data is None:
         data = _StepData(g)
-    kept = _decide_round(g, r, _grid_keys(g, strat.k), data)
+    kept = _decide_round(g, r, strat.k, data)
     return kept, _witnesses(g, kept, r, strat.k, data)
 
 
@@ -390,11 +375,10 @@ def _fixpoint(g: GameStructure, strat: QuantStrategy, data: _StepData):
     relation that starts with at most |S|^2: the loop ends within
     |S|^2 + 1 rounds.
     """
-    lotteries = _grid_keys(g, strat.k)
     r = initial_relation(g)
     iterations = 0
     while True:
-        nxt = _decide_round(g, r, lotteries, data)
+        nxt = _decide_round(g, r, strat.k, data)
         iterations += 1
         if nxt == r:
             return r, iterations

@@ -120,6 +120,24 @@ GOLDEN = [
         id="preorder-rps-s0-s1",
     ),
     pytest.param(
+        ["charform", "--model", F["dup.pgs"], "--state", "u", "--depth", "1", "--grid", "2"],
+        0,
+        "!pa & !pb & <1> mix{sum{1/2: pa & !pb, 1/2: pb & !pa}, sum{1: pa & !pb}} "
+        "& <1> mix{sum{1/4: pa & !pb, 3/4: pb & !pa}, sum{2/3: pa & !pb, 1/3: pb & !pa}} "
+        "& <1> mix{sum{1: pb & !pa}, sum{1/3: pa & !pb, 2/3: pb & !pa}}\n",
+        id="charform-dup-u-grid2",
+    ),
+    pytest.param(
+        ["charform", "--json", "--model", F["dup.pgs"], "--state", "u", "--depth", "1",
+         "--grid", "2"],
+        0,
+        '{"bound": 1, "certified": true, "mode": "charform", "result": "ok", "witness": '
+        '"!pa & !pb & <1> mix{sum{1/2: pa & !pb, 1/2: pb & !pa}, sum{1: pa & !pb}} '
+        '& <1> mix{sum{1/4: pa & !pb, 3/4: pb & !pa}, sum{2/3: pa & !pb, 1/3: pb & !pa}} '
+        '& <1> mix{sum{1: pb & !pa}, sum{1/3: pa & !pb, 2/3: pb & !pa}}"}\n',
+        id="charform-dup-u-grid2-json",
+    ),
+    pytest.param(
         ["eval", "--json", "--model", F["dup.pgs"], "--dist", "x:1/2,y:1/2",
          "--formula", "mix{pa|pb, pa|pb, pb}"],
         0,

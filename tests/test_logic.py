@@ -38,7 +38,8 @@ from pags.logic import (
     mix_check,
     split_check,
 )
-from pags.model import parse_model
+from pags.model import ModelError, parse_model
+from pags.oracle import brute_eval
 from pags.prob import Distribution, lp_feasible, parse_distribution
 from pags.sim import QuantStrategy, pa_simulation
 
@@ -398,6 +399,22 @@ def test_a_successor_table_dies_with_its_evaluator(rps):
         assert table() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: evaluate(g, Distribution({"zz": 1}), TRUE),
+    lambda g: evaluate(g, Distribution({"zz": 1}), Enforce(TRUE)),
+    lambda g: brute_eval(g, Distribution({"zz": 1}), TRUE),
+    lambda g: logic_preorder(g, "s0", "zz", 1, 2),
+    lambda g: logic_preorder(g, "zz", "s0", 0, 2),
+    lambda g: char_formula_state(g, "zz", 0, 2),
+], ids=["evaluate-true", "evaluate-enforce", "brute_eval", "preorder-to", "preorder-from",
+        "char_formula_state"])
+def test_a_state_outside_the_model_is_an_error(rps, call):
+    """No verdict and no bare ``KeyError`` at a state the model lacks: each
+    call raises the message ``GameStructure.step`` gives."""
+    with pytest.raises(ModelError, match="^unknown state 'zz'$"):
+        call(rps)
 
 
 # -- characteristic formulas -------------------------------------------------

@@ -82,7 +82,6 @@ from pags.sim import (
     SimReport,
     _StepData,
     _flow_verdict,
-    _integer_lottery,
     a_simulation,
     exists_pi2_check,
     initial_relation,
@@ -381,8 +380,8 @@ def test_flow_verdict_agrees_with_the_step_lp():
             while True:
                 data = _StepData(g)
                 for s, t in r:
-                    for lot in lotteries:
-                        key = data.condition(s, t, _integer_lottery(lot), r)
+                    for i, lot in enumerate(lotteries):
+                        key = data.condition(data.tables[k].row(s, i), t, r)
                         verdict = _flow_verdict(key[1], key[0], r)
                         if verdict is not None:
                             seen[verdict] += 1

@@ -8,10 +8,19 @@ from fractions import Fraction
 import pytest
 from conftest import REACH
 
-from pags import fixture_text, sim
+from pags import fixture_text, load_fixture_model, sim
+from pags.formula import Enforce, Mix
+from pags.logic import CharFormulaBuilder
 from pags.model import ModelError, parse_model
 from pags.oracle import brute_sim
-from pags.prob import Relation, lp_feasible
+from pags.prob import (
+    Relation,
+    SuccessorTable,
+    combine_dists,
+    format_rational,
+    grid_lotteries,
+    lp_feasible,
+)
 from pags.sim import (
     QuantStrategy,
     SimReport,
@@ -411,3 +420,80 @@ def test_reports_are_equal_only_with_equal_witnesses(dup):
     assert rep == SimReport(rep.relation, rep.iterations, strat, witnesses)
     witnesses[("u", "u2")] = witnesses[("u", "u2")][:1]
     assert rep != SimReport(rep.relation, rep.iterations, strat, witnesses)
+
+
+FIXTURES = ("dup.pgs", "rps.pgs", "halving.pgs", "lifthost.pgs", "single.pgs",
+            "split_levels.pgs")
+
+# The step-LP memo after ``pa_simulation`` at grid 2 and the first read of
+# its witnesses: how many keys have each (left row, lottery at t or None).
+SOLVED_AT_GRID_2 = {
+    "dup.pgs": {("x:1/2,y:1/2 | x:1", "a=1"): 1,
+                ("x:1/4,y:3/4 | x:2/3,y:1/3", "a=1/2 b=1/2"): 1,
+                ("y:1 | x:1/3,y:2/3", "b=1"): 1},
+    "rps.pgs": {},
+    "halving.pgs": {},
+    "lifthost.pgs": {(u + ":1", "a=1"): 4 for u in ("s1", "s2", "t1", "t2", "t3")},
+    "single.pgs": {},
+    "split_levels.pgs": {("v:1", "a=1"): 2, ("x:1/2,y:1/2", None): 2},
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_rounds_and_characteristic_formulas_index_the_same_successors(name, monkeypatch):
+    """At grid 2, row i of ``s`` in the successor table is the sum of the
+    i-th grid lottery's successors, one per response; the i-th ``<1>``
+    conjunct of the level-1 characteristic formula of ``s`` mixes the
+    level-0 formulas of that row; and every condition a decision round
+    decides has that row as its left side, in round order, each pair's
+    lotteries in grid order up to the first that fails. The step LPs
+    solved are the pinned ones."""
+    g = load_fixture_model(name)
+    table = SuccessorTable(g, 2)
+    builder = CharFormulaBuilder(g, 2)
+    lotteries = grid_lotteries(g.acts1, 2)
+    assert table.lotteries == lotteries
+    for s in g.states:
+        rows = [table.row(s, i) for i in range(len(lotteries))]
+        assert rows == [
+            tuple(combine_dists((p, g.step(s, a, b)) for a, p in lot.items()) for b in g.acts2)
+            for lot in lotteries
+        ]
+        assert builder.state(s, 1).items[1:] == tuple(
+            Enforce(Mix(tuple(builder.dist(e, 0) for e in row))) for row in rows
+        )
+
+    asked = []
+    condition = _StepData.condition
+
+    def spy(data, left, t, r):
+        asked.append((left, t))
+        return condition(data, left, t, r)
+
+    with monkeypatch.context() as m:
+        m.setattr(_StepData, "condition", spy)
+        rep = pa_simulation(g, QuantStrategy.grid(2))
+        data = rep._data
+    expected = []
+
+    def holds(s, t, r):
+        for i, lot in enumerate(lotteries):
+            expected.append((table.row(s, i), t))
+            if exists_pi2_check(g, s, t, lot, r) is None:
+                return False
+        return True
+
+    r = initial_relation(g)
+    while (nxt := Relation((s, t) for s, t in r if s == t or holds(s, t, r))) != r:
+        r = nxt
+    assert asked == expected
+    assert rep.relation == r
+
+    rep.witnesses
+    solved = {}
+    for (_, left, _), lottery in data.solved.items():
+        shown = None if lottery is None else " ".join(
+            f"{a}={format_rational(p)}" for a, p in lottery.items())
+        key = (" | ".join(d.format() for d in left), shown)
+        solved[key] = solved.get(key, 0) + 1
+    assert solved == SOLVED_AT_GRID_2[name]
