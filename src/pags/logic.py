@@ -315,8 +315,12 @@ class Evaluator:
     # -- public dispatch ----------------------------------------------------
 
     def eval(self, d: Distribution, phi) -> EvalResult:
+        """The result of ``phi`` at ``d``, evaluated once per pair; a state of
+        ``d`` outside the model raises ``ModelError``."""
         hit = self._memo.get((d, phi))
         if hit is None:
+            for s in d.nums:
+                self.g.check_state(s)
             hit = self._memo[d, phi] = self._eval(d, phi)
         return hit
 
@@ -646,8 +650,6 @@ def evaluate(g, d: Distribution, phi, opts: EvalOptions = None) -> EvalResult:
     opts = opts or EvalOptions()
     if phi.free:
         raise FormulaError("formula must be closed")
-    for s in d.nums:
-        g.check_state(s)
     try:
         return Evaluator(g, opts).eval(d, phi)
     except RecursionError:

@@ -13,13 +13,16 @@ of ``s`` under the lottery, one per response; for grid lottery i, row i of
 conjunct of a characteristic formula mixes), and the relation restricted
 to their supports. A decision round settles each condition against the
 frozen relation by the cheapest exact test: the copy strategy for a pair
-``(s, s)``, an integer max-flow for a pure answer at ``t`` with one pure
-response at ``s`` per ``b`` (which also refutes when every successor is a
-point), and else the rational step LP, built from the key and memoized on
-it. Witnesses are the step LP's vertices against the final relation;
-``pa_simulation`` returns at the fixpoint, and they are solved on first
-read of ``SimReport.witnesses``, which ``pags sim`` never does: its trace
-counts the tested lotteries. ``export_smt_scripts`` instead writes the
+``(s, s)``, an integer max-flow that accepts a pure answer at ``t`` with
+one pure response at ``s`` per ``b``, a support test that refutes when
+forcing step-LP columns to 0 empties a block (which covers every
+condition whose successors are all points and that the flow does not
+accept), and last, once every lottery of the pair has passed those tests,
+the rational step LP, built from the key and memoized on it. Witnesses
+are the step LP's vertices against the final relation; ``pa_simulation``
+returns at the fixpoint, and they are solved on first read of
+``SimReport.witnesses``, which ``pags sim`` never does: its trace counts
+the tested lotteries. ``export_smt_scripts`` instead writes the
 exact condition of each label-equal pair as SMT-LIB for an external
 solver, and decides nothing.
 """
@@ -183,18 +186,55 @@ class _StepData:
         return self.solved[key]
 
 
+def _refuted(right, left, related) -> bool:
+    """Whether the supports alone refute the step condition with key
+    ``(right, left, related)``, so that its step LP is infeasible unsolved.
+
+    The test forces step-LP columns to 0 and repeats until nothing
+    changes. ``x_a`` goes to 0 when, under some ``b``, a state of
+    ``theta_t(a, b)`` is related to no left state that a live ``lam`` of
+    block ``b`` carries: ``x_a > 0`` gives that state mass, which ``w``
+    draws from a related left state, which only a positive ``lam`` can
+    carry. ``lam_b2`` of block ``b`` goes to 0 when a state of
+    ``theta_s(lottery, b2)`` is related to no right state of ``b`` that a
+    live ``x`` reaches, by the same argument from the left. The positive
+    columns of a feasible point are never forced to 0, so the LP is
+    infeasible once every ``x``, or every ``lam`` of one block, is.
+
+    This covers the all-points case of ``_flow_verdict``: when no pure
+    ``a`` meets the condition, each ``a`` has a point ``theta_t(a, b)``
+    related to no left point, and the first sweep forces its ``x`` to 0.
+    """
+    to_left, to_right = {}, {}
+    for u, v in related:
+        to_left.setdefault(v, set()).add(u)
+        to_right.setdefault(u, set()).add(v)
+    unrelated = frozenset()
+    live_x = range(len(right[0]))
+    live_lam = [range(len(left))] * len(right)
+    while True:
+        before = len(live_x) + sum(map(len, live_lam))
+        for b, row in enumerate(right):
+            carried = set().union(*[left[b2].nums for b2 in live_lam[b]])
+            live_x = [a for a in live_x if not any(
+                to_left.get(v, unrelated).isdisjoint(carried) for v in row[a].nums)]
+            reached = set().union(*[row[a].nums for a in live_x])
+            live_lam[b] = [b2 for b2 in live_lam[b] if not any(
+                to_right.get(u, unrelated).isdisjoint(reached) for u in left[b2].nums)]
+            if not live_x or not live_lam[b]:
+                return True
+        if len(live_x) + sum(map(len, live_lam)) == before:
+            return False
+
+
 def _solve_step(g: GameStructure, right, left, related):
     """The step LP of the condition with key ``(right, left, related)``: its
     lottery at ``t`` (action -> positive probability), or None when the LP
-    is infeasible. Every row is built here from the key, as integers over
-    its denominator, with the rational content of the rows below.
-
-    A marginal row with no ``w`` column whose terms cover a whole block
-    that sums to 1 (every ``x``, or every ``lam`` of its ``b``) asks a
-    positive sum to be 0, so the LP is refuted there, unsolved: a right
-    state that every player-1 action reaches under ``b`` but no left state
-    is related to, or a left state that every response at ``s`` reaches
-    but no right state of ``b`` is related to."""
+    is infeasible. A condition that ``_refuted`` refutes on supports is
+    None unsolved; every other LP is built here from the key, as integers
+    over its denominator, with the rational content of the rows below."""
+    if _refuted(right, left, related):
+        return None
     # Columns: x per player-1 action (0 .. |acts1| - 1, the indices in the
     # right-side rows), then per b: lam per b2 and w per related pair.
     # Rows: sum x == 1; per b, sum lam == 1, then for each right state v
@@ -215,15 +255,11 @@ def _solve_step(g: GameStructure, right, left, related):
             by_u[u].append(w)
         for v in right_states:
             den, terms = right_rows[v]
-            if not by_v[v] and len(terms) == len(g.acts1):
-                return None
             coeffs = dict.fromkeys(by_v[v], den)
             coeffs.update(terms)
             lp.add(coeffs, 0, den)
         for u in left_states:
             den, terms = left_rows[u]
-            if not by_u[u] and len(terms) == len(g.acts2):
-                return None
             coeffs = dict.fromkeys(by_u[u], den)
             coeffs.update((lam[i], c) for i, c in terms)
             lp.add(coeffs, 0, den)
@@ -233,39 +269,20 @@ def _solve_step(g: GameStructure, right, left, related):
     return {a: sol[j] for j, a in enumerate(g.acts1) if sol[j] > 0}
 
 
-def _flow_verdict(left, right, r: Relation):
-    """The step condition decided by integer max-flow, where that is exact.
+def _flow_verdict(left, right, r: Relation) -> bool:
+    """Whether integer max-flow accepts the step condition.
 
     ``left`` holds the successors of ``s`` under the lottery, one per
     response ``b2``, and ``right`` the successors of ``t``, one row per
     ``b`` with one entry per action ``a``. True when some ``a`` has, under
     each ``b``, a ``b2`` whose left successor lifts onto ``step(t, a, b)``
     over ``r``: ``x = a``, ``lam = b2`` and ``w`` the flow are a feasible
-    point of the step LP.
-
-    False when there is no such ``a`` and every successor on both sides is
-    a point. Then the flow test is exact: a feasible ``x`` puts mass on
-    some ``a``, so under each ``b`` the point ``step(t, a, b)`` gets mass,
-    which ``w`` draws from some left state ``u`` related to it; ``u`` gets
-    its mass from a ``b2`` with ``lam_b2 > 0``, whose successor is the point
-    ``u`` and so lifts onto ``step(t, a, b)``. None otherwise: a mixed
-    ``x`` or ``lam`` may succeed where every pure choice fails.
+    point of the step LP. False leaves the condition open: a mixed ``x``
+    or ``lam`` may succeed where every pure choice fails, and where every
+    successor is a point and none does, ``_refuted`` refutes it.
     """
-    for successors in zip(*right):  # the successors of t under one a, per b
-        if all(any(lifts(d, th, r) for d in left) for th in successors):
-            return True
-    if all(d.is_point() for d in left) and all(th.is_point() for row in right for th in row):
-        return False
-    return None
-
-
-def _holds(left, t, r: Relation, data: _StepData) -> bool:
-    """Whether the step condition of the left row ``left`` and ``t`` holds
-    against ``r``: by the flow where it decides, else by the step LP of its
-    key. The flow is run again for a repeated condition; its LP is not."""
-    key = data.condition(left, t, r)
-    verdict = _flow_verdict(left, key[0], r)
-    return data.solve(key) is not None if verdict is None else verdict
+    return any(all(any(lifts(d, th, r) for d in left) for th in successors)
+               for successors in zip(*right))  # the successors of t under one a, per b
 
 
 def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
@@ -281,8 +298,9 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     The left row is summed with ``combine_dists``, equal by value to the
     ``SuccessorTable`` row of a grid lottery. The LP is built from the
     condition's key (``_StepData.condition``), as integers straight from the
-    successors' ``nums`` and ``den``, and an LP with a row that no point
-    can meet is refuted before it is solved (see ``_solve_step``).
+    successors' ``nums`` and ``den``, and a condition that the supports
+    refute (``_refuted``) is answered None before any LP is built, as
+    ``_solve_step`` does for the rounds and the witness pass.
 
     The LP depends on ``t`` only through its successors, on ``s`` and the
     lottery only through theirs, and on ``r`` only through ``r`` restricted
@@ -314,15 +332,37 @@ def _decide_round(g: GameStructure, r: Relation, k: int, data: _StepData) -> Rel
     ``(s, s)`` is kept by the copy strategy: answer a lottery ``p`` with
     ``x = p``, and for each response ``b`` put ``lam`` on ``b`` and
     ``w[(u, u)] = theta_s(p, b)[u]``, which meets every row of the step LP.
-    Every other condition goes to ``_holds``.
+    Every other pair is decided in two passes. The first takes each lottery
+    in grid order and decides its condition by the memo, the flow's
+    acceptance or ``_refuted``; the pair leaves at the first refutation,
+    and a condition none of them decides stays open. The second solves the
+    step LPs of the open conditions in order, up to the first infeasible
+    one. A pair is kept iff every condition holds, whichever pass decides
+    it, so the step LPs solved are only those of pairs that nothing cheaper
+    removes.
     """
     table = data.tables[k]
     lotteries = range(len(table.lotteries))
     copy = all((u, u) in r for u in g.states)
-    return Relation(
-        (s, t) for s, t in r
-        if (copy and s == t) or all(_holds(table.row(s, i), t, r, data) for i in lotteries)
-    )
+    kept = []
+    for s, t in r:
+        if copy and s == t:
+            kept.append((s, t))
+            continue
+        open_keys = []
+        for i in lotteries:
+            key = data.condition(table.row(s, i), t, r)
+            if key in data.solved:
+                if data.solved[key] is None:
+                    break
+            elif not _flow_verdict(key[1], key[0], r):
+                if _refuted(*key):
+                    break
+                open_keys.append(key)
+        else:
+            if all(data.solve(key) is not None for key in open_keys):
+                kept.append((s, t))
+    return Relation(kept)
 
 
 def _witnesses(g: GameStructure, kept: Relation, r: Relation, k: int, data: _StepData) -> dict:
@@ -389,8 +429,9 @@ def pa_simulation(g: GameStructure, strat: QuantStrategy) -> SimReport:
     """Iterate refinement from the label-equal relation to its fixpoint.
 
     Decision rounds (``_decide_round``) run to the fixpoint; they solve a
-    step LP only where the flow test leaves a condition open, and the report
-    is returned there. Its witnesses are solved on first read, once, for
+    step LP only for a condition that neither the flow nor the support test
+    decides, of a pair that no such test removes, and the report is
+    returned there. Its witnesses are solved on first read, once, for
     the final relation against itself: the step LP's vertex for each pair
     of distinct states and tested lottery, as in the round that found the
     fixpoint, and the copy entry for ``(s, s)``; the rounds' memo spares
@@ -416,9 +457,11 @@ def a_simulation(g: GameStructure) -> Relation:
     Both start from ``initial_relation`` and refine monotonically, so the
     greatest fixpoints agree.
 
-    Every successor is a point and every tested lottery is pure, so the
-    flow test of ``_flow_verdict`` decides each condition exactly and the
-    decision rounds solve no LP; no witnesses are built.
+    Every successor is a point and every tested lottery is pure, so each
+    condition is decided without an LP: ``_flow_verdict`` accepts it when
+    some pure ``a`` meets it, and otherwise ``_refuted`` refutes it in its
+    first sweep. The decision rounds solve no LP, and no witnesses are
+    built.
     """
     if not g.is_deterministic():
         raise ModelError("model is probabilistic")

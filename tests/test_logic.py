@@ -404,12 +404,14 @@ def test_a_successor_table_dies_with_its_evaluator(rps):
 @pytest.mark.parametrize("call", [
     lambda g: evaluate(g, Distribution({"zz": 1}), TRUE),
     lambda g: evaluate(g, Distribution({"zz": 1}), Enforce(TRUE)),
+    lambda g: Evaluator(g, EvalOptions()).eval(Distribution({"zz": 1}), TRUE),
+    lambda g: Evaluator(g, EvalOptions()).eval(Distribution({"zz": 1}), Enforce(TRUE)),
     lambda g: brute_eval(g, Distribution({"zz": 1}), TRUE),
     lambda g: logic_preorder(g, "s0", "zz", 1, 2),
     lambda g: logic_preorder(g, "zz", "s0", 0, 2),
     lambda g: char_formula_state(g, "zz", 0, 2),
-], ids=["evaluate-true", "evaluate-enforce", "brute_eval", "preorder-to", "preorder-from",
-        "char_formula_state"])
+], ids=["evaluate-true", "evaluate-enforce", "eval-true", "eval-enforce", "brute_eval",
+        "preorder-to", "preorder-from", "char_formula_state"])
 def test_a_state_outside_the_model_is_an_error(rps, call):
     """No verdict and no bare ``KeyError`` at a state the model lacks: each
     call raises the message ``GameStructure.step`` gives."""

@@ -1,9 +1,10 @@
 """Property tests: the exact LP core, lifting, simulation (its copy strategy
-for reflexive pairs and its flow decision against the step LP;
-alternating simulation against the oracle, with no LP; the logic preorder
-inside its approximant), the flat formula encoder, the strategy
-modality's successors and the bounded evaluator's certified verdicts
-against their oracles, the integer distribution sum against a plain
+for reflexive pairs, and its flow acceptance and support refutation
+against the step LP; alternating simulation against the oracle, with no
+LP; the logic preorder inside its approximant, and its certified verdicts
+on either side of the one-round approximant), the flat formula encoder,
+the strategy modality's successors and the bounded evaluator's certified
+verdicts against their oracles, the integer distribution sum against a plain
 ``Fraction`` sum, the interned formula nodes against plain recursion, the
 evaluator's successor cache against rebuilding every successor, its
 `<1>`, which evaluates one choice per class of a blind player's choices,
@@ -82,6 +83,8 @@ from pags.sim import (
     SimReport,
     _StepData,
     _flow_verdict,
+    _refuted,
+    _solve_step,
     a_simulation,
     exists_pi2_check,
     initial_relation,
@@ -368,8 +371,9 @@ def test_a_simulation_matches_brute_sim_on_deterministic_models(g):
 def test_flow_verdict_agrees_with_the_step_lp():
     """On seeded models, probabilistic and deterministic, under the pure
     and grid-2 strategies and at every round's relation: a condition the
-    flow certifies has a feasible step LP, and one it refutes (every
-    successor a point) has none. Both verdicts occur."""
+    flow accepts has a feasible step LP, and one that ``_refuted`` refutes
+    on supports has none, the LP being the one ``_solve_step`` builds with
+    the refutation switched off. Both verdicts occur."""
     seen = {True: 0, False: 0}
     for seed in range(24):
         rng = random.Random(seed)
@@ -382,11 +386,12 @@ def test_flow_verdict_agrees_with_the_step_lp():
                 for s, t in r:
                     for i, lot in enumerate(lotteries):
                         key = data.condition(data.tables[k].row(s, i), t, r)
-                        verdict = _flow_verdict(key[1], key[0], r)
-                        if verdict is not None:
-                            seen[verdict] += 1
-                            pi2 = exists_pi2_check(g, s, t, lot, r)
-                            assert (pi2 is not None) == verdict, (seed, k, s, t, lot)
+                        accepts, refuted = _flow_verdict(key[1], key[0], r), _refuted(*key)
+                        if accepts or refuted:
+                            seen[accepts] += 1
+                            with mock.patch("pags.sim._refuted", return_value=False):
+                                feasible = _solve_step(g, *key) is not None
+                            assert feasible == accepts != refuted, (seed, k, s, t, lot)
                 nxt = refine_once(g, r, QuantStrategy.grid(k), data)[0]
                 if nxt == r:
                     break
@@ -411,6 +416,26 @@ def test_preorder_holds_lie_in_the_depth_n_approximant(seed):
         for t in g.states:
             if logic_preorder(g, s, t, 2, 1).verdict == HOLDS:
                 assert (s, t) in r, (s, t)
+
+
+def test_certified_preorder_verdicts_agree_with_the_one_round_approximant():
+    """The characterisation theorem at depth 1 and grid 2, in both
+    directions, on 20 seeded 3-state models with one proposition, over
+    every ordered pair of distinct states: a certified `holds` of the
+    depth-1 logic preorder lies in R_1, one ``refine_once`` round from
+    ``initial_relation`` under ``grid(2)``, and a certified `fails` lies
+    outside it. Both verdicts occur."""
+    seen = {HOLDS: 0, FAILS: 0}
+    strat = QuantStrategy.grid(2)
+    for seed in range(20):
+        g = random_model(random.Random(seed), n_states=3, n_props=1)
+        r1 = refine_once(g, initial_relation(g), strat)[0]
+        for s, t in itertools.permutations(g.states, 2):
+            res = logic_preorder(g, s, t, 1, 2)
+            if res.certified and res.verdict in seen:
+                seen[res.verdict] += 1
+                assert ((s, t) in r1) == (res.verdict == HOLDS), (seed, s, t, res.verdict)
+    assert min(seen.values()) > 0, seen
 
 
 def _fraction_step_lp(g, s, t, lottery, r):
