@@ -36,8 +36,6 @@ from .formula import (
 from .prob import (
     Distribution,
     LinearProblem,
-    Memo,
-    SuccessorTable,
     combine_ints,
     compositions,
     format_rational,
@@ -118,22 +116,6 @@ def _joint(results):
     return all(r.certified for r in results), max((r.bound_used for r in results), default=0)
 
 
-def _state_order(g):
-    return {s: i for i, s in enumerate(g.states)}
-
-
-def _blindness(g, s):
-    """Whether player 1, and whether player 2, is blind at ``s``: the
-    successor of ``s`` is the same distribution for every action of that
-    player, against each action of the other. A blind player's choices at
-    ``s`` all give the same table entries."""
-    rows = [[g.table[s, a, b] for b in g.acts2] for a in g.acts1]
-    return (
-        all(row == rows[0] for row in rows),
-        all(row.count(row[0]) == len(row) for row in rows),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Exact decision for the flat fragment
 # ---------------------------------------------------------------------------
@@ -169,7 +151,6 @@ class _FlatChecker:
 
     def __init__(self, g):
         self.g = g
-        self._order = _state_order(g)
         self._sat_memo = {}
         self._allowed_memo = {}
 
@@ -222,7 +203,7 @@ class _FlatChecker:
             if not states:
                 return False, None
         elif allowed.issuperset(d.nums):
-            states = sorted(d.nums, key=self._order.__getitem__)
+            states = sorted(d.nums, key=self.g.index.__getitem__)
         else:
             return False, None
         lp = LinearProblem()
@@ -302,13 +283,9 @@ class Evaluator:
         self.opts = opts
         self.flat = _FlatChecker(g)
         self._memo = {}
-        self._order = _state_order(g)
         self._pool = None
-        self._succ = SuccessorTable(g, opts.pi1_grid)
+        self._succ = g.successors(opts.pi1_grid)
         self._successors = {}  # (d, table entries in model order) -> successor
-        # state -> (player 1, player 2) blind; a closure, not a bound method,
-        # so that no cycle holds the Evaluator past its last use.
-        self._blind = Memo(lambda s: _blindness(g, s))
         self._built = 0  # `step` calls, cache hits included
         self._tried = 0  # per-state split candidates tried by _split_grid
 
@@ -416,7 +393,7 @@ class Evaluator:
         """
         q = self.opts.split_denominator
         weights = [w for w, _ in parts]
-        states = sorted(d.support(), key=self._order.get)
+        states = sorted(d.support(), key=self.g.index.get)
         comps = list(compositions(q, len(parts)))
 
         # The needs are integers over d.den * q * wden, where wden clears the
@@ -560,15 +537,15 @@ class Evaluator:
         decides it.
 
         A combo or vertex that differs from an earlier one only at states
-        where its player is blind (``_blindness``) makes the same successor
-        keys, and so the same results, as the first of its class, which has
-        a 0 there; only firsts are scanned, in the full scan's order. The
-        witness's ``vertices`` counts every response the scan covers, the
-        skipped members of a class included."""
+        where its player is blind (``GameStructure.blind``) makes the same
+        successor keys, and so the same results, as the first of its class,
+        which has a 0 there; only firsts are scanned, in the full scan's
+        order. The witness's ``vertices`` counts every response the scan
+        covers, the skipped members of a class included."""
         g = self.g
-        states = sorted(d.support(), key=self._order.get)
+        states = sorted(d.support(), key=g.index.get)
         lotteries = self._succ.lotteries
-        blind = [self._blind[s] for s in states]
+        blind = [g.blind[s] for s in states]
         combos = itertools.product(*[(0,) if b1 else range(len(lotteries)) for b1, _ in blind])
         vertices = list(itertools.product(*[(0,) if b2 else range(len(g.acts2)) for _, b2 in blind]))
         safe = body.convex
@@ -683,8 +660,7 @@ class CharFormulaBuilder:
 
     def __init__(self, g, k: int):
         self.g = g
-        self._succ = SuccessorTable(g, k)  # rejects k < 1
-        self._order = _state_order(g)
+        self._succ = g.successors(k)  # rejects k < 1
         self._state_memo = {}
 
     def state(self, s, n: int):
@@ -709,7 +685,7 @@ class CharFormulaBuilder:
         return phi
 
     def dist(self, d: Distribution, n: int):
-        return ProbSum((d[t], self.state(t, n)) for t in sorted(d.support(), key=self._order.get))
+        return ProbSum((d[t], self.state(t, n)) for t in sorted(d.support(), key=self.g.index.get))
 
 
 def char_formula_state(g, s, n: int, k: int):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .prob import Distribution, format_rational, parse_rational
+from .prob import Distribution, SuccessorTable, format_rational, parse_rational
 
 
 class ModelError(Exception):
@@ -22,7 +22,9 @@ class GameStructure:
     """Two-player probabilistic game structure with a total transition table.
 
     Immutable after construction; all iteration orders follow declaration
-    order so that every downstream computation is reproducible.
+    order so that every downstream computation is reproducible. The derived
+    facts ``index`` (state -> declaration position), ``blind`` and the
+    tables of ``successors`` are computed once; equality ignores them.
     """
 
     def __init__(self, name, states, init, props, labels, acts1, acts2, table):
@@ -37,6 +39,24 @@ class GameStructure:
         violations = validate_model(self)
         if violations:
             raise ModelError("; ".join(violations))
+        self.index = {s: i for i, s in enumerate(self.states)}
+        # state -> whether player 1, and whether player 2, is blind there:
+        # every action of that player gives the same successor against each
+        # action of the other, so all its choices give the same table entries.
+        self.blind = {}
+        for s in self.states:
+            rows = [[self.table[s, a, b] for b in self.acts2] for a in self.acts1]
+            self.blind[s] = (all(row == rows[0] for row in rows),
+                             all(row.count(row[0]) == len(row) for row in rows))
+        self._tables = {}
+
+    def successors(self, k: int) -> SuccessorTable:
+        """The grid-``k`` ``SuccessorTable``, built on first request and kept
+        for the model's life; ``k < 1`` raises ``ValueError``."""
+        table = self._tables.get(k)
+        if table is None:
+            table = self._tables[k] = SuccessorTable(self, k)
+        return table
 
     def check_state(self, s) -> None:
         """Raise ``ModelError`` unless ``s`` is a state of the model."""

@@ -564,19 +564,21 @@ class SuccessorTable(Memo):
     successor of ``s`` under the i-th player-1 grid lottery and the j-th
     player-2 action, built on first lookup and then kept. Entries are
     compared by value: equal entries of two keys may be two objects. The
-    ``<1>`` scan, characteristic formulas and simulation rounds read it."""
+    ``<1>`` scan, characteristic formulas and simulation rounds read the
+    model's, which lives as long as the model (``GameStructure.successors``)
+    and holds its rows, not the model: callers check states first."""
 
     def __init__(self, g, k: int):
         self.lotteries = lotteries = grid_lotteries(g.acts1, k)
         self._responses = range(len(g.acts2))
+        rows, acts2 = g.table, g.acts2
 
-        # A closure, not a bound method, so that no cycle holds the table.
         def build(key):
             s, i, j = key
-            b = g.acts2[j]
+            b = acts2[j]
             # Grid numerators over k, as combine_dists would scale them.
             parts = [
-                (p.numerator * (k // p.denominator), g.step(s, a, b))
+                (p.numerator * (k // p.denominator), rows[s, a, b])
                 for a, p in lotteries[i].items()
             ]
             return combine_ints(parts, k)

@@ -9,7 +9,7 @@ only, or a rational grid.
 
 A step condition is its key: the successors of ``t``, the left row (those
 of ``s`` under the lottery, one per response; for grid lottery i, row i of
-``s`` in ``prob.SuccessorTable``, whose level-n formulas the i-th ``<1>``
+``s`` in ``g.successors(k)``, whose level-n formulas the i-th ``<1>``
 conjunct of a characteristic formula mixes), and the relation restricted
 to their supports. A decision round settles each condition against the
 frozen relation by the cheapest exact test: the copy strategy for a pair
@@ -41,8 +41,6 @@ from .prob import (
     LinearProblem,
     MixedAction,
     Relation,
-    Memo,
-    SuccessorTable,
     combine_dists,
     format_rational,
     lifts,
@@ -156,7 +154,7 @@ class _StepData:
     A step condition is its key ``(right successors, left row, related
     pairs)``: the successors of ``t``, one row per ``b`` with one entry per
     action, those of ``s`` under the lottery, one per response (the rounds
-    read row i from ``tables[k]``, the grid-``k`` ``SuccessorTable``), and
+    read row i of the model's grid-``k`` table, ``g.successors(k)``), and
     ``r`` restricted to (left support x right support). ``Distribution``
     equality compares successors by value, so states with equal rows, such
     as mirror copies, share their LPs.
@@ -164,7 +162,6 @@ class _StepData:
 
     def __init__(self, g: GameStructure):
         self.g = g
-        self.tables = Memo(lambda k: SuccessorTable(g, k))  # k -> grid-k table
         self.right = {}  # t -> (successors, their sorted support)
         self.solved = {}  # key -> lottery at t or None
 
@@ -230,11 +227,9 @@ def _refuted(right, left, related) -> bool:
 def _solve_step(g: GameStructure, right, left, related):
     """The step LP of the condition with key ``(right, left, related)``: its
     lottery at ``t`` (action -> positive probability), or None when the LP
-    is infeasible. A condition that ``_refuted`` refutes on supports is
-    None unsolved; every other LP is built here from the key, as integers
-    over its denominator, with the rational content of the rows below."""
-    if _refuted(right, left, related):
-        return None
+    is infeasible, built from the key as integers over its denominator, with
+    the rational content of the rows below. It runs no support test: its
+    callers run ``_refuted`` first where a condition may be refuted."""
     # Columns: x per player-1 action (0 .. |acts1| - 1, the indices in the
     # right-side rows), then per b: lam per b2 and w per related pair.
     # Rows: sum x == 1; per b, sum lam == 1, then for each right state v
@@ -299,8 +294,8 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
     ``SuccessorTable`` row of a grid lottery. The LP is built from the
     condition's key (``_StepData.condition``), as integers straight from the
     successors' ``nums`` and ``den``, and a condition that the supports
-    refute (``_refuted``) is answered None before any LP is built, as
-    ``_solve_step`` does for the rounds and the witness pass.
+    refute (``_refuted``) is answered None before any LP is built, its
+    memo entry None, as the rounds' first pass refutes it.
 
     The LP depends on ``t`` only through its successors, on ``s`` and the
     lottery only through theirs, and on ``r`` only through ``r`` restricted
@@ -320,13 +315,16 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
         data = _StepData(g)
     left = tuple(combine_dists((p, g.step(s, a, b)) for a, p in pi1_at_s.items())
                  for b in g.acts2)
-    lottery = data.solve(data.condition(left, t, r))
+    key = data.condition(left, t, r)
+    if _refuted(*key):
+        data.solved[key] = None
+    lottery = data.solve(key)
     return None if lottery is None else MixedAction({t: lottery}, 1)
 
 
 def _decide_round(g: GameStructure, r: Relation, k: int, data: _StepData) -> Relation:
     """The pairs of ``r`` whose step condition holds against the frozen ``r``
-    for each grid-``k`` lottery i, whose left row is ``data.tables[k].row(s, i)``.
+    for each grid-``k`` lottery i, whose left row is ``g.successors(k).row(s, i)``.
 
     If ``r`` holds every ``(u, u)``, as it does in ``pa_simulation``, each
     ``(s, s)`` is kept by the copy strategy: answer a lottery ``p`` with
@@ -341,7 +339,7 @@ def _decide_round(g: GameStructure, r: Relation, k: int, data: _StepData) -> Rel
     it, so the step LPs solved are only those of pairs that nothing cheaper
     removes.
     """
-    table = data.tables[k]
+    table = g.successors(k)
     lotteries = range(len(table.lotteries))
     copy = all((u, u) in r for u in g.states)
     kept = []
@@ -370,9 +368,10 @@ def _witnesses(g: GameStructure, kept: Relation, r: Relation, k: int, data: _Ste
     of ``kept``, which a decision round against ``r`` kept: the lottery
     itself (the copy entry) for ``(s, s)`` when ``r`` holds the diagonal,
     else the vertex of the step LP of the condition's key, read from the
-    memo when the rounds solved it. A step LP that refutes a kept pair
-    raises ``ValueError``: the flow and the LP disagree."""
-    table = data.tables[k]  # k = 1 for pure: each action alone
+    memo when the rounds solved it. Kept conditions hold, so no support
+    test runs here. A step LP that refutes a kept pair raises
+    ``ValueError``: the flow and the LP disagree."""
+    table = g.successors(k)  # k = 1 for pure: each action alone
     copy = all((u, u) in r for u in g.states)
     witnesses = {}
     for s, t in kept:
@@ -398,8 +397,10 @@ def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
     existential response, and the witnesses of the pairs it keeps, step-LP
     vertices against ``r`` (copies for ``(s, s)`` when ``r`` holds the
     diagonal). ``data`` carries successors and step-LP answers across
-    rounds.
+    rounds. A state of ``r`` outside the model raises ``ModelError``.
     """
+    for u in set().union(*r):
+        g.check_state(u)
     if data is None:
         data = _StepData(g)
     kept = _decide_round(g, r, strat.k, data)

@@ -28,6 +28,7 @@ from pags.formula import (
     unfold_fixpoint,
 )
 from pags.logic import (
+    CharFormulaBuilder,
     EvalOptions,
     Evaluator,
     char_formula_dist,
@@ -40,8 +41,8 @@ from pags.logic import (
 )
 from pags.model import ModelError, parse_model
 from pags.oracle import brute_eval
-from pags.prob import Distribution, lp_feasible, parse_distribution
-from pags.sim import QuantStrategy, pa_simulation
+from pags.prob import Distribution, Relation, lp_feasible, parse_distribution
+from pags.sim import QuantStrategy, pa_simulation, refine_once
 
 
 # -- grammar -----------------------------------------------------------------
@@ -387,18 +388,40 @@ def test_substituting_into_too_deep_a_body_is_a_formula_error():
     assert substitute(shallow, "X", Prop("p")) is Enforce(Enforce(Prop("p")))
 
 
-def test_a_successor_table_dies_with_its_evaluator(rps):
-    """No reference cycle holds the table, so it is freed without the
-    cyclic collector."""
+def test_a_models_tables_die_with_the_model():
+    """The model keeps the table an evaluator read past the evaluator, and
+    no reference cycle holds the table, so it is freed with the model
+    without the cyclic collector."""
+    g = load_fixture_model("rps.pgs")
     gc.disable()
     try:
-        ev = Evaluator(rps, EvalOptions())
+        ev = Evaluator(g, EvalOptions())
         ev.eval(Distribution.point("s0"), parse_formula("<1> <1> win1"))
         table = weakref.ref(ev._succ)
         del ev
+        assert table() is g.successors(2)
+        del g
         assert table() is None
     finally:
         gc.enable()
+
+
+def test_the_engines_read_the_models_successor_tables():
+    """The simulation rounds, the evaluator and the characteristic formulas
+    read the model's one table per grid, and a second evaluation of the
+    same query on the same model builds no table entry."""
+    g = load_fixture_model("dup.pgs")
+    pa_simulation(g, QuantStrategy.grid(2))
+    table = g.successors(2)
+    assert len(table) > 0  # only the rounds have read the model so far
+    assert Evaluator(g, EvalOptions(pi1_grid=2))._succ is table
+    assert CharFormulaBuilder(g, 2)._succ is table
+    assert g.successors(1) is not table
+    query = (g, Distribution.point("u"), parse_formula("<1> <1> pa"), EvalOptions(pi1_grid=3))
+    evaluate(*query)
+    built = len(g.successors(3))
+    evaluate(*query)
+    assert 0 < built == len(g.successors(3))
 
 
 @pytest.mark.parametrize("call", [
@@ -410,8 +433,11 @@ def test_a_successor_table_dies_with_its_evaluator(rps):
     lambda g: logic_preorder(g, "s0", "zz", 1, 2),
     lambda g: logic_preorder(g, "zz", "s0", 0, 2),
     lambda g: char_formula_state(g, "zz", 0, 2),
+    lambda g: refine_once(g, Relation([("zz", "s0")]), QuantStrategy.pure()),
+    lambda g: refine_once(g, Relation([("s0", "zz")]), QuantStrategy.pure()),
 ], ids=["evaluate-true", "evaluate-enforce", "eval-true", "eval-enforce", "brute_eval",
-        "preorder-to", "preorder-from", "char_formula_state"])
+        "preorder-to", "preorder-from", "char_formula_state", "refine_once-from",
+        "refine_once-to"])
 def test_a_state_outside_the_model_is_an_error(rps, call):
     """No verdict and no bare ``KeyError`` at a state the model lacks: each
     call raises the message ``GameStructure.step`` gives."""
@@ -518,8 +544,8 @@ def test_blind_choices_are_charged_once_per_class(rps):
         ev = Evaluator(rps, EvalOptions(unfold_bound=bound))
         assert ev.eval(d, parse_formula(text)).verdict == "unknown"
         assert (ev._built, len(ev._successors)) == (built, successors)
-        assert ev._blind["s1"] == ev._blind["s2"] == (True, True)
-        assert ev._blind["s0"] == (False, False)
+        assert rps.blind["s1"] == rps.blind["s2"] == (True, True)
+        assert rps.blind["s0"] == (False, False)
 
 
 def test_a_blind_player_reports_every_vertex(rps):
@@ -550,7 +576,7 @@ def test_equal_rows_in_another_entry_order_leave_a_player_blind():
     )
     ev = Evaluator(g, EvalOptions(pi1_grid=1))  # lotteries: a, b
     assert ev.eval(Distribution.point("s"), parse_formula("<1> p")).verdict == "unknown"
-    assert ev._blind["s"] == (True, True)
+    assert g.blind["s"] == (True, True)
     assert (ev._built, len(ev._successors)) == (1, 1)
 
 

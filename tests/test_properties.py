@@ -2,7 +2,7 @@
 for reflexive pairs, and its flow acceptance and support refutation
 against the step LP; alternating simulation against the oracle, with no
 LP; the logic preorder inside its approximant, and its certified verdicts
-on either side of the one-round approximant), the flat formula encoder,
+on either side of the one- and two-round approximants), the flat formula encoder,
 the strategy modality's successors and the bounded evaluator's certified
 verdicts against their oracles, the integer distribution sum against a plain
 ``Fraction`` sum, the interned formula nodes against plain recursion, the
@@ -22,6 +22,7 @@ from math import lcm
 from unittest import mock
 
 from conftest import REACH, random_distribution, random_model, random_relation, standard_form
+from gap_table import preorder_verdicts
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +52,6 @@ from pags.logic import (
     EvalOptions,
     Evaluator,
     _FlatChecker,
-    _blindness,
     _fails,
     _holds,
     _joint,
@@ -372,8 +372,8 @@ def test_flow_verdict_agrees_with_the_step_lp():
     """On seeded models, probabilistic and deterministic, under the pure
     and grid-2 strategies and at every round's relation: a condition the
     flow accepts has a feasible step LP, and one that ``_refuted`` refutes
-    on supports has none, the LP being the one ``_solve_step`` builds with
-    the refutation switched off. Both verdicts occur."""
+    on supports has none, the LP being the one ``_solve_step`` builds and
+    solves. Both verdicts occur."""
     seen = {True: 0, False: 0}
     for seed in range(24):
         rng = random.Random(seed)
@@ -385,12 +385,11 @@ def test_flow_verdict_agrees_with_the_step_lp():
                 data = _StepData(g)
                 for s, t in r:
                     for i, lot in enumerate(lotteries):
-                        key = data.condition(data.tables[k].row(s, i), t, r)
+                        key = data.condition(g.successors(k).row(s, i), t, r)
                         accepts, refuted = _flow_verdict(key[1], key[0], r), _refuted(*key)
                         if accepts or refuted:
                             seen[accepts] += 1
-                            with mock.patch("pags.sim._refuted", return_value=False):
-                                feasible = _solve_step(g, *key) is not None
+                            feasible = _solve_step(g, *key) is not None
                             assert feasible == accepts != refuted, (seed, k, s, t, lot)
                 nxt = refine_once(g, r, QuantStrategy.grid(k), data)[0]
                 if nxt == r:
@@ -435,6 +434,19 @@ def test_certified_preorder_verdicts_agree_with_the_one_round_approximant():
             if res.certified and res.verdict in seen:
                 seen[res.verdict] += 1
                 assert ((s, t) in r1) == (res.verdict == HOLDS), (seed, s, t, res.verdict)
+    assert min(seen.values()) > 0, seen
+
+
+def test_certified_preorder_verdicts_agree_with_the_two_round_approximant():
+    """The same check at depth 2 on the first 5 of those models (30 ordered
+    pairs): a certified `holds` lies in R_2, two rounds from
+    ``initial_relation`` under ``grid(2)``, and a certified `fails` outside
+    it. Both verdicts occur."""
+    seen = {HOLDS: 0, FAILS: 0}
+    for seed, s, t, res, inside in preorder_verdicts(2, range(5)):
+        if res.certified and res.verdict in seen:
+            seen[res.verdict] += 1
+            assert inside == (res.verdict == HOLDS), (seed, s, t, res.verdict)
     assert min(seen.values()) > 0, seen
 
 
@@ -901,7 +913,7 @@ class _FullScanEvaluator(Evaluator):
 
     def _enforce(self, d, body):
         g = self.g
-        states = sorted(d.support(), key=self._order.get)
+        states = sorted(d.support(), key=self.g.index.get)
         lotteries = self._succ.lotteries
         vertices = list(itertools.product(range(len(g.acts2)), repeat=len(states)))
         refutable = len(g.acts1) == 1
@@ -1004,9 +1016,11 @@ def test_enforce_classes_match_the_full_scan(instance):
     player has changes no result or witness, no split count, and neither
     which successors are built, entry for entry and in which order, nor
     which distribution and subformula pairs are evaluated and to what. It
-    makes no more requests than the full scan."""
+    makes no more requests than the full scan. The full scan reads its own
+    copy of the model, so that each fills its own successor table."""
     g, d, phi, opts = instance
-    ev, full = Evaluator(g, opts), _FullScanEvaluator(g, opts)
+    copy = GameStructure(g.name, g.states, g.init, g.props, g.labels, g.acts1, g.acts2, g.table)
+    ev, full = Evaluator(g, opts), _FullScanEvaluator(copy, opts)
     assert repr(ev.eval(d, phi)) == repr(full.eval(d, phi))
     assert ev._built <= full._built
     assert ev._tried == full._tried
@@ -1104,7 +1118,7 @@ def test_models_round_trip_with_their_blindness(g):
     another order."""
     h = parse_model(serialize_model(g))
     assert h == g
-    assert [_blindness(h, s) for s in h.states] == [_blindness(g, s) for s in g.states]
+    assert h.blind == g.blind
 
 
 class _EagerEvaluator(Evaluator):
