@@ -55,7 +55,10 @@ ENFORCE_BUDGET = 250_000
 
 # Per-state split fractions one Evaluator may try for `sum` and `mix`, whose
 # search explodes at fine split denominators; the last support state's
-# fraction is computed, as one try. The tests and benchmark try at most 1,914.
+# fraction is computed, as one try, and a fraction that gives a component
+# mass where its item cannot carry any is not tried. An evaluation that
+# completes tries at most 6,761 in the tests (a property test's generated
+# formula) and 150 in the benchmark (`dup` (u, u) at depth 2).
 SPLIT_BUDGET = 150_000
 
 
@@ -174,10 +177,12 @@ class _FlatChecker:
         return hit
 
     def _allowed(self, phi) -> frozenset:
-        """The states where the Or-free ``phi`` can carry mass: a literal's
-        satisfying states, the intersection over `&`'s items (every state
-        for `true`) and the union over a summation's. Column order never
-        comes from iterating the set."""
+        """The states where ``phi`` can carry mass: a literal's satisfying
+        states, the intersection over `&`'s items (every state for `true`),
+        the union over `|`'s and a summation's, and every state for `<1>`, a
+        fixpoint or a variable. It covers every node: the flat encoding
+        reads it for Or-free variants, and ``Evaluator._split_grid`` prunes
+        by it. Column order never comes from iterating the set."""
         hit = self._allowed_memo.get(phi)
         if hit is None:
             g = self.g
@@ -186,10 +191,10 @@ class _FlatChecker:
                 hit = frozenset(s for s in g.states if (phi.name in g.labels[s]) == positive)
             elif isinstance(phi, And):
                 hit = frozenset(g.states).intersection(*map(self._allowed, phi.items))
-            elif isinstance(phi, (ProbSum, Mix)):
+            elif isinstance(phi, (Or, ProbSum, Mix)):
                 hit = frozenset().union(*map(self._allowed, phi.children))
-            else:
-                raise TypeError(f"unexpected node in flat variant: {phi!r}")
+            else:  # `<1>`, a fixpoint or a variable
+                hit = frozenset(g.states)
             self._allowed_memo[phi] = hit
         return hit
 
@@ -390,11 +395,26 @@ class Evaluator:
 
         Returns (component distributions, component results) for the first
         split (in grid order) whose every component evaluates to holds.
+
+        Any node holds at a distribution, certified or not, only if its
+        support lies in the node's ``_FlatChecker._allowed`` set: literals
+        and `&` fail through the exact check or a failing conjunct, `|`
+        needs a holding disjunct, and `sum` and `mix` need every component
+        of positive weight to hold. So a state takes only compositions that
+        give no share to a component whose item cannot carry mass there;
+        every split skipped would have failed, and the first that holds is
+        the full grid's.
         """
         q = self.opts.split_denominator
         weights = [w for w, _ in parts]
         states = sorted(d.support(), key=self.g.index.get)
         comps = list(compositions(q, len(parts)))
+        allowed = [self.flat._allowed(item) for _, item in parts]
+
+        def fits(s, comp):
+            return all(s in a for c, a in zip(comp, allowed) if c)
+
+        choices = [[c for c in comps if fits(s, c)] for s in states[:-1]]
 
         # The needs are integers over d.den * q * wden, where wden clears the
         # weights' denominators: a unit of comp at states[i] takes mass[i],
@@ -413,11 +433,11 @@ class Evaluator:
                     f"over the budget of {SPLIT_BUDGET}"
                 )
 
-        # Enumerate candidate splits lazily: depth-first over per-state
-        # compositions with infeasible partial sums pruned. At the last
-        # state only need / mass zeroes the need, so that composition is
-        # computed, as one try; its parts sum to q, since each earlier state
-        # took mass * q of the need.
+        # Enumerate candidate splits lazily: depth-first over each state's
+        # fitting compositions with infeasible partial sums pruned. At the
+        # last state only need / mass zeroes the need, so that composition
+        # is computed, as one try, and kept if it fits; its parts sum to q,
+        # since each earlier state took mass * q of the need.
         last = len(states) - 1
 
         def all_candidates(idx, need, acc):
@@ -425,10 +445,12 @@ class Evaluator:
             if idx == last:
                 try_one()
                 if all(n % m == 0 for n in need):
-                    yield acc + [tuple(n // m for n in need)]
+                    comp = tuple(n // m for n in need)
+                    if fits(states[idx], comp):
+                        yield acc + [comp]
                 return
             remaining = rest[idx]
-            for comp in comps:
+            for comp in choices[idx]:
                 try_one()
                 new_need = [n - m * c for n, c in zip(need, comp)]
                 if any(n < 0 or n > remaining for n in new_need):
@@ -656,12 +678,16 @@ class CharFormulaBuilder:
     interpolation of the level-n formulas of the per-response successor
     distributions. Pinning the labels at every level makes one player-1
     strategy match them all, rather than one strategy per level.
+
+    A state's formulas live in the model's grid-``k`` successor table
+    (``SuccessorTable.formulas``), keyed by state and depth: every builder
+    on one model and grid shares them, and they die with the model.
     """
 
     def __init__(self, g, k: int):
         self.g = g
         self._succ = g.successors(k)  # rejects k < 1
-        self._state_memo = {}
+        self._state_memo = self._succ.formulas
 
     def state(self, s, n: int):
         key = (s, n)

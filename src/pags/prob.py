@@ -241,6 +241,9 @@ class Relation:
     def __le__(self, other):
         return all(pair in other for pair in self)
 
+    def __repr__(self):
+        return f"Relation({list(self)!r})"
+
 
 def parse_relation(text: str) -> Relation:
     """Parse the pair-per-line relation format; ``#`` starts a comment.
@@ -566,10 +569,16 @@ class SuccessorTable(Memo):
     compared by value: equal entries of two keys may be two objects. The
     ``<1>`` scan, characteristic formulas and simulation rounds read the
     model's, which lives as long as the model (``GameStructure.successors``)
-    and holds its rows, not the model: callers check states first."""
+    and holds its rows, not the model: callers check states first.
+
+    ``formulas`` maps (s, n) to the characteristic formula of ``s`` at depth
+    ``n`` under this grid; ``logic.CharFormulaBuilder`` fills it, so every
+    call on the model reuses the formulas built before, and they die with
+    the model."""
 
     def __init__(self, g, k: int):
         self.lotteries = lotteries = grid_lotteries(g.acts1, k)
+        self.formulas = {}
         self._responses = range(len(g.acts2))
         rows, acts2 = g.table, g.acts2
 

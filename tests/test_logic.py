@@ -470,6 +470,64 @@ def test_char_formulas_hold_at_own_state(dup):
             assert r.verdict == "holds", (s, n)
 
 
+# Its one proposition occurs in no other test, so no other test's formulas
+# share a node with its characteristic formulas.
+LONE = """model lone
+states: s t    init: s
+props: lone
+label t: lone
+actions1: a b
+actions2: c
+trans s (a,c): s=1/2 t=1/2
+trans s (b,c): t=1
+absorb t
+"""
+
+
+def test_characteristic_formulas_live_with_the_models_grid_table(monkeypatch):
+    """A state's formulas are built once per model and grid and kept in the
+    grid's successor table: a second request returns the kept node, each
+    depth and grid keeps its own, and a second `logic_preorder` on the
+    model asks the builder for the n + 1 top-level formulas only."""
+    g = load_fixture_model("dup.pgs")
+    phi = char_formula_state(g, "u", 2, 2)
+    assert char_formula_state(g, "u", 2, 2) is phi
+    assert g.successors(2).formulas["u", 2] is phi
+    assert not g.successors(1).formulas
+    # Asked in any order, on one model, each (state, depth, grid) gives the
+    # node a fresh model builds for it alone.
+    asked = [(s, n, k) for k in (2, 1) for s in g.states for n in (2, 1, 0)]
+    got = {key: char_formula_state(g, *key) for key in asked}
+    for key in reversed(asked):
+        assert char_formula_state(load_fixture_model("dup.pgs"), *key) is got[key], key
+    assert got["u", 1, 1] is not got["u", 1, 2]
+
+    calls = []
+    state = CharFormulaBuilder.state
+    monkeypatch.setattr(CharFormulaBuilder, "state",
+                        lambda self, s, n: calls.append((s, n)) or state(self, s, n))
+    g = load_fixture_model("dup.pgs")
+    first = logic_preorder(g, "u", "u2", 2, 2)
+    assert len(calls) > 3
+    calls.clear()
+    assert logic_preorder(g, "u", "u2", 2, 2) == first
+    assert calls == [("u", 0), ("u", 1), ("u", 2)]
+
+
+def test_characteristic_formulas_die_with_their_model():
+    """The kept formulas hang off the model alone: with the cycle collector
+    off, deleting the model frees them."""
+    g = parse_model(LONE)
+    gc.disable()
+    try:
+        phi = weakref.ref(char_formula_state(g, "s", 2, 2))
+        assert phi() is not None
+        del g
+        assert phi() is None
+    finally:
+        gc.enable()
+
+
 def test_logic_preorder_detects_label_mismatch(rps):
     r = logic_preorder(rps, "s1", "s2", 1, 1)
     assert r.verdict == "fails" and r.certified

@@ -10,7 +10,8 @@ evaluator's successor cache against rebuilding every successor, its
 `<1>`, which evaluates one choice per class of a blind player's choices,
 against scanning every choice, also where its budget trips, its `&` and
 `|`, which stop at their deciding child, against evaluating every child,
-its results against their distribution's entry order, its certified
+its split search, which skips splits that cannot hold, against the full
+grid, its results against their distribution's entry order, its certified
 `<1>` over a nested `<1>` against sampled mixed responses, and the model
 text round trip."""
 
@@ -833,6 +834,54 @@ def test_certified_fails_are_never_contradicted_by_brute_eval(instance):
     except OracleBudgetError:
         return
     assert brute.verdict != "holds"
+
+
+class _FullGridEvaluator(Evaluator):
+    """The split search over every per-state composition, in grid order,
+    with no pruning: each assignment whose component masses match the
+    weights has its components evaluated in order up to the first that does
+    not hold."""
+
+    def _split_grid(self, d, parts):
+        q = self.opts.split_denominator
+        states = sorted(d.support(), key=self.g.index.get)
+        comps = list(prob.compositions(q, len(parts)))
+        for assignment in itertools.product(comps, repeat=len(states)):
+            shares = [
+                {s: d[s] * Fraction(c[j], q) for s, c in zip(states, assignment) if c[j]}
+                for j in range(len(parts))
+            ]
+            if any(sum(share.values()) != w for share, (w, _) in zip(shares, parts)):
+                continue
+            dists = [Distribution({s: m / w for s, m in share.items()})
+                     for share, (w, _) in zip(shares, parts)]
+            results = []
+            for dist, (_, item) in zip(dists, parts):
+                results.append(self.eval(dist, item))
+                if results[-1].verdict != HOLDS:
+                    break
+            else:
+                return dists, results
+        return None
+
+
+@settings(SETTINGS, max_examples=100)
+@given(eval_instances())
+@example((parse_model(REACH), Distribution.point("s"), parse_formula("sum{1/2: <1> g, 1/2: true}")))
+def test_split_search_skips_only_splits_that_cannot_hold(instance):
+    """Every node that holds at a distribution, certified or not, holds
+    only where its support lies in the node's allowed states. So the split
+    search, which skips the splits that give a component mass outside its
+    item's allowed states, returns the full grid's result, from evaluations
+    the full grid makes too. In the example, `<1> g` holds at s, where `g`
+    cannot carry mass: a `<1>` allows every state."""
+    g, d, phi = instance
+    ev, full = Evaluator(g, BOUNDED), _FullGridEvaluator(g, BOUNDED)
+    assert repr(ev.eval(d, phi)) == repr(full.eval(d, phi))
+    assert ev._memo.keys() <= full._memo.keys()
+    for (dist, psi), r in [*ev._memo.items(), *full._memo.items()]:
+        if r.verdict == HOLDS:
+            assert ev.flat._allowed(psi).issuperset(dist.support()), (dist, psi)
 
 
 @st.composite

@@ -174,6 +174,17 @@ def test_pa_simulation_rps(rps):
     assert rep.iterations <= 2
 
 
+def test_simulation_reports_repeat_their_repr():
+    """A relation prints its pairs in order, so two runs on rps, and a
+    `refine_once` result, print no object address and print alike."""
+    reports = [pa_simulation(load_fixture_model("rps.pgs"), QuantStrategy.grid(2)) for _ in range(2)]
+    assert repr(reports[0]) == repr(reports[1])
+    assert "0x" not in repr(reports[0])
+    assert repr(reports[0].relation) == "Relation([('s0', 's0'), ('s1', 's1'), ('s2', 's2')])"
+    g = load_fixture_model("rps.pgs")
+    assert "0x" not in repr(refine_once(g, initial_relation(g), QuantStrategy.grid(2)))
+
+
 def test_pa_simulation_reflexive(rps, dup, halving):
     for g in (rps, dup, halving):
         rep = pa_simulation(g, QuantStrategy.grid(2))
