@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 import weakref
 from fractions import Fraction
+from functools import wraps
 from math import lcm
 
 from .prob import format_rational, parse_rational
@@ -25,6 +26,20 @@ from .prob import format_rational, parse_rational
 
 class FormulaError(ValueError):
     pass
+
+
+def nesting_guard(func):
+    """``func`` refusing a formula nested too deeply to recurse through:
+    its ``RecursionError`` is raised as ``FormulaError``."""
+
+    @wraps(func)
+    def guarded(*args, **kwargs):
+        try:
+            return func(*args, **kwargs)
+        except RecursionError:
+            raise FormulaError("formula is nested too deeply") from None
+
+    return guarded
 
 
 class Formula:
@@ -324,25 +339,21 @@ class _Parser:
         return ProbSum(((alpha, phi), (1 - alpha, TRUE)))
 
 
+@nesting_guard
 def parse_formula(text: str):
     """Parse a closed formula; unbound variables are rejected."""
-    try:
-        phi = _Parser(_tokenize(text)).parse()
-    except RecursionError:
-        raise FormulaError("formula is nested too deeply") from None
+    phi = _Parser(_tokenize(text)).parse()
     if phi.free:
         raise FormulaError(f"unbound variable(s): {', '.join(sorted(phi.free))}")
     return phi
 
 
+@nesting_guard
 def substitute(phi, var: str, replacement):
     """Capture-avoiding substitution of a closed replacement for ``var``;
     subformulas without ``var`` free are kept, not rebuilt. A ``phi`` nested
     too deeply to recurse through raises ``FormulaError``."""
-    try:
-        return _substitute(phi, var, replacement)
-    except RecursionError:
-        raise FormulaError("formula is nested too deeply") from None
+    return _substitute(phi, var, replacement)
 
 
 def _substitute(phi, var, replacement):
@@ -432,9 +443,28 @@ def _fmt(phi, level: int) -> str:
     raise TypeError(f"not a formula node: {phi!r}")
 
 
+# Nodes the text of ``format_formula`` may hold. The text repeats shared
+# subformulas, so a characteristic formula's grows by a factor per level
+# (about 18 on rps at grid 2): rps `s0` at depth 5 holds 22,402,583 nodes
+# (131 MB), and at depth 6 would need gigabytes.
+FORMAT_BUDGET = 50_000_000
+
+
+def _tree_size(phi, sizes: dict) -> int:
+    """The node count of the tree ``phi`` expands to, memoized in ``sizes``."""
+    if phi not in sizes:
+        sizes[phi] = 1
+        for child in phi.children:
+            sizes[phi] += _tree_size(child, sizes)
+    return sizes[phi]
+
+
+@nesting_guard
 def format_formula(phi) -> str:
-    """Canonical text form; reparsing yields an equal AST."""
-    try:
-        return _fmt(phi, 0)
-    except RecursionError:
-        raise FormulaError("formula is nested too deeply") from None
+    """Canonical text form; reparsing yields an equal AST. A formula nested
+    too deeply to recurse through, or whose text would hold more than
+    ``FORMAT_BUDGET`` nodes, raises ``FormulaError``."""
+    size = _tree_size(phi, {})
+    if size > FORMAT_BUDGET:
+        raise FormulaError(f"formula text would hold {size} nodes, over the budget of {FORMAT_BUDGET}")
+    return _fmt(phi, 0)

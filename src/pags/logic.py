@@ -30,6 +30,7 @@ from .formula import (
     ProbSum,
     Prop,
     Var,
+    nesting_guard,
     substitute,
     unfold_fixpoint,
 )
@@ -288,7 +289,6 @@ class Evaluator:
         self.opts = opts
         self.flat = _FlatChecker(g)
         self._memo = {}
-        self._pool = None
         self._succ = g.successors(opts.pi1_grid)
         self._successors = {}  # (d, table entries in model order) -> successor
         self._built = 0  # `step` calls, cache hits included
@@ -460,27 +460,32 @@ class Evaluator:
                 acc.pop()
 
         need = [w.numerator * (wden // w.denominator) * d.den * q for w in weights]
-        for assignment in all_candidates(0, need, []):
-            # Component j takes d[s] * comp[j] / (q * w_j) at each s, where
-            # comp is the composition chosen at s.
-            dists = [
-                Distribution.from_ints(
-                    {s: d.nums[s] * comp[j] * w.denominator for s, comp in zip(states, assignment)},
-                    d.den * q * w.numerator,
-                )
-                for j, w in enumerate(weights)
-            ]
-            results = []
-            ok = True
-            for dist, (_, item) in zip(dists, parts):
-                r = self.eval(dist, item)
-                results.append(r)
-                if r.verdict != HOLDS:
-                    ok = False
-                    break
-            if ok:
-                return dists, results
-        return None
+        try:
+            for assignment in all_candidates(0, need, []):
+                # Component j takes d[s] * comp[j] / (q * w_j) at each s, where
+                # comp is the composition chosen at s.
+                dists = [
+                    Distribution.from_ints(
+                        {s: d.nums[s] * comp[j] * w.denominator for s, comp in zip(states, assignment)},
+                        d.den * q * w.numerator,
+                    )
+                    for j, w in enumerate(weights)
+                ]
+                results = []
+                ok = True
+                for dist, (_, item) in zip(dists, parts):
+                    r = self.eval(dist, item)
+                    results.append(r)
+                    if r.verdict != HOLDS:
+                        ok = False
+                        break
+                if ok:
+                    return dists, results
+            return None
+        finally:
+            # ``all_candidates`` refers to itself through its closure; unbound
+            # here, it leaves no reference cycle to keep the evaluator alive.
+            del all_candidates
 
     # -- nondeterministic interpolation (free weights) ------------------------
 
@@ -496,7 +501,7 @@ class Evaluator:
                 if items[j].flat:
                     zero_certified[j] = True if self.flat.sat(items[j]) else None
                 else:
-                    found = (self.eval(cand, items[j]) for cand in self._witness_pool())
+                    found = (self.eval(cand, items[j]) for cand in self._succ.pool)
                     zero_certified[j] = next((r.certified for r in found if r.verdict == HOLDS), None)
             return zero_certified[j] is not None
 
@@ -621,38 +626,18 @@ class Evaluator:
                 return _fails({"unfold": i, "counterexample": r.counterexample}, i)
         return _unknown(self.opts.unfold_bound)
 
-    # -- support machinery ----------------------------------------------------
-
-    def _witness_pool(self):
-        """Candidate distributions used to discharge zero-weight components:
-        all points plus every one-step successor of a point under a grid
-        lottery and a pure response."""
-        if self._pool is None:
-            g = self.g
-            points = [Distribution.point(t) for t in g.states]
-            successors = [
-                self._succ[t, i, j]
-                for t in g.states
-                for i in range(len(self._succ.lotteries))
-                for j in range(len(g.acts2))
-            ]
-            self._pool = list(dict.fromkeys(points + successors))
-        return self._pool
-
 
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
+@nesting_guard
 def evaluate(g, d: Distribution, phi, opts: EvalOptions = None) -> EvalResult:
     """Evaluate a closed formula at a distribution."""
     opts = opts or EvalOptions()
     if phi.free:
         raise FormulaError("formula must be closed")
-    try:
-        return Evaluator(g, opts).eval(d, phi)
-    except RecursionError:
-        raise FormulaError("formula is nested too deeply") from None
+    return Evaluator(g, opts).eval(d, phi)
 
 
 def split_check(g, d: Distribution, parts, opts: EvalOptions = None) -> EvalResult:
@@ -714,14 +699,17 @@ class CharFormulaBuilder:
         return ProbSum((d[t], self.state(t, n)) for t in sorted(d.support(), key=self.g.index.get))
 
 
+@nesting_guard
 def char_formula_state(g, s, n: int, k: int):
     return CharFormulaBuilder(g, k).state(s, n)
 
 
+@nesting_guard
 def char_formula_dist(g, d: Distribution, n: int, k: int):
     return CharFormulaBuilder(g, k).dist(d, n)
 
 
+@nesting_guard
 def logic_preorder(g, s, t, n: int, k: int) -> EvalResult:
     """Check the discriminating formulas of ``s`` (levels 0..n) at ``t``.
 

@@ -23,8 +23,11 @@ class GameStructure:
 
     Immutable after construction; all iteration orders follow declaration
     order so that every downstream computation is reproducible. The derived
-    facts ``index`` (state -> declaration position), ``blind`` and the
-    tables of ``successors`` are computed once; equality ignores them.
+    facts ``index`` (state -> declaration position), ``right``, ``blind``
+    and the tables of ``successors`` are computed once; equality ignores
+    them. ``right[t]`` is the right-hand side of a step condition at ``t``:
+    one row per player-2 action with the successor of each player-1 action,
+    and the sorted states the rows reach.
     """
 
     def __init__(self, name, states, init, props, labels, acts1, acts2, table):
@@ -40,14 +43,16 @@ class GameStructure:
         if violations:
             raise ModelError("; ".join(violations))
         self.index = {s: i for i, s in enumerate(self.states)}
+        self.right = {}
         # state -> whether player 1, and whether player 2, is blind there:
         # every action of that player gives the same successor against each
         # action of the other, so all its choices give the same table entries.
         self.blind = {}
         for s in self.states:
-            rows = [[self.table[s, a, b] for b in self.acts2] for a in self.acts1]
-            self.blind[s] = (all(row == rows[0] for row in rows),
-                             all(row.count(row[0]) == len(row) for row in rows))
+            rows = tuple(tuple(self.table[s, a, b] for a in self.acts1) for b in self.acts2)
+            self.right[s] = rows, sorted(set().union(*[d.nums for row in rows for d in row]))
+            self.blind[s] = (all(row.count(row[0]) == len(row) for row in rows),
+                             all(row == rows[0] for row in rows))
         self._tables = {}
 
     def successors(self, k: int) -> SuccessorTable:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional
 
@@ -550,54 +551,52 @@ def grid_lotteries(actions, k: int):
     return out
 
 
-class Memo(dict):
-    """A dict that fills a missing key with ``make(key)`` on lookup."""
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        value = self[key] = self._make(key)
-        return value
-
-
-class SuccessorTable(Memo):
+class SuccessorTable(dict):
     """One-step successors of single states: entry (s, i, j) is the
     successor of ``s`` under the i-th player-1 grid lottery and the j-th
     player-2 action, built on first lookup and then kept. Entries are
     compared by value: equal entries of two keys may be two objects. The
     ``<1>`` scan, characteristic formulas and simulation rounds read the
     model's, which lives as long as the model (``GameStructure.successors``)
-    and holds its rows, not the model: callers check states first.
+    and holds its rows and state list, not the model: callers check states
+    first.
 
     ``formulas`` maps (s, n) to the characteristic formula of ``s`` at depth
     ``n`` under this grid; ``logic.CharFormulaBuilder`` fills it, so every
     call on the model reuses the formulas built before, and they die with
-    the model."""
+    the model. ``pool``, the evaluator's candidates for a zero-weight `mix`
+    component, is kept likewise."""
 
     def __init__(self, g, k: int):
-        self.lotteries = lotteries = grid_lotteries(g.acts1, k)
+        super().__init__()
+        self.lotteries = grid_lotteries(g.acts1, k)
         self.formulas = {}
+        self._k, self._rows, self._states, self._acts2 = k, g.table, g.states, g.acts2
         self._responses = range(len(g.acts2))
-        rows, acts2 = g.table, g.acts2
 
-        def build(key):
-            s, i, j = key
-            b = acts2[j]
-            # Grid numerators over k, as combine_dists would scale them.
-            parts = [
-                (p.numerator * (k // p.denominator), rows[s, a, b])
-                for a, p in lotteries[i].items()
-            ]
-            return combine_ints(parts, k)
-
-        super().__init__(build)
+    def __missing__(self, key):
+        s, i, j = key
+        b, k = self._acts2[j], self._k
+        # Grid numerators over k, as combine_dists would scale them.
+        parts = [(p.numerator * (k // p.denominator), self._rows[s, a, b])
+                 for a, p in self.lotteries[i].items()]
+        value = self[key] = combine_ints(parts, k)
+        return value
 
     def row(self, s, i: int) -> tuple:
         """The successors of ``s`` under the i-th lottery, one per player-2
         action, in ``acts2`` order."""
         return tuple([self[s, i, j] for j in self._responses])
+
+    @cached_property
+    def pool(self) -> list:
+        """The candidate distributions that discharge a zero-weight `mix`
+        component: every point, then every entry of a state, in (s, i, j)
+        order, without repeats. Built on first read."""
+        points = [Distribution.point(t) for t in self._states]
+        lotteries = range(len(self.lotteries))
+        entries = [self[t, i, j] for t in self._states for i in lotteries for j in self._responses]
+        return list(dict.fromkeys(points + entries))
 
 
 # ---------------------------------------------------------------------------

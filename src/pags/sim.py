@@ -7,24 +7,23 @@ for each candidate lottery of the universal side. The universal side ranges
 over an infinite simplex, so it is resolved by a strategy: pure lotteries
 only, or a rational grid.
 
-A step condition is its key: the successors of ``t``, the left row (those
-of ``s`` under the lottery, one per response; for grid lottery i, row i of
-``s`` in ``g.successors(k)``, whose level-n formulas the i-th ``<1>``
-conjunct of a characteristic formula mixes), and the relation restricted
-to their supports. A decision round settles each condition against the
-frozen relation by the cheapest exact test: the copy strategy for a pair
+A step condition is its key (``_condition``): the model's right-hand rows
+of ``t`` (``g.right``), the left row (the successors of ``s`` under the
+lottery, one per response; for grid lottery i, row i of ``s`` in
+``g.successors(k)``, whose level-n formulas the i-th ``<1>`` conjunct of a
+characteristic formula mixes), and the relation restricted to their
+supports. A decision round settles each condition against the frozen
+relation by the cheapest exact test: the copy strategy for a pair
 ``(s, s)``, an integer max-flow that accepts a pure answer at ``t`` with
 one pure response at ``s`` per ``b``, a support test that refutes when
-forcing step-LP columns to 0 empties a block (which covers every
-condition whose successors are all points and that the flow does not
-accept), and last, once every lottery of the pair has passed those tests,
-the rational step LP, built from the key and memoized on it. Witnesses
-are the step LP's vertices against the final relation; ``pa_simulation``
-returns at the fixpoint, and they are solved on first read of
-``SimReport.witnesses``, which ``pags sim`` never does: its trace counts
-the tested lotteries. ``export_smt_scripts`` instead writes the
-exact condition of each label-equal pair as SMT-LIB for an external
-solver, and decides nothing.
+forcing step-LP columns to 0 empties a block, and last, once every
+lottery of the pair has passed those tests, the rational step LP, built
+from the key. Each public call memoizes step LPs in a dict of its own,
+keyed on content. Witnesses are the step LP's vertices against the final
+relation, solved on first read of ``SimReport.witnesses``, which ``pags
+sim`` never does. ``export_smt_scripts`` instead writes the exact
+condition of each label-equal pair as SMT-LIB for an external solver, and
+decides nothing.
 """
 
 from __future__ import annotations
@@ -80,36 +79,33 @@ class QuantStrategy:
 
 
 class SimReport:
-    """Outcome of the approximant iteration.
+    """Outcome of the approximant iteration, built by ``pa_simulation`` from
+    its model and step-LP memo.
 
     ``witnesses`` maps each surviving pair to one (lottery, response) entry
     per tested universal lottery: a step-LP vertex for a pair of distinct
     states, the lottery itself (the copy strategy) for a pair ``(s, s)``.
-    A report built from ``data``, the ``_StepData`` of the run that found
-    ``relation``, solves its witnesses on first read, once, and then drops
-    ``data``; a report that is never read solves none. Reports are equal
+    They are solved on first read, once, and the model and memo are then
+    dropped; a report that is never read solves none. Reports are equal
     when their relations, rounds, strategies and witnesses are, so
     comparing two reads the witnesses of both.
     """
 
     def __init__(self, relation: Relation, iterations: int, strategy: QuantStrategy,
-                 witnesses: dict | None = None, *, data: _StepData | None = None):
+                 g: GameStructure, solved: dict):
         self.relation = relation
         self.iterations = iterations
         self.strategy = strategy
-        if data is None:
-            self.witnesses = witnesses
-        else:
-            self._data = data
+        self._run = g, solved
 
     @cached_property
     def witnesses(self) -> dict:
         """The final relation's witnesses against itself (``_witnesses``).
         A step LP that refutes a kept pair raises ``ValueError`` here; the
-        step data is dropped only once the witnesses are built."""
-        data = self._data
-        witnesses = _witnesses(data.g, self.relation, self.relation, self.strategy.k, data)
-        del self._data
+        model and memo are dropped only once the witnesses are built."""
+        g, solved = self._run
+        witnesses = _witnesses(g, self.relation, self.relation, self.strategy.k, solved)
+        del self._run
         return witnesses
 
     def __eq__(self, other):
@@ -147,40 +143,24 @@ def _marginal_rows(dists):
     return states, rows
 
 
-class _StepData:
-    """The successors of each side of a step condition, and the step LP's
-    answers so far, for one ``pa_simulation`` call.
-
-    A step condition is its key ``(right successors, left row, related
-    pairs)``: the successors of ``t``, one row per ``b`` with one entry per
-    action, those of ``s`` under the lottery, one per response (the rounds
-    read row i of the model's grid-``k`` table, ``g.successors(k)``), and
-    ``r`` restricted to (left support x right support). ``Distribution``
+def _condition(g: GameStructure, left, t, r: Relation):
+    """The key ``(right rows, left row, related pairs)`` of the step
+    condition of the left row ``left`` against ``t`` and ``r``: the
+    model's right-hand rows of ``t`` (``g.right``), ``left``, and ``r``
+    restricted to (left support x right support). ``Distribution``
     equality compares successors by value, so states with equal rows, such
-    as mirror copies, share their LPs.
-    """
+    as mirror copies, share their LPs."""
+    right, support = g.right[t]
+    left_states = sorted(set().union(*[d.nums for d in left]))
+    return right, left, tuple((u, v) for u in left_states for v in support if (u, v) in r)
 
-    def __init__(self, g: GameStructure):
-        self.g = g
-        self.right = {}  # t -> (successors, their sorted support)
-        self.solved = {}  # key -> lottery at t or None
 
-    def condition(self, left, t, r):
-        """The key of the step condition of the left row ``left`` against
-        ``t`` and ``r``."""
-        if t not in self.right:
-            g = self.g
-            succ = tuple(tuple(g.step(t, a, b) for a in g.acts1) for b in g.acts2)
-            self.right[t] = (succ, sorted(set().union(*[th.nums for row in succ for th in row])))
-        right, support = self.right[t]
-        left_states = sorted(set().union(*[d.nums for d in left]))
-        return right, left, tuple((u, v) for u in left_states for v in support if (u, v) in r)
-
-    def solve(self, key):
-        """The step LP's lottery at ``t`` for ``key``, solved once."""
-        if key not in self.solved:
-            self.solved[key] = _solve_step(self.g, *key)
-        return self.solved[key]
+def _solve(g: GameStructure, key, solved: dict):
+    """The step LP's lottery at ``t`` for ``key``, solved once per memo
+    ``solved`` (key -> lottery at ``t`` or None)."""
+    if key not in solved:
+        solved[key] = _solve_step(g, *key)
+    return solved[key]
 
 
 def _refuted(right, left, related) -> bool:
@@ -280,7 +260,7 @@ def _flow_verdict(left, right, r: Relation) -> bool:
                for successors in zip(*right))  # the successors of t under one a, per b
 
 
-def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
+def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation):
     """Exact search for a player-1 lottery at ``t`` matching ``pi1_at_s``.
 
     Feasibility of: the successor set of ``t`` under the unknown lottery is
@@ -292,18 +272,11 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
 
     The left row is summed with ``combine_dists``, equal by value to the
     ``SuccessorTable`` row of a grid lottery. The LP is built from the
-    condition's key (``_StepData.condition``), as integers straight from the
+    condition's key (``_condition``), as integers straight from the
     successors' ``nums`` and ``den``, and a condition that the supports
-    refute (``_refuted``) is answered None before any LP is built, its
-    memo entry None, as the rounds' first pass refutes it.
-
-    The LP depends on ``t`` only through its successors, on ``s`` and the
-    lottery only through theirs, and on ``r`` only through ``r`` restricted
-    to (left support x right support), which is all the key holds. So with
-    a shared ``data`` an LP whose key was seen before, equal by value, is
-    not solved again. The memo keeps the lottery, and each call builds a new
-    MixedAction at its own ``t``: a hit for the same ``t`` returns an equal
-    MixedAction, not the same object.
+    refute (``_refuted``) is answered None before any LP is built, as the
+    rounds' first pass refutes it. Each call solves its own LP: the memo
+    of the rounds lives in ``pa_simulation`` and ``refine_once``.
     """
     pi1_at_s = {a: Fraction(p) for a, p in pi1_at_s.items() if Fraction(p) != 0}
     for a, p in pi1_at_s.items():
@@ -311,18 +284,15 @@ def exists_pi2_check(g: GameStructure, s, t, pi1_at_s, r: Relation, data=None):
             raise ValueError(f"negative probability {format_rational(p)} for action {a}")
     if sum(pi1_at_s.values(), Fraction(0)) != 1:
         raise ValueError("lottery does not sum to 1")
-    if data is None:
-        data = _StepData(g)
     left = tuple(combine_dists((p, g.step(s, a, b)) for a, p in pi1_at_s.items())
                  for b in g.acts2)
-    key = data.condition(left, t, r)
-    if _refuted(*key):
-        data.solved[key] = None
-    lottery = data.solve(key)
+    g.check_state(t)
+    key = _condition(g, left, t, r)
+    lottery = None if _refuted(*key) else _solve_step(g, *key)
     return None if lottery is None else MixedAction({t: lottery}, 1)
 
 
-def _decide_round(g: GameStructure, r: Relation, k: int, data: _StepData) -> Relation:
+def _decide_round(g: GameStructure, r: Relation, k: int, solved: dict) -> Relation:
     """The pairs of ``r`` whose step condition holds against the frozen ``r``
     for each grid-``k`` lottery i, whose left row is ``g.successors(k).row(s, i)``.
 
@@ -331,7 +301,7 @@ def _decide_round(g: GameStructure, r: Relation, k: int, data: _StepData) -> Rel
     ``x = p``, and for each response ``b`` put ``lam`` on ``b`` and
     ``w[(u, u)] = theta_s(p, b)[u]``, which meets every row of the step LP.
     Every other pair is decided in two passes. The first takes each lottery
-    in grid order and decides its condition by the memo, the flow's
+    in grid order and decides its condition by the memo ``solved``, the flow's
     acceptance or ``_refuted``; the pair leaves at the first refutation,
     and a condition none of them decides stays open. The second solves the
     step LPs of the open conditions in order, up to the first infeasible
@@ -349,26 +319,26 @@ def _decide_round(g: GameStructure, r: Relation, k: int, data: _StepData) -> Rel
             continue
         open_keys = []
         for i in lotteries:
-            key = data.condition(table.row(s, i), t, r)
-            if key in data.solved:
-                if data.solved[key] is None:
+            key = _condition(g, table.row(s, i), t, r)
+            if key in solved:
+                if solved[key] is None:
                     break
             elif not _flow_verdict(key[1], key[0], r):
                 if _refuted(*key):
                     break
                 open_keys.append(key)
         else:
-            if all(data.solve(key) is not None for key in open_keys):
+            if all(_solve(g, key, solved) is not None for key in open_keys):
                 kept.append((s, t))
     return Relation(kept)
 
 
-def _witnesses(g: GameStructure, kept: Relation, r: Relation, k: int, data: _StepData) -> dict:
+def _witnesses(g: GameStructure, kept: Relation, r: Relation, k: int, solved: dict) -> dict:
     """One (lottery, response) entry per grid-``k`` lottery for each pair
     of ``kept``, which a decision round against ``r`` kept: the lottery
     itself (the copy entry) for ``(s, s)`` when ``r`` holds the diagonal,
     else the vertex of the step LP of the condition's key, read from the
-    memo when the rounds solved it. Kept conditions hold, so no support
+    memo ``solved`` when the rounds solved it. Kept conditions hold, so no support
     test runs here. A step LP that refutes a kept pair raises
     ``ValueError``: the flow and the LP disagree."""
     table = g.successors(k)  # k = 1 for pure: each action alone
@@ -377,7 +347,7 @@ def _witnesses(g: GameStructure, kept: Relation, r: Relation, k: int, data: _Ste
     for s, t in kept:
         entry = []
         for i, lot in enumerate(table.lotteries):
-            pi2 = lot if copy and s == t else data.solve(data.condition(table.row(s, i), t, r))
+            pi2 = lot if copy and s == t else _solve(g, _condition(g, table.row(s, i), t, r), solved)
             if pi2 is None:
                 shown = ",".join(f"{a}:{format_rational(p)}" for a, p in lot.items())
                 raise ValueError(
@@ -389,25 +359,24 @@ def _witnesses(g: GameStructure, kept: Relation, r: Relation, k: int, data: _Ste
     return witnesses
 
 
-def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy, data=None):
+def refine_once(g: GameStructure, r: Relation, strat: QuantStrategy):
     """One approximant step against the frozen relation ``r``.
 
     Returns (relation, witnesses): one decision round (``_decide_round``),
     where a pair survives iff every tested universal lottery has an exact
     existential response, and the witnesses of the pairs it keeps, step-LP
     vertices against ``r`` (copies for ``(s, s)`` when ``r`` holds the
-    diagonal). ``data`` carries successors and step-LP answers across
-    rounds. A state of ``r`` outside the model raises ``ModelError``.
+    diagonal). The round and the witnesses share one step-LP memo, made for
+    this call. A state of ``r`` outside the model raises ``ModelError``.
     """
     for u in set().union(*r):
         g.check_state(u)
-    if data is None:
-        data = _StepData(g)
-    kept = _decide_round(g, r, strat.k, data)
-    return kept, _witnesses(g, kept, r, strat.k, data)
+    solved = {}
+    kept = _decide_round(g, r, strat.k, solved)
+    return kept, _witnesses(g, kept, r, strat.k, solved)
 
 
-def _fixpoint(g: GameStructure, strat: QuantStrategy, data: _StepData):
+def _fixpoint(g: GameStructure, strat: QuantStrategy, solved: dict):
     """Decision rounds from the label-equal relation to their fixpoint:
     the relation and the number of rounds.
 
@@ -419,7 +388,7 @@ def _fixpoint(g: GameStructure, strat: QuantStrategy, data: _StepData):
     r = initial_relation(g)
     iterations = 0
     while True:
-        nxt = _decide_round(g, r, strat.k, data)
+        nxt = _decide_round(g, r, strat.k, solved)
         iterations += 1
         if nxt == r:
             return r, iterations
@@ -439,9 +408,9 @@ def pa_simulation(g: GameStructure, strat: QuantStrategy) -> SimReport:
     the LPs they solved. The result over-approximates the simulation
     (coarser universal test sets remove fewer pairs).
     """
-    data = _StepData(g)
-    r, iterations = _fixpoint(g, strat, data)
-    return SimReport(r, iterations, strat, data=data)
+    solved = {}
+    r, iterations = _fixpoint(g, strat, solved)
+    return SimReport(r, iterations, strat, g, solved)
 
 
 def a_simulation(g: GameStructure) -> Relation:
@@ -466,7 +435,7 @@ def a_simulation(g: GameStructure) -> Relation:
     """
     if not g.is_deterministic():
         raise ModelError("model is probabilistic")
-    return _fixpoint(g, QuantStrategy.pure(), _StepData(g))[0]
+    return _fixpoint(g, QuantStrategy.pure(), {})[0]
 
 
 def _smt_rat(x: Fraction) -> str:

@@ -12,7 +12,7 @@ import pytest
 import pags
 from pags import fixture_path
 from pags.cli import run
-from pags.formula import parse_formula
+from pags.formula import FORMAT_BUDGET, parse_formula
 from pags.logic import ENFORCE_BUDGET, SPLIT_BUDGET, evaluate
 from pags.oracle import brute_eval
 from pags.prob import parse_distribution
@@ -315,6 +315,21 @@ def test_deeply_nested_formula_is_usage_error():
         code, out, err = invoke(["eval", "--model", model, "--dist", "s0:1", "--formula", text])
         assert code == 3 and out == "" and "nested too deeply" in err and err.count("\n") == 1
     assert err == "error: formula is nested too deeply\n"
+
+
+def test_charform_too_deep_or_too_long_to_print_is_usage_error():
+    """A characteristic formula too deep to build (dup at depth 300), or
+    whose text would pass ``FORMAT_BUDGET`` nodes (rps at depth 6, grid 2),
+    exits 3 with one error line and no traceback, and no text is built."""
+    cases = [
+        ([DUP, "u", "300", "1"], "error: formula is nested too deeply\n"),
+        ([RPS, "s0", "6", "2"],
+         f"error: formula text would hold 407697308 nodes, over the budget of {FORMAT_BUDGET}\n"),
+    ]
+    for (model, state, depth, grid), message in cases:
+        code, out, err = invoke(["charform", "--model", model, "--state", state,
+                                 "--depth", depth, "--grid", grid])
+        assert (code, out, err) == (3, "", message)
 
 
 def test_internal_error_exits_three(monkeypatch):

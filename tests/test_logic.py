@@ -360,6 +360,27 @@ def test_too_deep_a_formula_is_a_formula_error(single):
         format_formula(phi)
 
 
+def test_too_deep_a_characteristic_formula_is_a_formula_error():
+    """A depth past the recursion limit is refused by the characteristic
+    formula builders and the logic preorder with the parser's message, not
+    a `RecursionError`. Each call gets a model of its own, as the formulas
+    a refused call built stay on its model. The preorder builds its levels
+    in turn, so it recurses deeply only along a long chain of states."""
+    chain = "".join(
+        ["model chain\nstates: ", " ".join(f"c{i}" for i in range(400)),
+         "    init: c0\nprops:\nactions1: a\nactions2: b\nabsorb c399\n"]
+        + [f"trans c{i} (a,b): c{i + 1}=1\n" for i in range(399)]
+    )
+    calls = [
+        lambda: char_formula_state(load_fixture_model("dup.pgs"), "u", 300, 1),
+        lambda: char_formula_dist(load_fixture_model("dup.pgs"), Distribution.point("u"), 300, 1),
+        lambda: logic_preorder(parse_model(chain), "c0", "c1", 300, 1),
+    ]
+    for call in calls:
+        with pytest.raises(FormulaError, match="^formula is nested too deeply$"):
+            call()
+
+
 def test_unfolding_is_a_loop_and_too_deep_a_body_a_formula_error():
     """Each approximant is substituted into the body in turn, so a high
     bound over a shallow body unfolds, and a body nested deeper than
@@ -400,6 +421,33 @@ def test_a_models_tables_die_with_the_model():
         table = weakref.ref(ev._succ)
         del ev
         assert table() is g.successors(2)
+        del g
+        assert table() is None
+    finally:
+        gc.enable()
+
+
+def test_the_witness_pool_is_the_models_and_dies_with_it():
+    """The zero-weight `mix` candidates hold every point, then the grid
+    table's entries in (s, i, j) order, without repeats. The first
+    evaluation that needs them builds them on the model's table, a second
+    evaluation reads the same list, and no reference cycle holds the table,
+    so it is freed with the model without the cyclic collector."""
+    g = load_fixture_model("rps.pgs")
+    table = g.successors(2)
+    phi = parse_formula("mix{win1, <1> win1}")
+    assert "pool" not in vars(table)
+    evaluate(g, Distribution.point("s0"), phi)
+    pool = vars(table)["pool"]
+    points = [Distribution.point(t) for t in g.states]
+    entries = [table[t, i, j] for t in g.states
+               for i in range(len(table.lotteries)) for j in range(len(g.acts2))]
+    assert pool == list(dict.fromkeys(points + entries))
+    evaluate(g, Distribution.point("s1"), phi)
+    assert table.pool is pool
+    gc.disable()
+    try:
+        table = weakref.ref(table)
         del g
         assert table() is None
     finally:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_model
+from pags import load_fixture_model
 from pags.model import ModelError, parse_model, serialize_model, validate_model
 from pags.prob import Distribution
 
@@ -191,3 +192,41 @@ def test_fixture_models_deterministic_flag(rps, halving, single):
     assert rps.is_deterministic()
     assert single.is_deterministic()
     assert not halving.is_deterministic()
+
+
+AGREE_FIRST = """
+model agree
+states: s x y    init: s
+props:
+actions1: a c
+actions2: b d
+trans s (a,b): x=1
+trans s (c,b): x=1
+trans s (a,d): x=1
+trans s (c,d): y=1
+absorb x
+absorb y
+"""
+
+
+def test_right_rows_and_blindness_follow_the_steps():
+    """``right[t]`` holds one row per player-2 action with the successor of
+    each player-1 action, and the sorted union of the rows' supports; the
+    seeded models have more player-1 than player-2 actions. ``blind[t]``
+    says whether every action of player 1, and of player 2, gives the same
+    successor against each action of the other; at AGREE_FIRST's ``s`` the
+    actions of each player agree against the other's first action only."""
+    models = [load_fixture_model(name) for name in
+              ("dup.pgs", "rps.pgs", "halving.pgs", "lifthost.pgs", "single.pgs", "split_levels.pgs")]
+    models += [random_model(random.Random(seed), n_states=4, n_acts1=3) for seed in range(8)]
+    models.append(parse_model(AGREE_FIRST))
+    for g in models:
+        for t in g.states:
+            rows, support = g.right[t]
+            assert rows == tuple(tuple(g.step(t, a, b) for a in g.acts1) for b in g.acts2)
+            assert support == sorted(set().union(*[d.support() for row in rows for d in row]))
+            assert g.blind[t] == (
+                all(g.step(t, a, b) == g.step(t, g.acts1[0], b) for a in g.acts1 for b in g.acts2),
+                all(g.step(t, a, b) == g.step(t, a, g.acts2[0]) for a in g.acts1 for b in g.acts2),
+            )
+    assert models[-1].blind["s"] == (False, False)

@@ -81,10 +81,10 @@ from pags.prob import (
 )
 from pags.sim import (
     QuantStrategy,
-    SimReport,
-    _StepData,
+    _condition,
     _flow_verdict,
     _refuted,
+    _solve,
     _solve_step,
     a_simulation,
     exists_pi2_check,
@@ -276,14 +276,15 @@ def games(draw, sizes=(3, 4)):
 
 
 def _fresh_fixpoint(g, strat):
-    """Iterate ``refine_once`` from the zeroth approximant, each round on its own."""
+    """Iterate ``refine_once`` from the zeroth approximant, each round on its
+    own: the relation, the number of rounds and the last round's witnesses."""
     r = initial_relation(g)
     iterations = 0
     while True:
         nxt, witnesses = refine_once(g, r, strat)
         iterations += 1
         if nxt == r:
-            return SimReport(r, iterations, strat, witnesses)
+            return r, iterations, witnesses
         r = nxt
 
 
@@ -297,7 +298,7 @@ def test_simulation_nests_and_matches_fresh_rounds(g):
     assert Relation.identity(g.states) <= grid4
     assert brute_sim(g, 2) <= grid2
     for rep in reports:
-        assert rep == _fresh_fixpoint(g, rep.strategy)
+        assert (rep.relation, rep.iterations, rep.witnesses) == _fresh_fixpoint(g, rep.strategy)
         r = rep.relation
         assert all((s, u) in r for s, t in r for u in r.image(t))  # transitive
 
@@ -383,16 +384,15 @@ def test_flow_verdict_agrees_with_the_step_lp():
             lotteries = grid_lotteries(g.acts1, k)
             r = initial_relation(g)
             while True:
-                data = _StepData(g)
                 for s, t in r:
                     for i, lot in enumerate(lotteries):
-                        key = data.condition(g.successors(k).row(s, i), t, r)
+                        key = _condition(g, g.successors(k).row(s, i), t, r)
                         accepts, refuted = _flow_verdict(key[1], key[0], r), _refuted(*key)
                         if accepts or refuted:
                             seen[accepts] += 1
                             feasible = _solve_step(g, *key) is not None
                             assert feasible == accepts != refuted, (seed, k, s, t, lot)
-                nxt = refine_once(g, r, QuantStrategy.grid(k), data)[0]
+                nxt = refine_once(g, r, QuantStrategy.grid(k))[0]
                 if nxt == r:
                     break
                 r = nxt
@@ -513,17 +513,23 @@ def step_lp_instances(draw):
 @settings(SETTINGS, max_examples=60)
 @given(step_lp_instances())
 def test_step_lp_matches_the_fraction_encoder(instance):
-    """``exists_pi2_check`` with one shared ``_StepData`` (integer rows, the
-    refutation and the memo keyed on content) gives every pair of distinct
-    states in the relation and every grid lottery the same answer and the
-    same MixedAction as ``_fraction_step_lp`` solving each LP afresh."""
+    """``exists_pi2_check`` (integer rows and the refutation), and the
+    rounds' step LP through one memo dict shared by every condition (keyed
+    on content, so a mirror state reuses its original's answers), give
+    every pair of distinct states in the relation and every grid lottery
+    the same answer and the same MixedAction as ``_fraction_step_lp``
+    solving each LP afresh."""
     g, r, k = instance
-    data = _StepData(g)
+    table = g.successors(k)
+    solved = {}
     for s, t in r:
         if s == t:
             continue
-        for lot in grid_lotteries(g.acts1, k):
-            assert exists_pi2_check(g, s, t, lot, r, data) == _fraction_step_lp(g, s, t, lot, r)
+        for i, lot in enumerate(table.lotteries):
+            expected = _fraction_step_lp(g, s, t, lot, r)
+            assert exists_pi2_check(g, s, t, lot, r) == expected
+            lottery = _solve(g, _condition(g, table.row(s, i), t, r), solved)
+            assert (None if lottery is None else MixedAction({t: lottery}, 1)) == expected
 
 
 FLAT_MODELS = {name: load_fixture_model(name) for name in ("rps.pgs", "dup.pgs")}

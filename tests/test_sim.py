@@ -23,8 +23,6 @@ from pags.prob import (
 )
 from pags.sim import (
     QuantStrategy,
-    SimReport,
-    _StepData,
     a_simulation,
     exists_pi2_check,
     export_smt,
@@ -149,12 +147,11 @@ def test_refine_once_copies_reflexive_pairs_only_with_the_whole_diagonal(rps):
     assert [pi.choice for _, pi in witnesses[("s2", "s2")]] == [{"s2": {"r": 1}}] * 3
 
 
-def test_copy_entries_are_equal_across_rounds_that_share_step_data(rps):
-    """Rounds that share their step data give equal (s, s) copy entries; a
-    finer grid gets an entry of its own."""
-    data = _StepData(rps)
+def test_copy_entries_are_equal_across_rounds(rps):
+    """Rounds at one grid give equal (s, s) copy entries; a finer grid gets
+    an entry of its own."""
     r = Relation.identity(rps.states)
-    rounds = [refine_once(rps, r, strat, data)[1]
+    rounds = [refine_once(rps, r, strat)[1]
               for strat in (QuantStrategy.pure(), QuantStrategy.pure(), QuantStrategy.grid(2))]
     first, again, grid = (w[("s0", "s0")] for w in rounds)
     assert again == first and len(first) == 3
@@ -332,7 +329,7 @@ def test_step_lps_with_an_unmeetable_row_are_refuted_unsolved(monkeypatch):
     """A forced right state related to nothing (FORCED_RIGHT), and a forced
     left state that no right state of some response is related to (ASYM's
     g1, which s reaches under both responses), refute the step LP without
-    solving it; the memo keeps None, as for an infeasible LP."""
+    solving it."""
 
     def unsolved(lp):
         raise AssertionError("the step LP was solved")
@@ -341,9 +338,7 @@ def test_step_lps_with_an_unmeetable_row_are_refuted_unsolved(monkeypatch):
     for text, lottery in ((FORCED_RIGHT, {"a": Fraction(1, 2), "c": Fraction(1, 2)}),
                           (ASYM, {"a": Fraction(1)})):
         g = parse_model(text)
-        data = _StepData(g)
-        assert exists_pi2_check(g, "s", "t", lottery, initial_relation(g), data) is None
-        assert list(data.solved.values()) == [None]
+        assert exists_pi2_check(g, "s", "t", lottery, initial_relation(g)) is None
 
 
 def test_conditions_the_flow_decides_build_no_step_lp_row(lifthost, monkeypatch):
@@ -391,13 +386,12 @@ def test_mirror_states_share_their_step_lps(dup, monkeypatch):
         assert all(set(pi.choice) == {"u"} for _, pi in backward)
 
 
-def test_witnesses_are_solved_on_first_read_and_free_the_step_data(dup, monkeypatch):
+def test_witnesses_are_solved_on_first_read_and_drop_the_memo(dup, monkeypatch):
     """``pa_simulation`` returns at the fixpoint of its decision rounds,
     which solve one step LP on dup at grid 2. The first read of the
-    witnesses solves the other two, and a second read solves none and
-    returns the same dict. No reference cycle holds the step data: it is
-    freed without the cyclic collector after the read, and with a report
-    that is never read."""
+    witnesses solves the other two, drops the run's model and memo, and a
+    second read solves none and returns the same dict. A second run keeps
+    a memo of its own, so it solves its round's LP again."""
     solves = []
 
     def counted(lp):
@@ -405,18 +399,28 @@ def test_witnesses_are_solved_on_first_read_and_free_the_step_data(dup, monkeypa
         return lp_feasible(lp)
 
     monkeypatch.setattr("pags.sim.lp_feasible", counted)
+    rep = pa_simulation(dup, QuantStrategy.grid(2))
+    assert len(solves) == 1 and "_run" in vars(rep)
+    witnesses = rep.witnesses
+    assert len(solves) == 3 and "_run" not in vars(rep)
+    assert rep.witnesses is witnesses and len(solves) == 3
+    pa_simulation(dup, QuantStrategy.grid(2))
+    assert len(solves) == 4
+
+
+def test_an_unread_report_is_freed_without_the_cycle_collector(dup):
+    """No reference cycle holds a report, its model or its memo: with the
+    cyclic collector off, a report that is never read is freed once
+    dropped, and so is a read one."""
     gc.disable()
     try:
-        rep = pa_simulation(dup, QuantStrategy.grid(2))
-        assert len(solves) == 1
-        data = weakref.ref(rep._data)
-        witnesses = rep.witnesses
-        assert len(solves) == 3 and data() is None
-        assert rep.witnesses is witnesses and len(solves) == 3
-        unread = pa_simulation(dup, QuantStrategy.grid(2))
-        data = weakref.ref(unread._data)
-        del unread
-        assert data() is None
+        for read in (False, True):
+            rep = pa_simulation(dup, QuantStrategy.grid(2))
+            if read:
+                rep.witnesses
+            ref = weakref.ref(rep)
+            del rep
+            assert ref() is None
     finally:
         gc.enable()
 
@@ -427,10 +431,12 @@ def test_reports_are_equal_only_with_equal_witnesses(dup):
     strat = QuantStrategy.grid(2)
     rep = pa_simulation(dup, strat)
     assert rep == pa_simulation(dup, strat)
+    other = pa_simulation(dup, strat)
     witnesses = dict(rep.witnesses)
-    assert rep == SimReport(rep.relation, rep.iterations, strat, witnesses)
     witnesses[("u", "u2")] = witnesses[("u", "u2")][:1]
-    assert rep != SimReport(rep.relation, rep.iterations, strat, witnesses)
+    other.witnesses = witnesses
+    assert (other.relation, other.iterations, other.strategy) == (rep.relation, rep.iterations, strat)
+    assert rep != other
 
 
 FIXTURES = ("dup.pgs", "rps.pgs", "halving.pgs", "lifthost.pgs", "single.pgs",
@@ -476,16 +482,16 @@ def test_rounds_and_characteristic_formulas_index_the_same_successors(name, monk
         )
 
     asked = []
-    condition = _StepData.condition
+    condition = sim._condition
 
-    def spy(data, left, t, r):
+    def spy(g, left, t, r):
         asked.append((left, t))
-        return condition(data, left, t, r)
+        return condition(g, left, t, r)
 
     with monkeypatch.context() as m:
-        m.setattr(_StepData, "condition", spy)
+        m.setattr(sim, "_condition", spy)
         rep = pa_simulation(g, QuantStrategy.grid(2))
-        data = rep._data
+        _, memo = rep._run
     expected = []
 
     def holds(s, t, r):
@@ -503,7 +509,7 @@ def test_rounds_and_characteristic_formulas_index_the_same_successors(name, monk
 
     rep.witnesses
     solved = {}
-    for (_, left, _), lottery in data.solved.items():
+    for (_, left, _), lottery in memo.items():
         shown = None if lottery is None else " ".join(
             f"{a}={format_rational(p)}" for a, p in lottery.items())
         key = (" | ".join(d.format() for d in left), shown)
