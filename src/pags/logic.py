@@ -47,18 +47,20 @@ HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown"
 
-# `step` calls one Evaluator may make for the strategy modality, a cache hit
-# included, so the limit bounds the scan's work, not the distinct successors.
-# Each nested `<1>` multiplies the count, so deep nesting stops here with a
-# clear error. A test query that completes makes at most 13,302 calls
-# (`<1>^10 win1` on rps), a benchmark query at most 382.
+# Successor requests one Evaluator may make for the strategy modality: its
+# `step` calls, a cache hit included, and the successor supports its support
+# test reads, so the limit bounds the scan's work, not the distinct
+# successors. Each nested `<1>` multiplies the count, so deep nesting stops
+# here with a clear error. A test query that completes makes at most 1,473
+# requests (`<1>^8 sum{1/3: win1, 2/3: true}` on rps), a benchmark query at
+# most 202 (`mu Z. sum{1/3: win1, 2/3: true} | <1> Z` at unfold 5).
 ENFORCE_BUDGET = 250_000
 
 # Per-state split fractions one Evaluator may try for `sum` and `mix`, whose
 # search explodes at fine split denominators; the last support state's
 # fraction is computed, as one try, and a fraction that gives a component
 # mass where its item cannot carry any is not tried. An evaluation that
-# completes tries at most 6,761 in the tests (a property test's generated
+# completes tries at most 2,626 in the tests (a property test's generated
 # formula) and 150 in the benchmark (`dup` (u, u) at depth 2).
 SPLIT_BUDGET = 150_000
 
@@ -291,7 +293,8 @@ class Evaluator:
         self._memo = {}
         self._succ = g.successors(opts.pi1_grid)
         self._successors = {}  # (d, table entries in model order) -> successor
-        self._built = 0  # `step` calls, cache hits included
+        self._may = {}  # (support, node) -> whether the node may hold there
+        self._built = 0  # `step` calls, cache hits included, and supports `_may_hold` read
         self._tried = 0  # per-state split candidates tried by _split_grid
 
     # -- public dispatch ----------------------------------------------------
@@ -534,6 +537,15 @@ class Evaluator:
 
     # -- strategy modality -----------------------------------------------------
 
+    def _charge(self) -> None:
+        """Count one successor request against ``ENFORCE_BUDGET``."""
+        self._built += 1
+        if self._built > ENFORCE_BUDGET:
+            raise EvalBudgetError(
+                f"<1> built {self._built} successor distributions, "
+                f"over the budget of {ENFORCE_BUDGET}"
+            )
+
     def step(self, d, states, lots, acts) -> Distribution:
         """The one-step successor of ``d`` when each ``states[k]`` plays the
         ``lots[k]``-th grid lottery against the ``acts[k]``-th player-2
@@ -544,18 +556,68 @@ class Evaluator:
         by value: it is built on the first request for its key, and every
         later request returns that same object. Each call counts one against
         ``ENFORCE_BUDGET``, a cache hit included."""
-        self._built += 1
-        if self._built > ENFORCE_BUDGET:
-            raise EvalBudgetError(
-                f"<1> built {self._built} successor distributions, "
-                f"over the budget of {ENFORCE_BUDGET}"
-            )
+        self._charge()
         entries = tuple([self._succ[key] for key in zip(states, lots, acts)])
         hit = self._successors.get((d, entries))
         if hit is None:
             parts = [(d.nums[s], e) for s, e in zip(states, entries)]
             hit = self._successors[d, entries] = combine_ints(parts, d.den)
         return hit
+
+    def _choices(self, states):
+        """The combos and vertices `<1>` scans at a support, ``states`` in
+        the model's order: every grid lottery per state and every pure
+        response per state, except that a blind player's choices at a state
+        are one class, scanned by its first member (a 0 there). Combos come
+        lazily, in ``itertools.product`` order; vertices as a list."""
+        g = self.g
+        blind = [g.blind[s] for s in states]
+        combos = itertools.product(*[(0,) if b1 else range(len(self._succ.lotteries)) for b1, _ in blind])
+        vertices = list(itertools.product(*[(0,) if b2 else range(len(g.acts2)) for _, b2 in blind]))
+        return combos, vertices
+
+    def _may_hold(self, support: frozenset, phi) -> bool:
+        """Whether ``phi`` can hold, certified or not, at a distribution
+        with this support; False means it cannot.
+
+        A literal, `sum` or `mix` needs the support inside its
+        ``_FlatChecker._allowed`` set (see ``_split_grid``). `&` needs every
+        item to pass, `|` one. A fixpoint or variable always passes. `<1>
+        psi` needs a combo under which every vertex's successor support
+        passes for ``psi``: combos and vertices are ``_choices``'s, each
+        support is read off the table entries, and each counts against
+        ``ENFORCE_BUDGET`` as a ``step`` call does. Memoized per evaluator,
+        on the support and the node."""
+        key = support, phi
+        hit = self._may.get(key)
+        if hit is None:
+            if isinstance(phi, And):
+                hit = all(self._may_hold(support, item) for item in phi.items)
+            elif isinstance(phi, Or):
+                hit = any(self._may_hold(support, item) for item in phi.items)
+            elif isinstance(phi, Enforce):
+                hit = self._may_enforce(support, phi.body)
+            elif isinstance(phi, (Mu, Nu, Var)):
+                hit = True
+            else:  # a literal, `mix` or `sum`
+                hit = support <= self.flat._allowed(phi)
+            self._may[key] = hit
+        return hit
+
+    def _may_enforce(self, support, body) -> bool:
+        """``_may_hold`` of `<1> body` at ``support``."""
+        states = sorted(support, key=self.g.index.get)
+        combos, vertices = self._choices(states)
+        succ = self._succ
+
+        def reached(combo, sigma):
+            self._charge()
+            return frozenset().union(*[succ[key].nums for key in zip(states, combo, sigma)])
+
+        return any(
+            all(self._may_hold(reached(combo, sigma), body) for sigma in vertices)
+            for combo in combos
+        )
 
     def _enforce(self, d, body) -> EvalResult:
         """Some grid lottery per support state (a combo) under which ``body``
@@ -567,24 +629,32 @@ class Evaluator:
         where its player is blind (``GameStructure.blind``) makes the same
         successor keys, and so the same results, as the first of its class,
         which has a 0 there; only firsts are scanned, in the full scan's
-        order. The witness's ``vertices`` counts every response the scan
-        covers, the skipped members of a class included."""
+        order (``_choices``). The witness's ``vertices`` counts every
+        response the scan covers, the skipped members of a class included.
+
+        A scan that cannot refute, over a body that is not flat, rejects a
+        combo without evaluating ``body`` at a vertex whose successor
+        support fails ``_may_hold``: ``body`` cannot hold there, which is
+        all the scan asks of a vertex that does not refute. A flat body is
+        not tested, as its exact check starts from the same support test."""
         g = self.g
         states = sorted(d.support(), key=g.index.get)
         lotteries = self._succ.lotteries
-        blind = [g.blind[s] for s in states]
-        combos = itertools.product(*[(0,) if b1 else range(len(lotteries)) for b1, _ in blind])
-        vertices = list(itertools.product(*[(0,) if b2 else range(len(g.acts2)) for _, b2 in blind]))
+        combos, vertices = self._choices(states)
         safe = body.convex
         # With a single player-1 action the candidate space is a point, so a
         # failing vertex refutes the modality; scan past unknown vertices for
         # one instead of stopping at the first that does not hold.
         refutable = len(g.acts1) == 1
+        prune = not refutable and not body.flat
         for combo in combos:
             results = []
             rejected = False
             for sigma in vertices:
                 theta = self.step(d, states, combo, sigma)
+                if prune and not self._may_hold(frozenset(theta.nums), body):
+                    rejected = True
+                    break
                 r = self.eval(theta, body)
                 results.append(r)
                 if r.verdict != HOLDS:

@@ -180,7 +180,7 @@ def parse_model(text: str) -> GameStructure:
     acts1 = None
     acts2 = None
     rows = {}
-    absorbed = []
+    absorbed = {}  # state -> line of its `absorb`
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -275,7 +275,9 @@ def parse_model(text: str) -> GameStructure:
             st = _ident(rest, lineno, "state name")
             if st not in states:
                 raise ModelError(f"unknown state {st!r}", lineno)
-            absorbed.append((st, lineno))
+            if st in absorbed:
+                raise ModelError(f"duplicate absorb line for {st!r}", lineno)
+            absorbed[st] = lineno
         else:
             raise ModelError(f"unknown directive {word!r}", lineno)
 
@@ -286,7 +288,7 @@ def parse_model(text: str) -> GameStructure:
     if acts1 is None or acts2 is None:
         raise ModelError("missing actions declarations")
 
-    for st, lineno in absorbed:
+    for st, lineno in absorbed.items():
         point = Distribution.point(st)
         for a1 in acts1:
             for a2 in acts2:

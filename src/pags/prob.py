@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Optional
 
 
@@ -536,15 +536,29 @@ def compositions(total: int, parts: int):
             yield (head,) + tail
 
 
+# Lotteries one grid may hold, comb(k + n - 1, k) over n actions. Every
+# table, `<1>` scan and characteristic formula of the grid is built from
+# them, so a grid past it is refused before any is made; rps's 3 actions
+# pass it at grid 140.
+LOTTERY_BUDGET = 10_000
+
+
 def grid_lotteries(actions, k: int):
     """Action lotteries with denominators dividing ``k``, in grid order.
 
     Includes every pure lottery (compositions putting all of ``k`` on one
-    action).
+    action). A grid below 1, or one with more than ``LOTTERY_BUDGET``
+    lotteries, raises ``ValueError`` before any lottery is built.
     """
     if k < 1:
         raise ValueError(f"grid must be >= 1, got {k}")
     actions = list(actions)
+    count = comb(k + len(actions) - 1, k)
+    if count > LOTTERY_BUDGET:
+        raise ValueError(
+            f"grid {k} over {len(actions)} actions gives {count} lotteries, "
+            f"over the budget of {LOTTERY_BUDGET}"
+        )
     out = []
     for comp in compositions(k, len(actions)):
         out.append({a: Fraction(c, k) for a, c in zip(actions, comp) if c})

@@ -48,9 +48,11 @@ def random_relation(rng: random.Random, left, right, density=0.5) -> Relation:
 
 
 def random_model(rng: random.Random, n_states=3, n_acts1=2, n_acts2=2, n_props=2,
-                 point_rows=False) -> GameStructure:
+                 point_rows=False, turn_based=False) -> GameStructure:
     """Random model; with ``point_rows`` every row is a point distribution,
-    so the model is deterministic."""
+    so the model is deterministic. With ``turn_based`` one player, drawn
+    per state, moves there: its action alone picks the row, so the other
+    player is blind."""
     states = [f"q{i}" for i in range(n_states)]
     acts1 = [f"a{i}" for i in range(n_acts1)]
     acts2 = [f"b{i}" for i in range(n_acts2)]
@@ -60,10 +62,15 @@ def random_model(rng: random.Random, n_states=3, n_acts1=2, n_acts2=2, n_props=2
     }
     table = {}
     for s in states:
+        mover = rng.choice((1, 2)) if turn_based else None
+        rows = {}
         for a1 in acts1:
             for a2 in acts2:
-                table[(s, a1, a2)] = (Distribution.point(rng.choice(states)) if point_rows
-                                      else random_distribution(rng, states, max_den=6))
+                row = {1: a1, 2: a2}.get(mover, (a1, a2))
+                if row not in rows:
+                    rows[row] = (Distribution.point(rng.choice(states)) if point_rows
+                                 else random_distribution(rng, states, max_den=6))
+                table[(s, a1, a2)] = rows[row]
     return GameStructure("rand", states, states[0], props, labels, acts1, acts2, table)
 
 

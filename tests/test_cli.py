@@ -15,7 +15,7 @@ from pags.cli import run
 from pags.formula import FORMAT_BUDGET, parse_formula
 from pags.logic import ENFORCE_BUDGET, SPLIT_BUDGET, evaluate
 from pags.oracle import brute_eval
-from pags.prob import parse_distribution
+from pags.prob import LOTTERY_BUDGET, parse_distribution
 
 RPS = str(fixture_path("rps.pgs"))
 HOST = str(fixture_path("lifthost.pgs"))
@@ -389,13 +389,19 @@ def test_oracle_grid_and_scale_below_one_are_usage_errors():
         assert code == 3 and out == "" and "scale must be >= 1" in err
 
 
+# A `<1>` body that passes the support test at every support, as every
+# fixpoint does, so that no `<1>` nested over it skips its body.
+_REACH = "(mu Z. win1 | <1> Z)"
+
+
 def test_nested_enforce_hits_the_evaluation_budget():
-    """Sixteen nested `<1>` on rps exceed the successor budget: exit 3 with
-    the count and the limit, well within the timeout."""
+    """Sixteen `<1>` nested over a reachability formula on rps exceed the
+    successor budget: exit 3 with the count and the limit, well within the
+    timeout."""
     env = dict(os.environ, PYTHONPATH=str(Path(pags.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "pags", "eval", "--model", RPS, "--dist", "s0:1",
-         "--formula", "<1> " * 16 + "win1"],
+         "--formula", "<1> " * 16 + _REACH],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 3 and proc.stdout == ""
@@ -424,10 +430,27 @@ def test_fine_split_grid_hits_the_split_budget():
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", RPS, "--dist", "s0:1", "--formula", "<1> win1", "--grid", "2000"],
+    ["preorder", "--model", RPS, "--from", "s0", "--to", "s1", "--depth", "1", "--grid", "2000"],
+    ["charform", "--model", RPS, "--state", "s0", "--depth", "1", "--grid", "2000"],
+    ["sim", "--model", RPS, "--mode", "grid=2000"],
+])
+def test_a_grid_with_too_many_lotteries_is_refused_before_any_is_built(monkeypatch, argv):
+    """rps's 3 actions at grid 2000 would take 2,003,001 lotteries: exit 3
+    with one line, and no lottery is enumerated."""
+    monkeypatch.setattr("pags.prob.compositions", None)
+    assert invoke(argv) == (
+        3, "",
+        f"error: grid 2000 over 3 actions gives 2003001 lotteries, "
+        f"over the budget of {LOTTERY_BUDGET}\n",
+    )
+
+
 _LIFT = ["lift", "--model", HOST, "--delta", "s1:1", "--theta", "t1:1"]
 _EVAL = ["eval", "--model", RPS, "--dist", "s0:1"]
 _UNKNOWN = "verdict: unknown\ncertified: false\n"
-_NESTED = "<1> " * 10 + "win1"  # 13,302 `step` calls when evaluated at s0:1
+_NESTED = "<1> " * 10 + _REACH  # 66,773 successor requests when evaluated at s0:1
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [
@@ -456,7 +479,7 @@ _NESTED = "<1> " * 10 + "win1"  # 13,302 `step` calls when evaluated at s0:1
     (["preorder", "--model", RPS, "--from", "zz", "--to", "s0", "--depth", "1"], 3, "",
      "error: unknown state 'zz'\n"),
     (["sim", "--model", RPS, "--pair", ""], 3, "", "error: --pair expects 's,t'\n"),
-    (_EVAL + ["--formula", _NESTED], 2, _UNKNOWN + "unknown at bound 4\n", ""),
+    (_EVAL + ["--formula", "<1> " * 10 + "win1"], 2, _UNKNOWN + "unknown at bound 4\n", ""),
 ])
 def test_pinned_paths(tmp_path, argv, code, stdout, stderr):
     """Exit code and exact output of paths no other test executes."""

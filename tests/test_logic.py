@@ -640,11 +640,14 @@ def test_each_distinct_successor_is_built_once_per_evaluator():
 def test_blind_choices_are_charged_once_per_class(rps):
     """rps's goal states absorb whatever either player does, so `<1>` there
     evaluates one lottery and one response, and is charged for that one
-    request alone."""
+    request alone. The `sum` is allowed at every state, as `true` is, so
+    the support test prunes no scan: the first case's counts are the class
+    scan's (1,371 requests) plus the support test's own, and in the second
+    `|` passes the test on its `sum` without scanning."""
     d = Distribution.point("s0")
     cases = [
-        ("<1> <1> <1> <1> <1> <1> <1> <1> win1", 4, 3_309, 1_659),
-        ("mu Z. win1 | <1> Z", 5, 382, 202),
+        ("<1> <1> <1> <1> <1> <1> <1> <1> sum{1/3: win1, 2/3: true}", 4, 1_473, 594),
+        ("mu Z. sum{1/3: win1, 2/3: true} | <1> Z", 5, 202, 84),
     ]
     for text, bound, built, successors in cases:
         ev = Evaluator(rps, EvalOptions(unfold_bound=bound))

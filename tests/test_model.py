@@ -156,6 +156,8 @@ def _edit(old, new):
                  "line 4: absorb before states/actions declarations", id="absorb-too-early"),
     pytest.param(MINIMAL + "trans s1 (a,y): s0=1\n",
                  "line 10: absorb s1 conflicts with explicit row (s1,a,y)", id="absorb-conflict"),
+    pytest.param(MINIMAL + "absorb s1\n",
+                 "line 11: duplicate absorb line for 's1'", id="absorb-twice"),
     pytest.param(MINIMAL + "bogus s1\n",
                  "line 11: unknown directive 'bogus'", id="unknown-directive"),
     pytest.param(_edit("model tiny", ""),

@@ -9,6 +9,7 @@ import pytest
 from conftest import random_distribution, random_relation, standard_form
 from pags import prob
 from pags.prob import (
+    LOTTERY_BUDGET,
     Distribution,
     LinearProblem,
     MixedAction,
@@ -173,6 +174,18 @@ def test_grid_lotteries_include_pure():
 def test_grid_lotteries_reject_grid_below_one():
     with pytest.raises(ValueError, match="grid must be >= 1"):
         grid_lotteries(["a", "b"], 0)
+
+
+def test_grid_lotteries_stop_at_the_lottery_budget():
+    """Two actions at grid k give k + 1 lotteries: the budget itself is
+    built, one more is refused."""
+    assert len(grid_lotteries(["a", "b"], LOTTERY_BUDGET - 1)) == LOTTERY_BUDGET
+    with pytest.raises(ValueError) as e:
+        grid_lotteries(["a", "b"], LOTTERY_BUDGET)
+    assert str(e.value) == (
+        f"grid {LOTTERY_BUDGET} over 2 actions gives {LOTTERY_BUDGET + 1} lotteries, "
+        f"over the budget of {LOTTERY_BUDGET}"
+    )
 
 
 def test_lift_check_feasible_witness_valid():

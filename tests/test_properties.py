@@ -668,21 +668,23 @@ def test_combine_dists_matches_a_fraction_reference(parts, scale):
 
 
 @st.composite
-def formulas(draw, bound=(), depth=3):
+def formulas(draw, bound=(), depth=3, props=("p", "q")):
     """Formulas of every node kind in the parser's own shape: `&` and `|`
     have two or more items, none a nonempty node of the same kind. Variables
-    come from ``bound`` and from the fixpoints above them."""
+    come from ``bound`` and from the fixpoints above them; the literals are
+    the first of ``props`` in either sign and the second unnegated."""
     if depth == 0 or draw(st.integers(0, 3)) == 0:
-        leaves = [Prop("p"), NegProp("p"), Prop("q"), TRUE, FALSE] + [Var(v) for v in bound]
+        p, q = props
+        leaves = [Prop(p), NegProp(p), Prop(q), TRUE, FALSE] + [Var(v) for v in bound]
         return draw(st.sampled_from(leaves))
     kind = draw(st.sampled_from(["and", "or", "sum", "mix", "<1>", "mu", "nu"]))
     if kind in ("mu", "nu"):
         var = draw(st.sampled_from("XYZ"))
-        return {"mu": Mu, "nu": Nu}[kind](var, draw(formulas(bound + (var,), depth - 1)))
+        return {"mu": Mu, "nu": Nu}[kind](var, draw(formulas(bound + (var,), depth - 1, props)))
     if kind == "<1>":
-        return Enforce(draw(formulas(bound, depth - 1)))
+        return Enforce(draw(formulas(bound, depth - 1, props)))
     n = draw(st.integers(1 if kind in ("sum", "mix") else 2, 3))
-    items = [draw(formulas(bound, depth - 1)) for _ in range(n)]
+    items = [draw(formulas(bound, depth - 1, props)) for _ in range(n)]
     if kind == "sum":
         weights = [draw(st.integers(1, 3)) for _ in items]
         return ProbSum((Fraction(w, sum(weights)), i) for w, i in zip(weights, items))
@@ -963,8 +965,13 @@ def test_successor_cache_matches_rebuilding_every_successor(instance):
 
 
 class _FullScanEvaluator(Evaluator):
-    """The evaluator whose `<1>` evaluates every grid lottery per support
-    state against every pure response, blind players or not."""
+    """The evaluator whose `<1>`, and whose support test of a `<1>`, take
+    every grid lottery per support state against every pure response,
+    blind players or not."""
+
+    def _choices(self, states):
+        return (itertools.product(range(len(self._succ.lotteries)), repeat=len(states)),
+                list(itertools.product(range(len(self.g.acts2)), repeat=len(states))))
 
     def _enforce(self, d, body):
         g = self.g
@@ -977,6 +984,9 @@ class _FullScanEvaluator(Evaluator):
             rejected = False
             for sigma in vertices:
                 theta = self.step(d, states, combo, sigma)
+                if not (refutable or body.flat or self._may_hold(frozenset(theta.nums), body)):
+                    rejected = True
+                    break
                 r = self.eval(theta, body)
                 results.append(r)
                 if r.verdict != HOLDS:
@@ -1001,6 +1011,14 @@ class _FullScanEvaluator(Evaluator):
                 }
                 return _holds(witness, body.convex and certified, bound)
         return _unknown()
+
+
+class _UnprunedEvaluator(Evaluator):
+    """The evaluator whose `<1>` evaluates its body at every vertex it
+    reaches: its support test passes everything."""
+
+    def _may_hold(self, support, phi):
+        return True
 
 
 def _reordered(dist):
@@ -1072,11 +1090,24 @@ def test_enforce_classes_match_the_full_scan(instance):
     which successors are built, entry for entry and in which order, nor
     which distribution and subformula pairs are evaluated and to what. It
     makes no more requests than the full scan. The full scan reads its own
-    copy of the model, so that each fills its own successor table."""
+    copy of the model, so that each fills its own successor table.
+
+    Skipping the body where the support test fails changes no result
+    either: the evaluator without the test gives the same, and has built
+    every successor and evaluated every pair that the pruned scans did, to
+    the same results, and tried at least as many splits."""
     g, d, phi, opts = instance
-    copy = GameStructure(g.name, g.states, g.init, g.props, g.labels, g.acts1, g.acts2, g.table)
-    ev, full = Evaluator(g, opts), _FullScanEvaluator(copy, opts)
-    assert repr(ev.eval(d, phi)) == repr(full.eval(d, phi))
+
+    def copy():
+        return GameStructure(g.name, g.states, g.init, g.props, g.labels, g.acts1, g.acts2, g.table)
+
+    ev = Evaluator(g, opts)
+    full, unpruned = _FullScanEvaluator(copy(), opts), _UnprunedEvaluator(copy(), opts)
+    result = repr(ev.eval(d, phi))
+    assert result == repr(full.eval(d, phi)) == repr(unpruned.eval(d, phi))
+    assert ev._tried <= unpruned._tried
+    assert ev._successors.keys() <= unpruned._successors.keys()
+    assert all(unpruned._memo[key] == r for key, r in ev._memo.items())
     assert ev._built <= full._built
     assert ev._tried == full._tried
     assert [(_ordered(k[0]), k[1]) for k in ev._successors] == [
@@ -1088,6 +1119,24 @@ def test_enforce_classes_match_the_full_scan(instance):
     assert [(_ordered(k[0]), k[1], r) for (k, r) in ev._memo.items()] == [
         (_ordered(k[0]), k[1], r) for (k, r) in full._memo.items()
     ]
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.integers(0, 2**32), st.booleans(), formulas(props=("p0", "p1")))
+def test_every_holding_result_passes_the_support_test(seed, turn_based, phi):
+    """The fact that lets `<1>` skip its body where the support test fails:
+    after an evaluation, every distribution and subformula pair that holds,
+    certified or not, passes ``_may_hold`` at the distribution's support.
+    On seeded 3-state models, concurrent or turn-based, at a seeded
+    distribution."""
+    rng = random.Random(seed)
+    g = random_model(rng, n_states=3, turn_based=turn_based)
+    d = random_distribution(rng, g.states, max_den=4)
+    ev = Evaluator(g, BOUNDED)
+    ev.eval(d, phi)
+    for (dist, node), r in ev._memo.items():
+        if r.verdict == HOLDS:
+            assert ev._may_hold(frozenset(dist.nums), node), (dist.format(), format_formula(node))
 
 
 # Player 1 is blind at q1 alone, which lies between the free q0 and q2.
